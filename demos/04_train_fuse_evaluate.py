@@ -22,8 +22,7 @@ print(f"corpus: {len(corpus.train_pairs())} train / "
       f"{len(corpus.test_pairs())} test pairs")
 
 cfg = TrainConfig(learning_rate=1e-3, batch_size=4, epochs=10 ** 6,
-                  image_size=32, seed=7, max_steps=600, stop_rmse=0.03,
-                  eval_interval=25)
+                  seed=7, max_steps=600, stop_rmse=0.03, eval_interval=25)
 params, log = train(corpus, cfg)
 print(f"trained {len(log.rows)} steps; final loss {log.rows[-1][2]:.4f}")
 

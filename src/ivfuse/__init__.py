@@ -20,8 +20,7 @@ from .network import (FeedbackConfig, ModelParams, PreFusionConfig, decode,
                       encode, fuse_add, fuse_images, init_params, pre_fuse,
                       rdb_forward, reconstruct)
 from .tensor import (Tensor, backward, concat_channels, conv2d,
-                     finite_diff_gradient, gradients, narrow,
-                     slice_channels, tile_channels)
+                     finite_diff_gradient, narrow, tile_channels)
 from .training import Adam, SGD, TrainConfig, TrainingLog, train
 
 __version__ = "0.1.0"

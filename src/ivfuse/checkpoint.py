@@ -5,7 +5,7 @@ tensor (``<name> <dtype> <d0,d1,...>``), a blank line, then the raw
 little-endian float32 payloads in manifest order. Loading validates the
 complete tensor set and every shape against the architecture table before
 accepting anything, so a checkpoint that parses is guaranteed to fit the
-network exactly.
+network exactly, and it rejects any tensor holding a non-finite value.
 """
 
 from __future__ import annotations
@@ -87,6 +87,9 @@ def load_checkpoint(path) -> ModelParams:
                 f"{path}: truncated payload while reading {name}")
         arr = np.frombuffer(
             payload, dtype="<f4", count=count, offset=offset).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise CheckpointFormatError(
+                f"{path}: {name} holds non-finite values")
         tensors[name] = Tensor(arr.astype(np.float32))
         offset += nbytes
     if offset != len(payload):

@@ -141,7 +141,7 @@ def _loss_config(cfg: dict) -> LossConfig:
 def _train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(
         learning_rate=cfg["learning_rate"], batch_size=cfg["batch_size"],
-        epochs=cfg["epochs"], image_size=cfg["image_size"], seed=cfg["seed"],
+        epochs=cfg["epochs"], seed=cfg["seed"],
         pre_fusion=PreFusionConfig(cfg["a1"]), loss=_loss_config(cfg),
         feedback=FeedbackConfig(cfg["n_feedback"]), optimizer=cfg["optimizer"],
         beta1=cfg["beta1"], beta2=cfg["beta2"], adam_eps=cfg["adam_eps"],
@@ -188,11 +188,13 @@ def cmd_fuse(cfg: dict, ir_path: str, vis_path: str, out_path: str) -> int:
     pre = PreFusionConfig(cfg["a1"]) if cfg["pre_fuse_at_test"] else None
     fused = fuse_images(ir, vis, params, FeedbackConfig(cfg["n_feedback"]),
                         pre_fusion=pre)
+    # the metrics reject pairs smaller than the ssim window; do that
+    # before anything is written
+    row = measure_triple(ir, vis, fused)
     out_dir = os.path.dirname(out_path)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     write_pgm(out_path, fused)
-    row = measure_triple(ir, vis, fused)
     print(f"wrote {out_path}")
     print(f"metrics en={row.en:.6f} qabf={row.qabf:.6f} "
           f"ssim={row.ssim:.6f} psnr={row.psnr:.6f}")

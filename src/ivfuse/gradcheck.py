@@ -112,10 +112,10 @@ def _check_tile(rng, h):
 
 def _check_narrow(rng, h):
     x = Tensor(rng.standard_normal((1, 4, 5, 5)))
-    r = _projection(rng, (1, 2, 3, 5))
+    r = _projection(rng, (2, 15))
 
     def f(t):
-        return (narrow(narrow(t, 1, 1, 3), 2, 2, 5) * r).sum()
+        return (narrow(narrow(t, 1, 1, 3), 2, 2, 5).reshape((2, 15)) * r).sum()
 
     return _check(f, x, h)
 
@@ -124,13 +124,21 @@ def _check_elementwise(rng, h):
     a = Tensor(rng.uniform(-1, 1, size=(3, 4)))
     b = Tensor(rng.uniform(-1, 1, size=(3, 4)))
     bb = b + 2.0  # denominator in [1, 3]
+    rows = _projection(rng, (3,))
+    cols = _projection(rng, (4,))
+
+    def axis_terms(t):
+        return ((t.square().sum(axis=1) * rows).sum()
+                + (t.mean(axis=0) * cols).sum() + t.mean(axis=(0, 1)))
 
     def f_a(t):
-        return ((t * b + t - b) * 0.5).square().mean() + (t / bb).sum()
+        return (((t * b + t - b) * 0.5).square().mean() + (t / bb).sum()
+                + axis_terms(t))
 
     def f_b(t):
         tb = t + 2.0
-        return ((a * t + a - t) * 0.5).square().mean() + (a / tb).sum()
+        return (((a * t + a - t) * 0.5).square().mean() + (a / tb).sum()
+                + axis_terms(t))
 
     return max(_check(f_a, a, h), _check(f_b, b, h))
 

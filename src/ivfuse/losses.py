@@ -47,26 +47,15 @@ class LossConfig:
             raise ConfigError(f"pixel_mode must be one of {PIXEL_MODES}")
 
 
-def _as_image_tensor(x) -> Tensor:
-    """Accept (H, W) or (1, 1, H, W); return the 4-d tensor."""
+def _as_batch(x) -> Tensor:
+    """Accept one (H, W) image or a (B, 1, H, W) batch; return the 4-d tensor."""
     t = as_tensor(x)
     if t.data.ndim == 2:
-        return Tensor(t.data[np.newaxis, np.newaxis]) if not isinstance(x, Tensor) \
-            else _lift_2d(t)
-    if t.data.ndim == 4 and t.shape[0] == 1 and t.shape[1] == 1:
+        return t.reshape((1, 1) + t.shape)
+    if t.data.ndim == 4 and t.shape[1] == 1:
         return t
     raise ShapeError(
-        f"expected a single (H, W) or (1, 1, H, W) image, got shape {t.shape}")
-
-
-def _lift_2d(t: Tensor) -> Tensor:
-    out = Tensor(t.data[np.newaxis, np.newaxis], _parents=(t,))
-
-    def backward(g):
-        t.grad += g[0, 0]
-
-    out._backward = backward
-    return out
+        f"expected an (H, W) image or a (B, 1, H, W) batch, got shape {t.shape}")
 
 
 def pixel_loss(output, target, mode: str = "mse") -> Tensor:
@@ -74,17 +63,18 @@ def pixel_loss(output, target, mode: str = "mse") -> Tensor:
 
     "norm" is the plain Euclidean norm of the difference; "mse" (default)
     divides the squared norm by the element count, which decouples the
-    loss weights from the image size.
+    loss weights from the image size. A batch scores the mean of its
+    per-image distances.
     """
-    o = as_tensor(output)
-    t = as_tensor(target)
+    o = _as_batch(output)
+    t = _as_batch(target)
     if o.shape != t.shape:
         raise ShapeError(
             f"pixel_loss needs equal shapes, got {o.shape} and {t.shape}")
     if mode not in PIXEL_MODES:
         raise ConfigError(f"pixel_mode must be one of {PIXEL_MODES}")
     sq = (o - t).square()
-    return sq.mean() if mode == "mse" else sq.sum().sqrt()
+    return sq.mean() if mode == "mse" else sq.sum(axis=(1, 2, 3)).sqrt().mean()
 
 
 def gaussian_window_1d(size: int, sigma: float, dtype=np.float64) -> np.ndarray:
@@ -109,10 +99,12 @@ def ssim(output, target, cfg: LossConfig = LossConfig()) -> Tensor:
     an 11x11 sigma-1.5 Gaussian window (valid positions only), combined as
     ((2 mu_o mu_t + C1)(2 cov + C2)) / ((mu_o^2 + mu_t^2 + C1)
     (var_o + var_t + C2)). Returns a scalar in [-1, 1]; exactly 1 when the
-    images are identical.
+    images are identical. A (B, 1, H, W) batch pairs image b of ``output``
+    with image b of ``target`` and scores the mean of the B per-image
+    values (every image has the same number of windows).
     """
-    o = _as_image_tensor(output)
-    t = _as_image_tensor(target)
+    o = _as_batch(output)
+    t = _as_batch(target)
     if o.shape != t.shape:
         raise ShapeError(
             f"ssim needs equal shapes, got {o.shape} and {t.shape}")
@@ -136,13 +128,9 @@ def ssim_loss(output, target, cfg: LossConfig = LossConfig()) -> Tensor:
     return 1.0 - ssim(output, target, cfg)
 
 
-def avg_gradient(img) -> Tensor:
-    """Mean forward-difference gradient magnitude of a single image.
-
-    Both differences exist on the (M-1) x (N-1) region, and the mean is
-    taken over exactly that region so a constant image scores exactly 0.
-    """
-    t = _as_image_tensor(img)
+def _gradient_magnitude(t: Tensor) -> Tensor:
+    """Forward-difference gradient magnitude of a (B, 1, H, W) batch, on
+    the (H-1) x (W-1) region where both differences exist."""
     H, W = t.shape[2], t.shape[3]
     if H < 2 or W < 2:
         raise ShapeError(f"avg_gradient needs at least 2x2, got {H}x{W}")
@@ -150,14 +138,25 @@ def avg_gradient(img) -> Tensor:
     left = narrow(t, 3, 0, W - 1)
     dx = narrow(top, 3, 1, W) - narrow(top, 3, 0, W - 1)
     dy = narrow(left, 2, 1, H) - narrow(left, 2, 0, H - 1)
-    mag = ((dx.square() + dy.square()) * 0.5).sqrt()
-    return mag.mean()
+    return ((dx.square() + dy.square()) * 0.5).sqrt()
+
+
+def avg_gradient(img) -> Tensor:
+    """Mean forward-difference gradient magnitude of an image.
+
+    The mean is taken over exactly the region where both differences
+    exist, so a constant image scores exactly 0. A (B, 1, H, W) batch
+    scores the mean of its per-image values.
+    """
+    return _gradient_magnitude(_as_batch(img)).mean()
 
 
 def _detail_term(o: Tensor, t: Tensor, cfg: LossConfig) -> Tensor:
     if cfg.ag_mode == "literal":
         return avg_gradient(o)
-    return (avg_gradient(t) - avg_gradient(o)).abs()
+    ag_t = _gradient_magnitude(t).mean(axis=(1, 2, 3))
+    ag_o = _gradient_magnitude(o).mean(axis=(1, 2, 3))
+    return (ag_t - ag_o).abs().mean()
 
 
 def composite_loss(output, target, cfg: LossConfig = LossConfig()) -> Tensor:
@@ -170,37 +169,19 @@ def composite_loss_parts(output, target, cfg: LossConfig = LossConfig()
                          ) -> tuple[Tensor, dict[str, float]]:
     """Composite loss plus the detached per-component values.
 
-    Accepts single images or (B, 1, H, W) batches; a batch contributes the
-    mean of its per-image losses.
+    Accepts one (H, W) image or a (B, 1, H, W) batch. A batch contributes
+    the mean of its per-image losses, and each logged part is the mean of
+    that part over the batch; one image is the batch B=1.
     """
-    o = as_tensor(output)
-    t = as_tensor(target)
+    o = _as_batch(output)
+    t = _as_batch(target)
     if o.shape != t.shape:
         raise ShapeError(
             f"composite_loss needs equal shapes, got {o.shape} and {t.shape}")
-    if o.data.ndim == 2:
-        images = [(_as_image_tensor(o), _as_image_tensor(t))]
-    elif o.data.ndim == 4 and o.shape[1] == 1:
-        images = [(narrow(o, 0, b, b + 1), narrow(t, 0, b, b + 1))
-                  for b in range(o.shape[0])]
-    else:
-        raise ShapeError(
-            f"composite_loss expects (H, W) or (B, 1, H, W), got {o.shape}")
-
-    total = None
-    parts = {"L_p": 0.0, "L_ssim": 0.0, "L_ag": 0.0}
-    for oi, ti in images:
-        lp = pixel_loss(oi, ti, cfg.pixel_mode)
-        ls = ssim_loss(oi, ti, cfg)
-        lag = _detail_term(oi, ti, cfg)
-        term = cfg.ssim_weight * ls + lp + cfg.ag_weight * lag
-        total = term if total is None else total + term
-        parts["L_p"] += lp.item()
-        parts["L_ssim"] += ls.item()
-        parts["L_ag"] += lag.item()
-    n = float(len(images))
-    total = total * (1.0 / n)
-    for k in parts:
-        parts[k] /= n
-    parts["L"] = total.item()
+    lp = pixel_loss(o, t, cfg.pixel_mode)
+    ls = ssim_loss(o, t, cfg)
+    lag = _detail_term(o, t, cfg)
+    total = cfg.ssim_weight * ls + lp + cfg.ag_weight * lag
+    parts = {"L_p": lp.item(), "L_ssim": ls.item(), "L_ag": lag.item(),
+             "L": total.item()}
     return total, parts

@@ -101,17 +101,19 @@ def qabf(a: np.ndarray, b: np.ndarray, f: np.ndarray) -> float:
     return float(np.sum(qa * ga + qb * gb) / den)
 
 
-def ssim_pair(x: np.ndarray, y: np.ndarray,
-              cfg: LossConfig = LossConfig()) -> float:
-    """SSIM between two plain images, evaluated in 64-bit."""
-    return float(_ssim_graph(x.astype(np.float64), y.astype(np.float64),
-                             cfg).data)
-
-
 def ssim_metric(f: np.ndarray, a: np.ndarray, b: np.ndarray,
                 cfg: LossConfig = LossConfig()) -> float:
-    """Mean SSIM of the fused image against each source."""
-    return 0.5 * (ssim_pair(f, a, cfg) + ssim_pair(f, b, cfg))
+    """Mean SSIM of the fused image against each source.
+
+    One 64-bit evaluation on the batch of the two pairs (f, a) and (f, b).
+    """
+    if a.shape != f.shape or b.shape != f.shape:
+        raise ShapeError(
+            f"ssim_metric needs three equal shapes, got {a.shape}, {b.shape}, "
+            f"{f.shape}")
+    fused = np.stack([f, f])[:, np.newaxis].astype(np.float64)
+    sources = np.stack([a, b])[:, np.newaxis].astype(np.float64)
+    return float(_ssim_graph(fused, sources, cfg).data)
 
 
 def psnr(f: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:

@@ -160,23 +160,6 @@ def pre_fuse(infrared: np.ndarray, visible: np.ndarray,
     return iw, vw
 
 
-class _Counter:
-    """Instrumentation hook; lets tests assert the fusion layer stayed idle
-    during training."""
-
-    def __init__(self):
-        self.count = 0
-
-    def bump(self):
-        self.count += 1
-
-    def reset(self):
-        self.count = 0
-
-
-FUSE_CALLS = _Counter()
-
-
 def rdb_forward(f0: Tensor, params: ModelParams) -> Tensor:
     """Residual dense block: three densely connected 3x3 convs, channel
     concatenation to 64, a 1x1 fusion conv, and a tiled local skip."""
@@ -209,7 +192,6 @@ def fuse_add(phi1: Tensor, phi2: Tensor) -> Tensor:
     if phi1.shape != phi2.shape:
         raise ShapeError(
             f"fuse_add needs equal shapes, got {phi1.shape} and {phi2.shape}")
-    FUSE_CALLS.bump()
     return phi1 + phi2
 
 

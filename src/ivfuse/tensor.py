@@ -2,9 +2,9 @@
 
 Just enough operations for the fusion network and its losses: 2-D
 convolution, ReLU, channel concatenation, axis slicing, channel tiling,
-elementwise arithmetic, square root, and the two reductions. Tensors are
-float32 for training and float64 for gradient checking; the code path is
-identical, only the dtype differs.
+reshaping, elementwise arithmetic, square root, and sum and mean over all
+or some axes. Tensors are float32 for training and float64 for gradient
+checking; the code path is identical, only the dtype differs.
 
 Values are immutable by convention: no operation writes into its inputs,
 so tensors can be shared freely. The optimizer mutates parameter ``data``
@@ -136,21 +136,32 @@ class Tensor:
 
     # -- reductions -------------------------------------------------------
 
-    def sum(self):
-        out = Tensor(np.sum(self.data), _parents=(self,))
+    def sum(self, axis=None):
+        """Sum over ``axis`` (an int or a tuple of ints), or over everything."""
+        out = Tensor(np.sum(self.data, axis=axis), _parents=(self,))
 
         def backward(g):
-            self.grad += g
+            self.grad += g if axis is None else np.expand_dims(g, axis)
 
         out._backward = backward
         return out
 
-    def mean(self):
-        n = self.data.size
-        out = Tensor(np.mean(self.data), _parents=(self,))
+    def mean(self, axis=None):
+        """Mean over ``axis`` (an int or a tuple of ints), or over everything."""
+        out = Tensor(np.mean(self.data, axis=axis), _parents=(self,))
+        n = self.data.size // out.data.size
 
         def backward(g):
-            self.grad += g / n
+            self.grad += (g if axis is None else np.expand_dims(g, axis)) / n
+
+        out._backward = backward
+        return out
+
+    def reshape(self, shape):
+        out = Tensor(self.data.reshape(shape), _parents=(self,))
+
+        def backward(g):
+            self.grad += g.reshape(self.data.shape)
 
         out._backward = backward
         return out
@@ -298,10 +309,6 @@ def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return out
 
 
-def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
-    return narrow(x, 1, start, stop)
-
-
 def tile_channels(x: Tensor, reps: int) -> Tensor:
     """Repeat the channel axis ``reps`` times: (B, C, H, W) -> (B, reps*C, H, W)."""
     if x.data.ndim != 4:
@@ -355,12 +362,6 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             if id(parent) not in visited:
                 stack.append((parent, False))
     return order
-
-
-def gradients(loss: Tensor, wrt: Sequence[Tensor]) -> list[np.ndarray]:
-    """Convenience: run backward and return copies of the requested grads."""
-    backward(loss)
-    return [t.grad.copy() for t in wrt]
 
 
 # -- independent numeric oracle --------------------------------------------

@@ -29,7 +29,6 @@ class TrainConfig:
     learning_rate: float = 1e-4
     batch_size: int = 32
     epochs: int = 200
-    image_size: int = 256
     seed: int = 0
     pre_fusion: PreFusionConfig = field(default_factory=PreFusionConfig)
     loss: LossConfig = field(default_factory=LossConfig)

@@ -154,8 +154,8 @@ def test_overfit_convergence():
     t0 = time.perf_counter()
     corpus = iv.synth_corpus(4, 32, seed=7)
     cfg = TrainConfig(learning_rate=1e-3, batch_size=4, epochs=10 ** 6,
-                      image_size=32, seed=7, max_steps=2000,
-                      stop_rmse=0.05, eval_interval=25)
+                      seed=7, max_steps=2000, stop_rmse=0.05,
+                      eval_interval=25)
     params, log = iv.train(corpus, cfg)
     assert len(log.rows) <= 2000
     samples = prefused_samples(corpus, cfg.pre_fusion)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ivfuse.tensor as tensor_mod
-from ivfuse.checkpoint import load_checkpoint
+from ivfuse.checkpoint import load_checkpoint, save_checkpoint
 from ivfuse.cli import main, parse_config_file, resolve_config, build_parser
 from ivfuse.images import read_pgm, write_pgm
 from ivfuse.losses import ssim as ssim_graph
@@ -111,6 +111,7 @@ def test_train_needs_corpus_exit2(capsys):
     assert code == 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exit4(tmp_path, capsys):
     code, _, err = run_cli(capsys, "train", "--synthetic", "2", "--size", "16",
                            "--steps", "40", "--lr", "1e10", "--seed", "5",
@@ -177,6 +178,18 @@ def test_fuse_size_mismatch_exit6(tmp_path, capsys, trained):
     assert "mismatch" in err
 
 
+def test_fuse_pair_below_ssim_window_exit6_writes_nothing(tmp_path, capsys,
+                                                         trained):
+    a_path = tmp_path / "a.pgm"
+    write_pgm(a_path, np.random.default_rng(2).uniform(0, 1, (8, 8)))
+    out = tmp_path / "f.pgm"
+    code, _, err = run_cli(capsys, "fuse", str(a_path), str(a_path), str(out),
+                           "--checkpoint", str(trained))
+    assert code == 6
+    assert "11" in err and "window" in err
+    assert not out.exists()
+
+
 def test_fuse_corrupt_checkpoint_exit5(tmp_path, capsys):
     bad = tmp_path / "bad.hfn"
     bad.write_bytes(b"JUNKJUNKJUNK")
@@ -185,6 +198,21 @@ def test_fuse_corrupt_checkpoint_exit5(tmp_path, capsys):
     code, _, err = run_cli(capsys, "fuse", str(a_path), str(a_path),
                            str(tmp_path / "f.pgm"), "--checkpoint", str(bad))
     assert code == 5
+
+
+def test_fuse_non_finite_checkpoint_exit5(tmp_path, capsys):
+    params = init_params(3, dtype=np.float32)
+    params.tensors["decoder.c5.bias"].data[0] = np.nan
+    bad = tmp_path / "nan.hfn"
+    save_checkpoint(params, bad)
+    a_path = tmp_path / "a.pgm"
+    write_pgm(a_path, np.zeros((16, 16)))
+    out = tmp_path / "f.pgm"
+    code, _, err = run_cli(capsys, "fuse", str(a_path), str(a_path), str(out),
+                           "--checkpoint", str(bad))
+    assert code == 5
+    assert "decoder.c5.bias" in err
+    assert not out.exists()
 
 
 def test_fuse_wrong_schema_checkpoint_exit5(tmp_path, capsys, trained):

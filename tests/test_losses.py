@@ -203,3 +203,34 @@ def test_composite_batch_averages_per_image_losses():
 def test_composite_shape_mismatch():
     with pytest.raises(ShapeError):
         composite_loss(np.zeros((16, 16)), np.zeros((16, 17)))
+
+
+@pytest.mark.parametrize("pixel_mode", ["mse", "norm"])
+@pytest.mark.parametrize("ag_mode", ["literal", "sharpness_match"])
+def test_composite_batch_gradient_matches_finite_differences(ag_mode,
+                                                             pixel_mode):
+    cfg = LossConfig(ag_mode=ag_mode, pixel_mode=pixel_mode)
+    rng = np.random.default_rng(21)
+    o = Tensor(rng.uniform(0.05, 0.95, (2, 1, 12, 12)))
+    target = rng.uniform(0.05, 0.95, (2, 1, 12, 12))
+    backward(composite_loss(o, target, cfg))
+    numeric = finite_diff_gradient(lambda t: composite_loss(t, target, cfg), o)
+    scale = max(np.abs(numeric).max(), 1e-8)
+    assert np.abs(o.grad - numeric).max() / scale < 1e-4
+
+
+@pytest.mark.parametrize("dtype, rel", [(np.float32, 1e-6), (np.float64, 1e-12)])
+@pytest.mark.parametrize("pixel_mode", ["mse", "norm"])
+@pytest.mark.parametrize("ag_mode", ["literal", "sharpness_match"])
+def test_composite_parts_match_per_image_loop(ag_mode, pixel_mode, dtype, rel):
+    # the batch graph against a loop over single images, each part
+    # averaged in Python
+    cfg = LossConfig(ag_mode=ag_mode, pixel_mode=pixel_mode)
+    rng = np.random.default_rng(22)
+    o = rng.uniform(0, 1, (4, 1, 32, 32)).astype(dtype)
+    t = rng.uniform(0, 1, (4, 1, 32, 32)).astype(dtype)
+    _, batch = composite_loss_parts(o, t, cfg)
+    singles = [composite_loss_parts(o[b, 0], t[b, 0], cfg)[1] for b in range(4)]
+    for key in ("L", "L_p", "L_ssim", "L_ag"):
+        want = np.mean([s[key] for s in singles])
+        assert batch[key] == pytest.approx(want, rel=rel), key

@@ -287,6 +287,15 @@ def test_checkpoint_wrong_shape_cites_expected(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_non_finite_weight_rejected(tmp_path):
+    params = init_params(14)
+    params.tensors["decoder.c5.bias"].data[0] = np.nan
+    path = tmp_path / "model.hfn"
+    save_checkpoint(params, path)
+    with pytest.raises(CheckpointFormatError, match=r"decoder\.c5\.bias"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_magic_constant():
     assert MAGIC == b"HFN1"
 
