@@ -47,8 +47,12 @@ def load_checkpoint(path) -> ModelParams:
         raise CheckpointFormatError(f"{path}: unterminated manifest")
     manifest, payload = body[:sep], body[sep + 2:]
 
+    try:
+        lines = manifest.decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise CheckpointFormatError(f"{path}: manifest is not UTF-8") from None
     entries: list[tuple[str, tuple[int, ...]]] = []
-    for lineno, raw in enumerate(manifest.decode("utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(lines, 1):
         fields = raw.split()
         if len(fields) != 3:
             raise CheckpointFormatError(
@@ -64,8 +68,12 @@ def load_checkpoint(path) -> ModelParams:
                 f"{path}: bad shape {dims!r} for {name}") from None
         entries.append((name, shape))
 
+    names = [name for name, _ in entries]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise CheckpointSchemaError(f"{path}: tensors listed twice: {repeated}")
     known = set(parameter_names())
-    seen = {name for name, _ in entries}
+    seen = set(names)
     if seen != known:
         missing = sorted(known - seen)
         extra = sorted(seen - known)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import losses, network
 from .tensor import (Tensor, backward, concat_channels, conv2d,
-                     finite_diff_gradient, narrow, tile_channels)
+                     finite_diff_gradient, narrow, no_grad, tile_channels)
 
 DEFAULT_TOLERANCE = 1e-4
 DEFAULT_STEP = 1e-5
@@ -205,8 +205,12 @@ def _check_pipeline(rng, h, coords_per_tensor=2):
         return losses.composite_loss(network.decode(fused, params, fb),
                                      target, cfg)
 
+    def value() -> float:
+        with no_grad():
+            return forward().item()
+
     backward(forward())
-    f0 = forward().item()
+    f0 = value()
     worst = 0.0
     for name, tensor in params.tensors.items():
         analytic = tensor.grad.copy()
@@ -216,9 +220,9 @@ def _check_pipeline(rng, h, coords_per_tensor=2):
         for flat_idx in picks:
             base = tensor.data.copy()
             tensor.data.flat[flat_idx] = base.flat[flat_idx] + h
-            fp = forward().item()
+            fp = value()
             tensor.data.flat[flat_idx] = base.flat[flat_idx] - h
-            fm = forward().item()
+            fm = value()
             tensor.data[...] = base
             d_plus = (fp - f0) / h
             d_minus = (f0 - fm) / h

@@ -30,6 +30,20 @@ def quantize_u8(img: np.ndarray) -> np.ndarray:
     return levels.astype(np.uint8)
 
 
+def levels_to_unit(arr: np.ndarray, name: str = "image") -> np.ndarray:
+    """Decoded pixel levels -> float64 in [0, 1], scaled by the dtype.
+
+    8-bit levels are divided by 255 and 16-bit levels by 65535, whatever
+    values the image happens to hold; a bilevel (bool) image maps to 0
+    and 1. Any other pixel type is an IngestionError naming ``name``.
+    """
+    if arr.dtype == np.bool_:
+        return arr.astype(np.float64)
+    if arr.dtype.kind == "u" and arr.dtype.itemsize in (1, 2):
+        return arr.astype(np.float64) / float(np.iinfo(arr.dtype).max)
+    raise IngestionError(f"{name}: unsupported pixel type {arr.dtype}")
+
+
 def to_gray(rgb: np.ndarray) -> np.ndarray:
     """(H, W, 3) array in [0, 1] -> single luma channel."""
     if rgb.ndim == 2:
@@ -85,6 +99,9 @@ def read_pgm(path) -> np.ndarray:
         width, height, maxval = (int(t) for t in tokens[1:4])
     except ValueError:
         raise IngestionError(f"{path}: malformed PGM header") from None
+    if width < 1 or height < 1:
+        raise IngestionError(
+            f"{path}: PGM dimensions must be positive, got {width}x{height}")
     if maxval != 255:
         raise IngestionError(f"{path}: only maxval 255 supported, got {maxval}")
     i += 1  # single whitespace byte after maxval
@@ -119,7 +136,4 @@ def read_image(path) -> np.ndarray:
             arr = np.asarray(im)
     except Exception as exc:
         raise IngestionError(f"{name}: undecodable image ({exc})") from exc
-    arr = arr.astype(np.float64)
-    if arr.max() > 1.0:
-        arr = arr / 255.0
-    return to_gray(arr)
+    return to_gray(levels_to_unit(arr, name))

@@ -19,6 +19,7 @@ from .errors import ShapeError
 from .images import quantize_u8
 from .losses import LossConfig, ssim as _ssim_graph
 from .network import FeedbackConfig, ModelParams, fuse_images
+from .tensor import no_grad
 
 # Published reference results for this architecture on the two benchmark
 # multispectral face corpora (CASIA NIR-VIS, QFIRE). The corpora are
@@ -105,7 +106,8 @@ def ssim_metric(f: np.ndarray, a: np.ndarray, b: np.ndarray,
                 cfg: LossConfig = LossConfig()) -> float:
     """Mean SSIM of the fused image against each source.
 
-    One 64-bit evaluation on the batch of the two pairs (f, a) and (f, b).
+    One 64-bit evaluation, with no graph, on the batch of the two pairs
+    (f, a) and (f, b).
     """
     if a.shape != f.shape or b.shape != f.shape:
         raise ShapeError(
@@ -113,7 +115,8 @@ def ssim_metric(f: np.ndarray, a: np.ndarray, b: np.ndarray,
             f"{f.shape}")
     fused = np.stack([f, f])[:, np.newaxis].astype(np.float64)
     sources = np.stack([a, b])[:, np.newaxis].astype(np.float64)
-    return float(_ssim_graph(fused, sources, cfg).data)
+    with no_grad():
+        return float(_ssim_graph(fused, sources, cfg).data)
 
 
 def psnr(f: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:

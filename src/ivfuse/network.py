@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-from .tensor import Tensor, concat_channels, conv2d, tile_channels
+from .errors import ConfigError, DomainError, ShapeError
+from .tensor import Tensor, concat_channels, conv2d, no_grad, tile_channels
 
 # name -> (out_channels, in_channels, kernel_h, kernel_w, relu follows)
 LAYER_SPECS: dict[str, tuple[int, int, int, int, bool]] = {
@@ -237,7 +237,9 @@ def fuse_images(infrared: np.ndarray, visible: np.ndarray,
     adds the feature maps, and decodes; pre-fusion is a training-time
     device, but passing ``pre_fusion`` re-enables it here for ablation.
     Addition fusion plus tied weights make the result independent of the
-    argument order, bit for bit.
+    argument order, bit for bit. Runs under ``no_grad``: no graph is kept,
+    so memory stays at a few layers' activations. Non-finite pixels are
+    rejected with a DomainError.
     """
     if infrared.ndim != 2 or visible.ndim != 2:
         raise ShapeError("fuse_images expects 2-d grayscale images")
@@ -245,11 +247,16 @@ def fuse_images(infrared: np.ndarray, visible: np.ndarray,
         raise ShapeError(
             f"fuse_images needs a registered pair of equal size, got "
             f"{infrared.shape} and {visible.shape}")
+    for name, img in (("infrared", infrared), ("visible", visible)):
+        if not np.isfinite(img).all():
+            raise DomainError(f"fuse_images: {name} holds non-finite pixels")
     a, b = infrared, visible
     if pre_fusion is not None:
         a, b = pre_fuse(infrared, visible, pre_fusion)
     dtype = params.dtype
-    ta = Tensor(a[np.newaxis, np.newaxis].astype(dtype))
-    tb = Tensor(b[np.newaxis, np.newaxis].astype(dtype))
-    fused = decode(fuse_add(encode(ta, params), encode(tb, params)), params, fb)
+    with no_grad():
+        ta = Tensor(a[np.newaxis, np.newaxis].astype(dtype))
+        tb = Tensor(b[np.newaxis, np.newaxis].astype(dtype))
+        fused = decode(fuse_add(encode(ta, params), encode(tb, params)),
+                       params, fb)
     return np.clip(fused.data[0, 0], 0.0, 1.0)

@@ -9,11 +9,14 @@ checking; the code path is identical, only the dtype differs.
 Values are immutable by convention: no operation writes into its inputs,
 so tensors can be shared freely. The optimizer mutates parameter ``data``
 in place between graph builds, which is safe because every step records a
-fresh graph.
+fresh graph. Inside :func:`no_grad` ops record no graph at all, which is
+how inference runs.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,14 +29,45 @@ from .errors import DomainError, ShapeError
 # exactly zero on flat image regions; the unguarded adjoint would be inf.
 SQRT_GRAD_EPS = 1e-12
 
+# Cap on the bytes of one im2col column tile in the conv2d forward. Rows
+# of output are lowered and multiplied a block at a time, so the working
+# set of a conv stays near this size however large the image is.
+CONV_TILE_BYTES = 4 << 20
+
 Scalar = (int, float, np.integer, np.floating)
+
+
+class _GradMode(threading.local):
+    recording = True   # every thread starts out recording
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad():
+    """Build no graph inside the block (in the calling thread).
+
+    Ops return plain results: no parents and no backward closure are
+    recorded, so each intermediate is freed as soon as its consumers have
+    run. Nests, and restores the previous state on exit, also when the
+    block raises.
+    """
+    previous = _grad_mode.recording
+    _grad_mode.recording = False
+    try:
+        yield
+    finally:
+        _grad_mode.recording = previous
 
 
 class Tensor:
     """An n-d float array plus the bookkeeping reverse mode needs.
 
-    ``grad`` starts as zeros and is filled by :func:`backward`; nodes that
-    do not lie on a path to the loss therefore report exactly zero.
+    A leaf (a tensor built from data, such as a parameter) starts with a
+    zero ``grad``, so a leaf that does not lie on a path to the loss
+    reports exactly zero. An op output's ``grad`` is None until
+    :func:`backward` first writes to it.
     """
 
     __slots__ = ("data", "grad", "_parents", "_backward")
@@ -43,9 +77,13 @@ class Tensor:
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
-        self.grad = np.zeros_like(arr)
-        self._parents = _parents
-        self._backward = _backward
+        self.grad = np.zeros_like(arr) if _backward is None else None
+        if _grad_mode.recording:
+            self._parents = _parents
+            self._backward = _backward
+        else:
+            self._parents = ()
+            self._backward = None
 
     @property
     def shape(self):
@@ -95,76 +133,62 @@ class Tensor:
 
     def relu(self):
         """max(0, x); gradient passes where x > 0 and is zero at x == 0."""
-        out = Tensor(np.maximum(self.data, 0), _parents=(self,))
-
         def backward(g):
-            self.grad += g * (self.data > 0)
+            _accumulate(self, g * (self.data > 0))
 
-        out._backward = backward
-        return out
+        return Tensor(np.maximum(self.data, 0), _parents=(self,),
+                      _backward=backward)
 
     def square(self):
-        out = Tensor(self.data * self.data, _parents=(self,))
-
         def backward(g):
-            self.grad += g * (2.0 * self.data)
+            _accumulate(self, g * (2.0 * self.data))
 
-        out._backward = backward
-        return out
+        return Tensor(self.data * self.data, _parents=(self,),
+                      _backward=backward)
 
     def sqrt(self):
         if np.any(self.data < 0):
             raise DomainError("sqrt of a negative value")
         root = np.sqrt(self.data)
-        out = Tensor(root, _parents=(self,))
 
         def backward(g):
-            self.grad += g / (2.0 * np.maximum(root, SQRT_GRAD_EPS))
+            _accumulate(self, g / (2.0 * np.maximum(root, SQRT_GRAD_EPS)))
 
-        out._backward = backward
-        return out
+        return Tensor(root, _parents=(self,), _backward=backward)
 
     def abs(self):
         """|x|; the subgradient at x == 0 is 0."""
-        out = Tensor(np.abs(self.data), _parents=(self,))
-
         def backward(g):
-            self.grad += g * np.sign(self.data)
+            _accumulate(self, g * np.sign(self.data))
 
-        out._backward = backward
-        return out
+        return Tensor(np.abs(self.data), _parents=(self,), _backward=backward)
 
     # -- reductions -------------------------------------------------------
 
     def sum(self, axis=None):
         """Sum over ``axis`` (an int or a tuple of ints), or over everything."""
-        out = Tensor(np.sum(self.data, axis=axis), _parents=(self,))
-
         def backward(g):
-            self.grad += g if axis is None else np.expand_dims(g, axis)
+            _accumulate(self, g if axis is None else np.expand_dims(g, axis))
 
-        out._backward = backward
-        return out
+        return Tensor(np.sum(self.data, axis=axis), _parents=(self,),
+                      _backward=backward)
 
     def mean(self, axis=None):
         """Mean over ``axis`` (an int or a tuple of ints), or over everything."""
-        out = Tensor(np.mean(self.data, axis=axis), _parents=(self,))
-        n = self.data.size // out.data.size
+        data = np.mean(self.data, axis=axis)
+        n = self.data.size // data.size
 
         def backward(g):
-            self.grad += (g if axis is None else np.expand_dims(g, axis)) / n
+            _accumulate(self, (g if axis is None else np.expand_dims(g, axis)) / n)
 
-        out._backward = backward
-        return out
+        return Tensor(data, _parents=(self,), _backward=backward)
 
     def reshape(self, shape):
-        out = Tensor(self.data.reshape(shape), _parents=(self,))
-
         def backward(g):
-            self.grad += g.reshape(self.data.shape)
+            _accumulate(self, g.reshape(self.data.shape))
 
-        out._backward = backward
-        return out
+        return Tensor(self.data.reshape(shape), _parents=(self,),
+                      _backward=backward)
 
     def item(self):
         return float(self.data)
@@ -186,17 +210,13 @@ def _binary(a: Tensor, other, fwd, grad_a, grad_b) -> Tensor:
             f"elementwise operands must share a shape, got {a.shape} and {b.shape}")
     bdata = b if scalar_rhs else b.data
     parents = (a,) if scalar_rhs else (a, b)
-    out = Tensor(fwd(a.data, bdata), _parents=parents)
 
     def backward(g):
-        ga = grad_a(g, a.data, bdata)
-        a.grad += _reduce_to(ga, a.shape)
+        _accumulate(a, _reduce_to(grad_a(g, a.data, bdata), a.shape))
         if not scalar_rhs:
-            gb = grad_b(g, a.data, bdata)
-            b.grad += _reduce_to(gb, b.shape)
+            _accumulate(b, _reduce_to(grad_b(g, a.data, bdata), b.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(fwd(a.data, bdata), _parents=parents, _backward=backward)
 
 
 def _reduce_to(g, shape):
@@ -204,6 +224,20 @@ def _reduce_to(g, shape):
     if shape == () and np.ndim(g) != 0:
         return np.sum(g)
     return g
+
+
+def _accumulate(t: Tensor, g) -> None:
+    """Add ``g`` into ``t.grad``; the first write allocates ``t``'s own array.
+
+    ``g`` may be a slice or a view of another tensor's gradient, so it is
+    never stored as is. Adding 0 into a fresh array casts and broadcasts
+    ``g`` to ``t`` exactly as accumulating it into zeros would, signed
+    zeros included.
+    """
+    if t.grad is None:
+        t.grad = np.add(g, 0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 # -- structural operations -------------------------------------------------
@@ -242,24 +276,46 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     cols = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    out_data = np.einsum("bchwuv,ocuv->bohw", cols, w.data, optimize=True)
-    if b is not None:
-        out_data = out_data + b.data.reshape(1, Cout, 1, 1)
     parents = (x, w) if b is None else (x, w, b)
-    out = Tensor(np.ascontiguousarray(out_data), _parents=parents)
 
     def backward(g):
         if b is not None:
-            b.grad += g.sum(axis=(0, 2, 3))
-        w.grad += np.einsum("bohw,bchwuv->ocuv", g, cols, optimize=True)
+            _accumulate(b, g.sum(axis=(0, 2, 3)))
+        _accumulate(w, np.einsum("bohw,bchwuv->ocuv", g, cols, optimize=True))
         # Input gradient: correlate the (re)padded output gradient with the
         # spatially flipped kernel, swapping the channel roles.
         gp = np.pad(g, ((0, 0), (0, 0), (kh - 1 - ph,) * 2, (kw - 1 - pw,) * 2))
         gcols = sliding_window_view(gp, (kh, kw), axis=(2, 3))
         wflip = w.data[:, :, ::-1, ::-1]
-        x.grad += np.einsum("bohwuv,ocuv->bchw", gcols, wflip, optimize=True)
+        _accumulate(x, np.einsum("bohwuv,ocuv->bchw", gcols, wflip, optimize=True))
 
-    out._backward = backward
+    return Tensor(_conv_forward(cols, w.data, None if b is None else b.data),
+                  _parents=parents, _backward=backward)
+
+
+def _conv_forward(cols: np.ndarray, w: np.ndarray, b: np.ndarray | None
+                  ) -> np.ndarray:
+    """Row-tiled im2col GEMM over the (B, Cin, Ho, Wo, kh, kw) window view.
+
+    Each block of output rows is lowered once into a
+    (Cin*kh*kw, B*rows*Wo) column tile of at most ``CONV_TILE_BYTES`` and
+    multiplied by the (Cout, Cin*kh*kw) weight matrix; the bias is added
+    in place at the end.
+    """
+    B, Cin, Ho, Wo, kh, kw = cols.shape
+    Cout = w.shape[0]
+    k = Cin * kh * kw
+    wmat = w.reshape(Cout, k)
+    dtype = np.result_type(cols, w) if b is None else np.result_type(cols, w, b)
+    out = np.empty((B, Cout, Ho, Wo), dtype=dtype)
+    rows = max(1, CONV_TILE_BYTES // (k * B * Wo * cols.itemsize))
+    for r0 in range(0, Ho, rows):
+        r1 = min(r0 + rows, Ho)
+        tile = cols[:, :, r0:r1].transpose(1, 4, 5, 0, 2, 3).reshape(k, -1)
+        prod = (wmat @ tile).reshape(Cout, B, r1 - r0, Wo)
+        out[:, :, r0:r1] = prod.transpose(1, 0, 2, 3)
+    if b is not None:
+        out += b.reshape(1, Cout, 1, 1)
     return out
 
 
@@ -274,18 +330,16 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
             raise ShapeError(
                 f"concat_channels parts must share batch and spatial dims, "
                 f"got {first} and {p.shape}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1),
-                 _parents=tuple(parts))
     widths = [p.shape[1] for p in parts]
 
     def backward(g):
         c0 = 0
         for p, width in zip(parts, widths):
-            p.grad += g[:, c0:c0 + width]
+            _accumulate(p, g[:, c0:c0 + width])
             c0 += width
 
-    out._backward = backward
-    return out
+    return Tensor(np.concatenate([p.data for p in parts], axis=1),
+                  _parents=tuple(parts), _backward=backward)
 
 
 def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -298,15 +352,13 @@ def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
             f"{x.shape[axis]}")
     index = tuple(slice(start, stop) if d == axis else slice(None)
                   for d in range(x.data.ndim))
-    out = Tensor(x.data[index].copy(), _parents=(x,))
 
     def backward(g):
         scatter = np.zeros_like(x.data)
         scatter[index] = g
-        x.grad += scatter
+        _accumulate(x, scatter)
 
-    out._backward = backward
-    return out
+    return Tensor(x.data[index].copy(), _parents=(x,), _backward=backward)
 
 
 def tile_channels(x: Tensor, reps: int) -> Tensor:
@@ -314,13 +366,12 @@ def tile_channels(x: Tensor, reps: int) -> Tensor:
     if x.data.ndim != 4:
         raise ShapeError(f"tile_channels input must be 4-d, got {x.shape}")
     B, C, H, W = x.shape
-    out = Tensor(np.tile(x.data, (1, reps, 1, 1)), _parents=(x,))
 
     def backward(g):
-        x.grad += g.reshape(B, reps, C, H, W).sum(axis=1)
+        _accumulate(x, g.reshape(B, reps, C, H, W).sum(axis=1))
 
-    out._backward = backward
-    return out
+    return Tensor(np.tile(x.data, (1, reps, 1, 1)), _parents=(x,),
+                  _backward=backward)
 
 
 # -- reverse pass ----------------------------------------------------------
@@ -330,14 +381,15 @@ def backward(loss: Tensor) -> None:
 
     The graph is replayed in reverse topological order, visiting each node
     once and accumulating over consumers. All reachable gradients are reset
-    first, so repeated calls on the same graph give identical results.
+    first (leaves to zeros, op outputs to None until first written), so
+    repeated calls on the same graph give identical results.
     """
     if loss.data.shape != ():
         raise ShapeError(
             f"backward needs a rank-0 loss, got shape {loss.data.shape}")
     order = _topo_order(loss)
     for t in order:
-        t.grad = np.zeros_like(t.data)
+        t.grad = np.zeros_like(t.data) if t._backward is None else None
     loss.grad = np.ones_like(loss.data)
     for t in reversed(order):
         if t._backward is not None:
@@ -371,7 +423,8 @@ def finite_diff_gradient(f: Callable[[Tensor], "Tensor | float"],
     """Central finite differences of a scalar-valued f at x, per element.
 
     Deliberately oblivious to the autodiff machinery: it re-evaluates f on
-    perturbed copies, which makes it a fair oracle for backward().
+    perturbed copies, under :func:`no_grad`, which makes it a fair oracle
+    for backward().
     """
     if h <= 0:
         raise ValueError("finite difference step must be positive")
@@ -383,8 +436,9 @@ def finite_diff_gradient(f: Callable[[Tensor], "Tensor | float"],
         plus.flat[i] += h
         minus = base.copy()
         minus.flat[i] -= h
-        fp = _scalar_value(f(Tensor(plus)))
-        fm = _scalar_value(f(Tensor(minus)))
+        with no_grad():
+            fp = _scalar_value(f(Tensor(plus)))
+            fm = _scalar_value(f(Tensor(minus)))
         flat[i] = (fp - fm) / (2.0 * h)
     return grad
 

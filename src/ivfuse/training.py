@@ -18,7 +18,7 @@ from .errors import ConfigError, DivergenceError
 from .losses import LossConfig, composite_loss_parts
 from .network import (FeedbackConfig, ModelParams, PreFusionConfig,
                       init_params, pre_fuse, reconstruct)
-from .tensor import Tensor, backward
+from .tensor import Tensor, backward, no_grad
 
 OPTIMIZERS = ("adam", "sgd")
 
@@ -138,7 +138,9 @@ def reconstruction_rmse(params: ModelParams, samples: list[np.ndarray],
     count = 0
     for img in samples:
         x = Tensor(img[np.newaxis, np.newaxis].astype(params.dtype))
-        recon = np.clip(reconstruct(x, params, fb).data[0, 0], 0.0, 1.0)
+        with no_grad():
+            recon = reconstruct(x, params, fb)
+        recon = np.clip(recon.data[0, 0], 0.0, 1.0)
         diff = recon.astype(np.float64) - img
         total += float(np.sum(diff * diff))
         count += diff.size

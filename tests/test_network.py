@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ivfuse.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from ivfuse.errors import (CheckpointFormatError, CheckpointSchemaError,
-                           ConfigError, ShapeError)
+                           ConfigError, DomainError, ShapeError)
 from ivfuse.network import (LAYER_SPECS, FeedbackConfig, ModelParams,
                             PreFusionConfig, decode, encode, fuse_add,
                             fuse_images, init_params, pre_fuse, rdb_forward)
@@ -195,6 +197,31 @@ def test_fuse_images_argument_order_invariance(seed):
 def test_fuse_images_size_mismatch():
     with pytest.raises(ShapeError):
         fuse_images(np.zeros((8, 8)), np.zeros((8, 9)), init_params(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("argument", ["infrared", "visible"])
+def test_fuse_images_rejects_non_finite_pixels(argument, bad):
+    images = {"infrared": rand_image(15), "visible": rand_image(16)}
+    images[argument][3, 4] = bad
+    with pytest.raises(DomainError, match=argument):
+        fuse_images(images["infrared"], images["visible"], init_params(0),
+                    FeedbackConfig(1))
+
+
+def test_fuse_images_keeps_no_graph_in_memory():
+    # A recorded graph of one 128x128 fusion (4 feedback iterations) peaks
+    # near 440 MiB of numpy buffers; without one, a few layers'
+    # activations and one im2col tile are live at a time (about 31 MiB).
+    params = init_params(0)
+    ir, vis = rand_image(17, side=128), rand_image(18, side=128)
+    tracemalloc.start()
+    try:
+        fuse_images(ir, vis, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.0f} MiB"
 
 
 def test_fuse_images_optional_pre_fusion_changes_result():

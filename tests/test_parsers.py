@@ -1,0 +1,128 @@
+"""Property tests of the two file parsers: whatever bytes they are given,
+they return a valid result or raise their own error class, never another
+exception (which the CLI would report as a traceback)."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ivfuse.checkpoint import load_checkpoint, save_checkpoint
+from ivfuse.errors import (CheckpointFormatError, CheckpointSchemaError,
+                           IngestionError)
+from ivfuse.images import read_pgm
+from ivfuse.network import init_params
+
+FUZZ = settings(max_examples=200, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+# a tiny valid PGM: 3 wide, 2 high
+PGM = b"P5\n3 2\n255\n" + bytes([0, 10, 20, 30, 40, 255])
+
+# any integer a header could spell, including 0, negatives and overflow
+DIMS = st.one_of(st.integers(-3, 70000), st.integers(-2 ** 70, 2 ** 70))
+
+
+def _read_pgm_or_ingestion_error(path, blob):
+    path.write_bytes(blob)
+    try:
+        img = read_pgm(path)
+    except IngestionError:
+        return
+    assert img.ndim == 2 and img.size > 0
+    assert img.min() >= 0.0 and img.max() <= 1.0
+
+
+@FUZZ
+@given(cut=st.integers(0, len(PGM) - 1))
+def test_read_pgm_truncated(tmp_path, cut):
+    _read_pgm_or_ingestion_error(tmp_path / "t.pgm", PGM[:cut])
+
+
+@FUZZ
+@given(junk=st.binary(max_size=40), tail=st.binary(max_size=40))
+def test_read_pgm_header_junk(tmp_path, junk, tail):
+    _read_pgm_or_ingestion_error(tmp_path / "j.pgm", junk + tail)
+    _read_pgm_or_ingestion_error(tmp_path / "j.pgm", b"P5\n" + junk + tail)
+
+
+@FUZZ
+@given(width=DIMS, height=DIMS, maxval=DIMS, payload=st.binary(max_size=64))
+def test_read_pgm_extreme_dimensions(tmp_path, width, height, maxval, payload):
+    blob = f"P5\n{width} {height}\n{maxval}\n".encode() + payload
+    _read_pgm_or_ingestion_error(tmp_path / "d.pgm", blob)
+
+
+@pytest.mark.parametrize("dims", [b"-2 -3", b"0 0", b"0 6"])
+def test_read_pgm_rejects_non_positive_dimensions(tmp_path, dims):
+    # (-2) x (-3) = 6 bytes is exactly the payload length
+    path = tmp_path / "n.pgm"
+    path.write_bytes(b"P5\n" + dims + b"\n255\n" + bytes(6))
+    with pytest.raises(IngestionError, match="dimensions"):
+        read_pgm(path)
+
+
+# ---------------------------------------------------------------- HFN1
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("hfn") / "valid.hfn"
+    save_checkpoint(init_params(0), path)
+    return path.read_bytes()
+
+
+def _load_or_checkpoint_error(path, blob):
+    path.write_bytes(blob)
+    try:
+        params = load_checkpoint(path)
+    except (CheckpointFormatError, CheckpointSchemaError):
+        return
+    for t in params.tensors.values():
+        assert np.all(np.isfinite(t.data))
+
+
+@FUZZ
+@given(cut=st.floats(0.0, 1.0, exclude_max=True))
+def test_load_checkpoint_truncated(tmp_path, checkpoint_bytes, cut):
+    blob = checkpoint_bytes[:int(cut * len(checkpoint_bytes))]
+    _load_or_checkpoint_error(tmp_path / "t.hfn", blob)
+
+
+@FUZZ
+@given(where=st.floats(0.0, 1.0), junk=st.binary(min_size=1, max_size=24))
+def test_load_checkpoint_header_junk(tmp_path, checkpoint_bytes, where, junk):
+    blob = checkpoint_bytes
+    at = int(where * blob.index(b"\n\n"))
+    _load_or_checkpoint_error(tmp_path / "j.hfn", blob[:at] + junk + blob[at:])
+
+
+@FUZZ
+@given(line=st.integers(0, 19), dims=st.lists(DIMS, min_size=0, max_size=5))
+def test_load_checkpoint_extreme_dimensions(tmp_path, checkpoint_bytes, line,
+                                           dims):
+    head, payload = checkpoint_bytes.split(b"\n\n", 1)
+    lines = head.split(b"\n")
+    name, dtype, _ = lines[1 + line].split(b" ")
+    lines[1 + line] = b" ".join(
+        [name, dtype, ",".join(str(d) for d in dims).encode()])
+    _load_or_checkpoint_error(tmp_path / "d.hfn",
+                              b"\n".join(lines) + b"\n\n" + payload)
+
+
+def test_load_checkpoint_rejects_undecodable_manifest(tmp_path, checkpoint_bytes):
+    path = tmp_path / "u.hfn"
+    path.write_bytes(checkpoint_bytes.replace(
+        b"encoder.c1.weight", b"encoder.c1.\xffeight", 1))
+    with pytest.raises(CheckpointFormatError, match="manifest"):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_duplicate_tensor(tmp_path, checkpoint_bytes):
+    head, payload = checkpoint_bytes.split(b"\n\n", 1)
+    lines = head.split(b"\n")
+    bias = next(i for i, ln in enumerate(lines) if ln.startswith(b"decoder.c5.bias"))
+    lines.insert(bias, lines[bias])  # listed twice, with 4 more payload bytes
+    path = tmp_path / "dup.hfn"
+    path.write_bytes(b"\n".join(lines) + b"\n\n" + payload + bytes(4))
+    with pytest.raises(CheckpointSchemaError, match="decoder.c5.bias"):
+        load_checkpoint(path)

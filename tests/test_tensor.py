@@ -1,11 +1,15 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ivfuse.tensor
 from ivfuse.errors import DomainError, ShapeError
 from ivfuse.tensor import (Tensor, backward, concat_channels, conv2d,
-                           finite_diff_gradient, narrow, tile_channels)
+                           finite_diff_gradient, narrow, no_grad,
+                           tile_channels)
 from oracles import conv2d_loops
 
 
@@ -56,6 +60,35 @@ def test_conv2d_matches_loop_oracle():
     got = conv2d(Tensor(x), Tensor(w), Tensor(b)).data
     want = conv2d_loops(x, w, b, pad=1)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+@pytest.mark.parametrize("B, Cin, Cout, H, W, kh, kw, padding", [
+    (3, 2, 4, 7, 5, 3, 3, "same"),     # B=3
+    (1, 3, 2, 9, 6, 3, 3, "valid"),    # valid padding
+    (2, 4, 3, 7, 4, 1, 1, "same"),     # 1x1 kernel
+    (2, 1, 5, 7, 6, 3, 3, "same"),     # Cin=1
+    (3, 4, 1, 7, 5, 3, 3, "same"),     # Cout=1
+    (1, 1, 1, 9, 8, 5, 1, "valid"),    # 1-d window, as in the SSIM loss
+])
+def test_conv2d_row_tiles_match_loop_oracle(monkeypatch, dtype, tol, B, Cin,
+                                            Cout, H, W, kh, kw, padding):
+    rng = np.random.default_rng(24)
+    x = rng.standard_normal((B, Cin, H, W)).astype(dtype)
+    w = rng.standard_normal((Cout, Cin, kh, kw)).astype(dtype)
+    b = rng.standard_normal(Cout).astype(dtype)
+    pad = (kh - 1) // 2 if padding == "same" else 0
+    want = conv2d_loops(x, w, b, pad=pad)
+    Wo = want.shape[3]
+    column_row = Cin * kh * kw * B * Wo * x.itemsize  # one output row's columns
+    # two rows per tile (which does not divide the odd row counts), one
+    # row per tile, and the default cap (every row in one tile)
+    for cap in (2 * column_row, 1, ivfuse.tensor.CONV_TILE_BYTES):
+        monkeypatch.setattr(ivfuse.tensor, "CONV_TILE_BYTES", cap)
+        got = conv2d(Tensor(x), Tensor(w), Tensor(b), padding=padding).data
+        assert got.dtype == dtype
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=tol, atol=tol)
 
 
 def test_conv2d_is_linear():
@@ -277,6 +310,84 @@ def test_gradient_accumulates_over_consumers():
     loss = (x * 3.0 + x.square()).sum()
     backward(loss)
     assert np.allclose(x.grad, [3.0 + 2.0 * 2.0])
+
+
+# ------------------------------------------------ no_grad, lazy grads
+
+def _every_op(x, w):
+    y = conv2d(x, w).relu()
+    z = concat_channels([y, tile_channels(narrow(y, 1, 0, 1), 2)])
+    return (z.square().sqrt().abs() * 2.0 - z / 3.0).reshape((-1,)).mean()
+
+
+def test_no_grad_records_no_graph():
+    x = Tensor(rand((1, 2, 4, 4), 25))
+    w = Tensor(rand((2, 2, 3, 3), 26))
+    with no_grad():
+        y = conv2d(x, w).relu()
+        z = concat_channels([y, tile_channels(narrow(y, 1, 0, 1), 2)])
+        outs = [y, z, z.square(), z.sqrt(), z.abs(), z + 1.0, z - z, z * z,
+                z / 2.0, z.sum(axis=1), z.mean(), z.reshape((-1,))]
+    for out in outs:
+        assert out._parents == ()
+        assert out._backward is None
+    # the same ops record again once the block is left
+    assert _every_op(x, w)._backward is not None
+
+
+def test_no_grad_values_match_recorded_values():
+    x = Tensor(rand((1, 2, 4, 4), 27))
+    w = Tensor(rand((2, 2, 3, 3), 28))
+    with no_grad():
+        quiet = _every_op(x, w).item()
+    assert quiet == _every_op(x, w).item()
+
+
+def test_no_grad_nests_and_restores_after_exception():
+    x = Tensor(rand((2, 2), 29))
+    with no_grad():
+        with no_grad():
+            assert (x * 2.0)._backward is None
+        assert (x * 2.0)._backward is None
+    assert (x * 2.0)._backward is not None
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("boom")
+    assert (x * 2.0)._parents == (x,)
+
+
+def test_no_grad_is_per_thread():
+    x = Tensor(rand((2, 2), 34))
+    seen = []
+    worker = threading.Thread(target=lambda: seen.append((x * 2.0)._backward))
+    with no_grad():
+        worker.start()
+        worker.join()
+    assert seen[0] is not None
+
+
+def test_op_output_grad_is_none_until_backward():
+    x = Tensor(rand((1, 2, 4, 4), 30))
+    w = Tensor(rand((2, 2, 3, 3), 31))
+    y = conv2d(x, w)
+    loss = y.relu().sum()
+    assert y.grad is None and loss.grad is None
+    assert np.array_equal(x.grad, np.zeros_like(x.data))  # leaves keep zeros
+    backward(loss)
+    assert y.grad.shape == y.shape and y.grad.dtype == y.dtype
+
+
+def test_first_gradient_write_owns_its_array():
+    # concat passes slices of its gradient, reshape passes a view
+    x = Tensor(rand((1, 2, 3, 3), 32))
+    a, b = x * 1.0, x * 2.0
+    whole = concat_channels([a, b])
+    flat = whole.reshape((-1,))
+    backward((flat * Tensor(rand(flat.shape, 33))).sum())
+    assert not np.shares_memory(a.grad, whole.grad)
+    assert not np.shares_memory(b.grad, whole.grad)
+    assert not np.shares_memory(whole.grad, flat.grad)
+    assert np.array_equal(a.grad, whole.grad[:, :2])
 
 
 # ------------------------------------------------- finite_diff_gradient

@@ -5,7 +5,7 @@ import ivfuse.network
 from ivfuse.checkpoint import save_checkpoint
 from ivfuse.dataset import synth_corpus
 from ivfuse.errors import ConfigError, DivergenceError
-from ivfuse.network import init_params
+from ivfuse.network import FeedbackConfig, init_params
 from ivfuse.tensor import Tensor
 from ivfuse.training import (Adam, SGD, TrainConfig, TrainingLog,
                              prefused_samples, reconstruction_rmse, train)
@@ -168,6 +168,22 @@ def test_train_rejects_empty_train_split():
         p.split = "test"
     with pytest.raises(ConfigError):
         train(corpus, desk_config())
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_unreached_parameter_survives_a_step_unchanged(optimizer):
+    # with one feedback iteration decoder.c6 takes no part in the graph,
+    # so its gradient stays the zero a leaf starts with
+    corpus = synth_corpus(1, 16, seed=12)
+    cfg = desk_config(seed=12, optimizer=optimizer, max_steps=1,
+                      feedback=FeedbackConfig(1))
+    params, log = train(corpus, cfg)
+    assert len(log.rows) == 1
+    init = init_params(12, dtype=np.float32)
+    for name, t in params.tensors.items():
+        assert np.all(np.isfinite(t.data)), name
+        unchanged = np.array_equal(t.data, init.tensors[name].data)
+        assert unchanged == name.startswith("decoder.c6."), name
 
 
 def test_sgd_selectable():
