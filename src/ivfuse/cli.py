@@ -159,9 +159,16 @@ def _load_corpus(cfg: dict):
                         cfg["seed"])
 
 
+def _test_pairs(corpus):
+    pairs = corpus.test_pairs()
+    if not pairs:
+        raise IngestionError("corpus has no test split to evaluate")
+    return pairs
+
+
 def cmd_train(cfg: dict) -> int:
-    corpus = _load_corpus(cfg)
-    params, log = train(corpus, _train_config(cfg))
+    train_cfg = _train_config(cfg)
+    params, log = train(_load_corpus(cfg), train_cfg)
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "checkpoint.hfn")
@@ -205,11 +212,7 @@ def cmd_eval(cfg: dict) -> int:
     if not cfg["checkpoint"]:
         raise ConfigError("eval requires --checkpoint")
     params = load_checkpoint(cfg["checkpoint"])
-    corpus = _load_corpus(cfg)
-    test_pairs = corpus.test_pairs()
-    if not test_pairs:
-        raise IngestionError("corpus has no test split to evaluate")
-    report = evaluate_corpus(test_pairs, params,
+    report = evaluate_corpus(_test_pairs(_load_corpus(cfg)), params,
                              FeedbackConfig(cfg["n_feedback"]),
                              corpus="synthetic" if cfg["synthetic"] else "files")
     out_dir = cfg["out_dir"]
@@ -237,12 +240,12 @@ def cmd_gradcheck(cfg: dict, n_seeds: int) -> int:
 def cmd_demo(cfg: dict) -> int:
     """Synthetic corpus, desk-scale training, fusion of the test pairs,
     and a metric report; everything deterministic in the seed."""
+    train_cfg = _train_config(cfg)
+    corpus = synth_corpus(cfg["synthetic"], cfg["image_size"], cfg["seed"])
+    test_pairs = _test_pairs(corpus)
+    params, log = train(corpus, train_cfg)
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    corpus = synth_corpus(cfg["synthetic"] or DEMO_PAIRS,
-                          cfg["image_size"], cfg["seed"])
-    train_cfg = _train_config(cfg)
-    params, log = train(corpus, train_cfg)
     ckpt_path = os.path.join(out_dir, "checkpoint.hfn")
     save_checkpoint(params, ckpt_path)
     log.save(os.path.join(out_dir, "training_log.csv"))
@@ -250,7 +253,7 @@ def cmd_demo(cfg: dict) -> int:
     def sink(name, fused):
         write_pgm(os.path.join(out_dir, f"{name}_fused.pgm"), fused)
 
-    report = evaluate_corpus(corpus.test_pairs(), params, train_cfg.feedback,
+    report = evaluate_corpus(test_pairs, params, train_cfg.feedback,
                              corpus="synthetic-demo", fused_sink=sink)
     report.save(os.path.join(out_dir, "report.txt"),
                 os.path.join(out_dir, "report.csv"))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IngestionError
+from .errors import ConfigError, IngestionError
 from .images import read_image, resize_bilinear
 
 TRAIN_FRACTION = 0.75
@@ -56,6 +56,11 @@ def assign_splits(pairs: list[ImagePair], seed: int) -> None:
         pairs[idx].split = "train" if rank < n_train else "test"
 
 
+def _check_image_size(size: int) -> None:
+    if size < 1:
+        raise ConfigError(f"image_size must be >= 1, got {size}")
+
+
 def load_dataset(ir_dir, vis_dir, image_size: int, seed: int) -> PairDataset:
     """Pair equally named files from two directories.
 
@@ -63,6 +68,7 @@ def load_dataset(ir_dir, vis_dir, image_size: int, seed: int) -> PairDataset:
     ``image_size`` square, and scaled to [0, 1]. Any file present in one
     directory but not the other is an error naming the orphan.
     """
+    _check_image_size(image_size)
     for d in (ir_dir, vis_dir):
         if not os.path.isdir(d):
             raise IngestionError(f"image directory not found: {d}")
@@ -156,7 +162,8 @@ def _render_pair(rng: np.random.Generator, size: int
 def synth_corpus(n_pairs: int, size: int, seed: int) -> PairDataset:
     """Deterministic registered synthetic pairs, split 3:1 like real data."""
     if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+        raise ConfigError(f"synthetic pair count must be >= 1, got {n_pairs}")
+    _check_image_size(size)
     rng = np.random.default_rng(seed)
     pairs = []
     for k in range(n_pairs):

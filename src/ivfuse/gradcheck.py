@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import losses, network
+from .errors import ConfigError
 from .tensor import (Tensor, backward, concat_channels, conv2d,
                      finite_diff_gradient, narrow, no_grad, tile_channels)
 
@@ -259,6 +260,8 @@ def run_gradient_checks(seed: int = 0, n_seeds: int = 20,
                         components: list[str] | None = None
                         ) -> list[CheckResult]:
     """Run every component over ``n_seeds`` seeds; keep the worst error."""
+    if n_seeds < 1:
+        raise ConfigError(f"n_seeds must be >= 1, got {n_seeds}")
     names = components if components is not None else list(COMPONENTS)
     results = []
     for name in names:

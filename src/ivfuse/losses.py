@@ -39,6 +39,8 @@ class LossConfig:
         if self.ssim_window < 3 or self.ssim_window % 2 == 0:
             raise ConfigError(
                 f"ssim_window must be odd and >= 3, got {self.ssim_window}")
+        if not self.ssim_sigma > 0:
+            raise ConfigError(f"ssim_sigma must be > 0, got {self.ssim_sigma}")
         if self.ssim_c1 <= 0 or self.ssim_c2 <= 0:
             raise ConfigError("ssim stability constants must be positive")
         if self.ag_mode not in AG_MODES:

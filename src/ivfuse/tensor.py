@@ -29,9 +29,9 @@ from .errors import DomainError, ShapeError
 # exactly zero on flat image regions; the unguarded adjoint would be inf.
 SQRT_GRAD_EPS = 1e-12
 
-# Cap on the bytes of one im2col column tile in the conv2d forward. Rows
-# of output are lowered and multiplied a block at a time, so the working
-# set of a conv stays near this size however large the image is.
+# Cap on the bytes of one im2col column tile in the conv2d forward and
+# input gradient. Rows of output are lowered and multiplied a block at a
+# time, so the working set stays near this size however large the image is.
 CONV_TILE_BYTES = 4 << 20
 
 Scalar = (int, float, np.integer, np.floating)
@@ -282,12 +282,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         if b is not None:
             _accumulate(b, g.sum(axis=(0, 2, 3)))
         _accumulate(w, np.einsum("bohw,bchwuv->ocuv", g, cols, optimize=True))
-        # Input gradient: correlate the (re)padded output gradient with the
-        # spatially flipped kernel, swapping the channel roles.
+        # Input gradient: the conv forward of the (re)padded output gradient
+        # with the spatially flipped kernel, swapping the channel roles.
         gp = np.pad(g, ((0, 0), (0, 0), (kh - 1 - ph,) * 2, (kw - 1 - pw,) * 2))
         gcols = sliding_window_view(gp, (kh, kw), axis=(2, 3))
-        wflip = w.data[:, :, ::-1, ::-1]
-        _accumulate(x, np.einsum("bohwuv,ocuv->bchw", gcols, wflip, optimize=True))
+        wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        _accumulate(x, _conv_forward(gcols, wflip, None))
 
     return Tensor(_conv_forward(cols, w.data, None if b is None else b.data),
                   _parents=parents, _backward=backward)

@@ -44,14 +44,28 @@ class TrainConfig:
     eval_interval: int = 50
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ConfigError(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(
+                    f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.adam_eps > 0:
+            raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
+        if self.eval_interval < 1:
+            raise ConfigError(
+                f"eval_interval must be >= 1, got {self.eval_interval}")
+        if self.stop_rmse is not None and not self.stop_rmse > 0:
+            raise ConfigError(f"stop_rmse must be > 0, got {self.stop_rmse}")
 
 
 class Adam:

@@ -32,6 +32,30 @@ def conv2d_loops(x, w, b, pad):
     return out
 
 
+def conv2d_input_grad_loops(g, w, pad):
+    """Input gradient of conv2d_loops, scattering each output gradient.
+
+    Every g[b, o, i, j] adds g * w[o, c, u, v] into the padded input
+    position (i + u, j + v) it was computed from; the padding is cropped.
+    """
+    B, Cout, Ho, Wo = g.shape
+    Cout_w, Cin, kh, kw = w.shape
+    assert Cout == Cout_w
+    gxp = np.zeros((B, Cin, Ho + kh - 1, Wo + kw - 1), dtype=g.dtype)
+    for bi in range(B):
+        for o in range(Cout):
+            for i in range(Ho):
+                for j in range(Wo):
+                    gv = g[bi, o, i, j]
+                    for c in range(Cin):
+                        for u in range(kh):
+                            for v in range(kw):
+                                gxp[bi, c, i + u, j + v] += gv * w[o, c, u, v]
+    H = gxp.shape[2] - 2 * pad
+    W = gxp.shape[3] - 2 * pad
+    return gxp[:, :, pad:pad + H, pad:pad + W]
+
+
 def entropy_loops(img):
     """Shannon entropy of the 8-bit histogram, counting by hand."""
     counts = [0] * 256

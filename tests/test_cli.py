@@ -111,6 +111,40 @@ def test_train_needs_corpus_exit2(capsys):
     assert code == 2
 
 
+_TINY = ["--synthetic", "2", "--size", "16", "--steps", "1"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["train", "--synthetic", "0"], 2, "synthetic"),
+    (["train", "--synthetic", "-2"], 2, "synthetic"),
+    (["train", "--synthetic", "4", "--size", "0"], 2, "image_size"),
+    (["demo", "--synthetic", "0", "--size", "16", "--steps", "1"], 2,
+     "synthetic"),
+    (["demo", "--synthetic", "1", "--size", "16", "--steps", "1"], 3,
+     "no test split"),
+    (["train", "--synthetic", "2", "--size", "16", "--steps", "0"], 2,
+     "max_steps"),
+    (["train", *_TINY, "--stop-rmse", "0.5", "--eval-interval", "0"], 2,
+     "eval_interval"),
+    (["train", *_TINY, "--adam-eps", "-1"], 2, "adam_eps"),
+    (["train", *_TINY, "--beta1", "1"], 2, "beta1"),
+    (["train", *_TINY, "--beta2", "1"], 2, "beta2"),
+    (["train", *_TINY, "--ssim-sigma", "0"], 2, "ssim_sigma"),
+    (["train", *_TINY, "--lr", "nan"], 2, "learning_rate"),
+    (["train", *_TINY, "--stop-rmse", "-1"], 2, "stop_rmse"),
+    (["gradcheck", "--n-seeds", "0"], 2, "n_seeds"),
+])
+def test_bad_value_exits_with_its_code_and_writes_nothing(tmp_path, capsys,
+                                                         argv, code, message):
+    out_dir = tmp_path / "out"
+    if argv[0] != "gradcheck":
+        argv = argv + ["--out-dir", str(out_dir)]
+    got, _, err = run_cli(capsys, *argv)
+    assert got == code
+    assert message in err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exit4(tmp_path, capsys):
     code, _, err = run_cli(capsys, "train", "--synthetic", "2", "--size", "16",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ivfuse.dataset import load_dataset, split_counts, synth_corpus
-from ivfuse.errors import IngestionError, ShapeError
+from ivfuse.errors import ConfigError, IngestionError, ShapeError
 from ivfuse.images import (levels_to_unit, quantize_u8, read_pgm,
                            resize_bilinear, to_gray, write_pgm)
 from ivfuse.metrics import entropy
@@ -209,3 +209,18 @@ def test_synth_corpus_visible_has_more_entropy_on_average():
 def test_synth_corpus_rejects_zero_pairs():
     with pytest.raises(ValueError):
         synth_corpus(0, 16, seed=0)
+
+
+@pytest.mark.parametrize("n_pairs, size, key", [
+    (0, 16, "synthetic"), (-2, 16, "synthetic"), (4, 0, "image_size"),
+    (4, -3, "image_size"),
+])
+def test_synth_corpus_bad_sizes_are_config_errors(n_pairs, size, key):
+    with pytest.raises(ConfigError, match=key):
+        synth_corpus(n_pairs, size, seed=0)
+
+
+def test_load_dataset_rejects_non_positive_size(tmp_path):
+    # checked before the directories are read
+    with pytest.raises(ConfigError, match="image_size"):
+        load_dataset(tmp_path / "ir", tmp_path / "vis", 0, seed=0)

@@ -1,3 +1,6 @@
+import pytest
+
+from ivfuse.errors import ConfigError
 from ivfuse.gradcheck import COMPONENTS, CheckResult, run_gradient_checks
 
 OP_COMPONENTS = ["conv2d", "relu", "concat_channels", "tile_channels",
@@ -37,3 +40,10 @@ def test_tolerance_is_configurable():
     results = run_gradient_checks(seed=0, n_seeds=1, components=["relu"],
                                   tolerance=1e-15)
     assert not results[0].passed  # even roundoff fails a zero tolerance
+
+
+@pytest.mark.parametrize("n_seeds", [0, -1])
+def test_no_seeds_is_a_config_error(n_seeds):
+    # zero seeds would check nothing and report every component as passed
+    with pytest.raises(ConfigError, match="n_seeds"):
+        run_gradient_checks(n_seeds=n_seeds, components=["relu"])

@@ -77,6 +77,9 @@ def test_ssim_config_validation():
         LossConfig(ssim_c1=0.0)
     with pytest.raises(ConfigError):
         LossConfig(ag_mode="bogus")
+    for sigma in (0.0, -1.5, float("nan")):
+        with pytest.raises(ConfigError, match="ssim_sigma"):
+            LossConfig(ssim_sigma=sigma)
 
 
 # --------------------------------------------------------------- ssim_loss

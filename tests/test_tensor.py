@@ -10,7 +10,7 @@ from ivfuse.errors import DomainError, ShapeError
 from ivfuse.tensor import (Tensor, backward, concat_channels, conv2d,
                            finite_diff_gradient, narrow, no_grad,
                            tile_channels)
-from oracles import conv2d_loops
+from oracles import conv2d_input_grad_loops, conv2d_loops
 
 
 def rand(shape, seed=0, lo=-1.0, hi=1.0):
@@ -81,14 +81,26 @@ def test_conv2d_row_tiles_match_loop_oracle(monkeypatch, dtype, tol, B, Cin,
     want = conv2d_loops(x, w, b, pad=pad)
     Wo = want.shape[3]
     column_row = Cin * kh * kw * B * Wo * x.itemsize  # one output row's columns
-    # two rows per tile (which does not divide the odd row counts), one
-    # row per tile, and the default cap (every row in one tile)
-    for cap in (2 * column_row, 1, ivfuse.tensor.CONV_TILE_BYTES):
+    r = rng.standard_normal(want.shape).astype(dtype)
+    want_gx = conv2d_input_grad_loops(r, w, pad)
+    # the input gradient lowers Cout*kh*kw columns for each of the H rows
+    grad_row = Cout * kh * kw * B * W * x.itemsize
+    # two rows per tile in the forward and then in the input gradient
+    # (neither divides the odd row counts), one row per tile, and the
+    # default cap (every row in one tile)
+    for cap in (2 * column_row, 2 * grad_row, 1,
+                ivfuse.tensor.CONV_TILE_BYTES):
         monkeypatch.setattr(ivfuse.tensor, "CONV_TILE_BYTES", cap)
-        got = conv2d(Tensor(x), Tensor(w), Tensor(b), padding=padding).data
+        xt = Tensor(x)
+        out = conv2d(xt, Tensor(w), Tensor(b), padding=padding)
+        got = out.data
         assert got.dtype == dtype
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=tol, atol=tol)
+        backward((out * r).sum())
+        assert xt.grad.dtype == dtype
+        assert xt.grad.shape == x.shape
+        assert np.allclose(xt.grad, want_gx, rtol=tol, atol=tol)
 
 
 def test_conv2d_is_linear():

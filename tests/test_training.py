@@ -160,6 +160,14 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ConfigError):
         TrainConfig(optimizer="adagrad")
+    for bad in (dict(learning_rate=float("nan")),
+                dict(learning_rate=float("inf")), dict(stop_rmse=0.0),
+                dict(max_steps=0), dict(eval_interval=0),
+                dict(adam_eps=-1.0), dict(adam_eps=0.0),
+                dict(beta1=1.0), dict(beta1=-0.1), dict(beta2=1.0),
+                dict(beta2=float("nan"))):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            TrainConfig(**bad)
 
 
 def test_train_rejects_empty_train_split():
