@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._files import write_atomic
 from .errors import CheckpointFormatError, CheckpointSchemaError
 from .network import ModelParams, expected_shape, parameter_names
 from .tensor import Tensor
@@ -28,17 +29,18 @@ def save_checkpoint(params: ModelParams, path) -> None:
         dims = ",".join(str(d) for d in t.shape)
         lines.append(f"{name} {_DTYPE_TOKEN} {dims}")
     manifest = ("\n".join(lines) + "\n\n").encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC + b"\n")
-        fh.write(manifest)
-        for name in names:
-            fh.write(np.ascontiguousarray(
-                params.tensors[name].data, dtype="<f4").tobytes())
+    payload = b"".join(np.ascontiguousarray(
+        params.tensors[name].data, dtype="<f4").tobytes() for name in names)
+    write_atomic(path, MAGIC + b"\n" + manifest + payload)
 
 
 def load_checkpoint(path) -> ModelParams:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise CheckpointFormatError(
+            f"{path}: cannot read checkpoint ({exc.strerror})") from exc
     if not blob.startswith(MAGIC + b"\n"):
         raise CheckpointFormatError(f"{path}: bad magic, not a checkpoint")
     body = blob[len(MAGIC) + 1:]

@@ -149,7 +149,13 @@ def _train_config(cfg: dict) -> TrainConfig:
         eval_interval=cfg["eval_interval"])
 
 
-def _load_corpus(cfg: dict):
+def _load_corpus(cfg: dict, ssim_window: int):
+    """Build the configured corpus, once its image size is known to fit
+    the ``ssim_window`` that will score it."""
+    if cfg["image_size"] < ssim_window:
+        raise ConfigError(
+            f"image_size ({cfg['image_size']}) is smaller than the "
+            f"{ssim_window}-wide ssim window (ssim_window)")
     if cfg["synthetic"] is not None:
         return synth_corpus(cfg["synthetic"], cfg["image_size"], cfg["seed"])
     if not cfg["ir_dir"] or not cfg["vis_dir"]:
@@ -168,7 +174,8 @@ def _test_pairs(corpus):
 
 def cmd_train(cfg: dict) -> int:
     train_cfg = _train_config(cfg)
-    params, log = train(_load_corpus(cfg), train_cfg)
+    params, log = train(_load_corpus(cfg, train_cfg.loss.ssim_window),
+                        train_cfg)
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "checkpoint.hfn")
@@ -212,7 +219,9 @@ def cmd_eval(cfg: dict) -> int:
     if not cfg["checkpoint"]:
         raise ConfigError("eval requires --checkpoint")
     params = load_checkpoint(cfg["checkpoint"])
-    report = evaluate_corpus(_test_pairs(_load_corpus(cfg)), params,
+    # the metrics score with the default ssim window
+    pairs = _test_pairs(_load_corpus(cfg, LossConfig().ssim_window))
+    report = evaluate_corpus(pairs, params,
                              FeedbackConfig(cfg["n_feedback"]),
                              corpus="synthetic" if cfg["synthetic"] else "files")
     out_dir = cfg["out_dir"]
@@ -241,7 +250,9 @@ def cmd_demo(cfg: dict) -> int:
     """Synthetic corpus, desk-scale training, fusion of the test pairs,
     and a metric report; everything deterministic in the seed."""
     train_cfg = _train_config(cfg)
-    corpus = synth_corpus(cfg["synthetic"], cfg["image_size"], cfg["seed"])
+    # the images must fit both the loss's window and the metrics' default
+    window = max(train_cfg.loss.ssim_window, LossConfig().ssim_window)
+    corpus = _load_corpus(cfg, window)
     test_pairs = _test_pairs(corpus)
     params, log = train(corpus, train_cfg)
     out_dir = cfg["out_dir"]

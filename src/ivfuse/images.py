@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._files import write_atomic
 from .errors import IngestionError, ShapeError
 
 try:
@@ -74,8 +75,12 @@ def resize_bilinear(img: np.ndarray, height: int, width: int) -> np.ndarray:
 
 def read_pgm(path) -> np.ndarray:
     """Binary PGM (P5, maxval 255) -> float64 image in [0, 1]."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise IngestionError(
+            f"{path}: cannot read image ({exc.strerror})") from exc
     tokens = []
     i = 0
     while len(tokens) < 4 and i < len(blob):
@@ -118,9 +123,7 @@ def write_pgm(path, img: np.ndarray) -> None:
         raise ShapeError(f"write_pgm expects a 2-d image, got shape {img.shape}")
     data = quantize_u8(img)
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(data.tobytes())
+    write_atomic(path, header + data.tobytes())
 
 
 def read_image(path) -> np.ndarray:

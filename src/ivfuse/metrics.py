@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import write_atomic
 from .errors import ShapeError
 from .images import quantize_u8
 from .losses import LossConfig, ssim as _ssim_graph
@@ -181,10 +182,9 @@ class MetricReport:
         return out
 
     def save(self, table_path, csv_path) -> None:
-        with open(table_path, "w", encoding="utf-8") as fh:
-            fh.write(self.table_text())
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.csv_lines()) + "\n")
+        write_atomic(table_path, self.table_text().encode("utf-8"))
+        write_atomic(csv_path,
+                     ("\n".join(self.csv_lines()) + "\n").encode("utf-8"))
 
 
 def measure_triple(a: np.ndarray, b: np.ndarray, f: np.ndarray,

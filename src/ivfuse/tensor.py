@@ -29,9 +29,10 @@ from .errors import DomainError, ShapeError
 # exactly zero on flat image regions; the unguarded adjoint would be inf.
 SQRT_GRAD_EPS = 1e-12
 
-# Cap on the bytes of one im2col column tile in the conv2d forward and
-# input gradient. Rows of output are lowered and multiplied a block at a
-# time, so the working set stays near this size however large the image is.
+# Cap on the bytes of the one im2col column buffer that each conv2d forward
+# and input gradient allocates and reuses. Rows of output are lowered into it
+# and multiplied a block at a time, so the working set stays near this size
+# however large the image is.
 CONV_TILE_BYTES = 4 << 20
 
 Scalar = (int, float, np.integer, np.floating)
@@ -297,23 +298,31 @@ def _conv_forward(cols: np.ndarray, w: np.ndarray, b: np.ndarray | None
                   ) -> np.ndarray:
     """Row-tiled im2col GEMM over the (B, Cin, Ho, Wo, kh, kw) window view.
 
-    Each block of output rows is lowered once into a
-    (Cin*kh*kw, B*rows*Wo) column tile of at most ``CONV_TILE_BYTES`` and
-    multiplied by the (Cout, Cin*kh*kw) weight matrix; the bias is added
-    in place at the end.
+    Each block of output rows is lowered into one (Cin*kh*kw, B*rows*Wo)
+    column buffer of at most ``CONV_TILE_BYTES`` and multiplied by the
+    (Cout, Cin*kh*kw) weight matrix into one product buffer. Both buffers
+    are allocated once per call and reused for every block, so the memory
+    is not handed back to the allocator and faulted in again between
+    blocks; the bias is added in place at the end.
     """
     B, Cin, Ho, Wo, kh, kw = cols.shape
     Cout = w.shape[0]
     k = Cin * kh * kw
     wmat = w.reshape(Cout, k)
-    dtype = np.result_type(cols, w) if b is None else np.result_type(cols, w, b)
+    pdtype = np.result_type(cols, w)
+    dtype = pdtype if b is None else np.result_type(pdtype, b)
     out = np.empty((B, Cout, Ho, Wo), dtype=dtype)
-    rows = max(1, CONV_TILE_BYTES // (k * B * Wo * cols.itemsize))
+    rows = min(Ho, max(1, CONV_TILE_BYTES // (k * B * Wo * cols.itemsize)))
+    colbuf = np.empty(k * B * rows * Wo, dtype=cols.dtype)
+    prodbuf = np.empty(Cout * B * rows * Wo, dtype=pdtype)
     for r0 in range(0, Ho, rows):
-        r1 = min(r0 + rows, Ho)
-        tile = cols[:, :, r0:r1].transpose(1, 4, 5, 0, 2, 3).reshape(k, -1)
-        prod = (wmat @ tile).reshape(Cout, B, r1 - r0, Wo)
-        out[:, :, r0:r1] = prod.transpose(1, 0, 2, 3)
+        r = min(rows, Ho - r0)
+        n = B * r * Wo
+        tile = colbuf[:k * n].reshape(Cin, kh, kw, B, r, Wo)
+        np.copyto(tile, cols[:, :, r0:r0 + r].transpose(1, 4, 5, 0, 2, 3))
+        prod = np.matmul(wmat, tile.reshape(k, n),
+                         out=prodbuf[:Cout * n].reshape(Cout, n))
+        out[:, :, r0:r0 + r] = prod.reshape(Cout, B, r, Wo).swapaxes(0, 1)
     if b is not None:
         out += b.reshape(1, Cout, 1, 1)
     return out

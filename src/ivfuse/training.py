@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._files import write_atomic
 from .dataset import PairDataset
 from .errors import ConfigError, DivergenceError
 from .losses import LossConfig, composite_loss_parts
@@ -130,8 +131,7 @@ class TrainingLog:
         return out
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.lines()) + "\n")
+        write_atomic(path, ("\n".join(self.lines()) + "\n").encode("utf-8"))
 
 
 def prefused_samples(dataset: PairDataset, cfg: PreFusionConfig
@@ -173,6 +173,11 @@ def train(dataset: PairDataset, cfg: TrainConfig,
     samples = prefused_samples(dataset, cfg.pre_fusion)
     if not samples:
         raise ConfigError("training requires a nonempty train split")
+    h, w = min((s.shape for s in samples), key=min)
+    if min(h, w) < cfg.loss.ssim_window:
+        raise ConfigError(
+            f"ssim_window ({cfg.loss.ssim_window}) is larger than a {h}x{w} "
+            f"training image; raise image_size or lower ssim_window")
     if params is None:
         params = init_params(cfg.seed, dtype=cfg.dtype)
     if cfg.optimizer == "adam":

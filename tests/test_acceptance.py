@@ -27,6 +27,7 @@ def report(name, detail):
 
 # 1 ------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_gradient_fidelity():
     """Loss and whole-pipeline gradients match central finite differences
     (64-bit, h = 1e-5, 20 seeds, inputs <= 1x1x16x16, rel err < 1e-4)."""
@@ -147,6 +148,7 @@ def test_pipeline_symmetry():
 
 # 5 ------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_overfit_convergence():
     """4 synthetic 32x32 pairs, <= 2000 steps, reconstruction RMSE < 0.05
     on the training pre-fused images (desk-scale stand-in for the full
@@ -215,7 +217,10 @@ def test_metric_oracle_equivalence():
 
 @pytest.fixture(scope="module")
 def demo_runs(tmp_path_factory):
-    """Run the CLI demo twice with one seed; also reload its corpus."""
+    """Run the CLI demo twice with one seed; also reload its corpus.
+
+    Every test that uses it is marked ``slow``, so ``-m "not slow"``
+    skips the two demo runs."""
     dirs = []
     t0 = time.perf_counter()
     for run in range(2):
@@ -231,6 +236,7 @@ def demo_runs(tmp_path_factory):
     return dirs, time.perf_counter() - t0
 
 
+@pytest.mark.slow
 def test_reference_targets_documented_and_demo_substitute(demo_runs):
     """The published benchmark targets are recorded (they need the
     license-restricted corpora); the live check is that demo fusions land
@@ -262,6 +268,7 @@ def test_reference_targets_documented_and_demo_substitute(demo_runs):
            f"demo pairs, all metrics in range")
 
 
+@pytest.mark.slow
 def test_demo_determinism_bitwise(demo_runs):
     """Two runs of ``demo --seed 7`` produce bitwise-identical
     checkpoints, fused images, and reports."""
@@ -283,6 +290,7 @@ def test_demo_determinism_bitwise(demo_runs):
 
 # extra: demo "between the spectra" property from the demo contract ---------
 
+@pytest.mark.slow
 def test_demo_fusion_lies_between_spectra(demo_runs):
     """Fused output is closer to the source mean than the sources are to
     each other, for every demo test pair."""

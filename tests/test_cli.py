@@ -133,6 +133,13 @@ _TINY = ["--synthetic", "2", "--size", "16", "--steps", "1"]
     (["train", *_TINY, "--lr", "nan"], 2, "learning_rate"),
     (["train", *_TINY, "--stop-rmse", "-1"], 2, "stop_rmse"),
     (["gradcheck", "--n-seeds", "0"], 2, "n_seeds"),
+    (["train", "--synthetic", "2", "--size", "5", "--steps", "1"], 2,
+     "image_size (5) is smaller than the 11-wide ssim window (ssim_window)"),
+    (["train", *_TINY, "--ssim-window", "41"], 2, "41-wide ssim window"),
+    (["demo", "--size", "8", "--steps", "1"], 2, "ssim_window"),
+    # training fits a 5-wide window, but the report's metrics use 11
+    (["demo", "--size", "8", "--ssim-window", "5", "--steps", "1"], 2,
+     "11-wide ssim window"),
 ])
 def test_bad_value_exits_with_its_code_and_writes_nothing(tmp_path, capsys,
                                                          argv, code, message):
@@ -222,6 +229,41 @@ def test_fuse_pair_below_ssim_window_exit6_writes_nothing(tmp_path, capsys,
     assert code == 6
     assert "11" in err and "window" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code, named", [
+    (["fuse", "{img}", "{img}", "{out}", "--checkpoint", "{missing}"], 5,
+     "{missing}"),
+    (["fuse", "{img}", "{img}", "{out}", "--checkpoint", "{dir}"], 5, "{dir}"),
+    (["eval", "--checkpoint", "{missing}", "--synthetic", "2", "--size", "16",
+      "--out-dir", "{out_dir}"], 5, "{missing}"),
+    (["fuse", "{missing}", "{img}", "{out}", "--checkpoint", "{ckpt}"], 3,
+     "{missing}"),
+    (["fuse", "{img}", "{dir}", "{out}", "--checkpoint", "{ckpt}"], 3, "{dir}"),
+])
+def test_unreadable_file_exits_with_its_code_naming_it(tmp_path, capsys,
+                                                       trained, argv, code,
+                                                       named):
+    where = {"img": tmp_path / "a.pgm", "out": tmp_path / "out" / "f.pgm",
+             "out_dir": tmp_path / "out", "missing": tmp_path / "gone.pgm",
+             "dir": tmp_path / "folder.pgm", "ckpt": trained}
+    write_pgm(where["img"], np.zeros((16, 16)))
+    where["dir"].mkdir()
+    got, _, err = run_cli(capsys, *(a.format(**where) for a in argv))
+    assert got == code
+    assert named.format(**where) in err
+    assert not where["out_dir"].exists()
+
+
+def test_eval_below_metric_window_exit2_writes_nothing(tmp_path, capsys,
+                                                       trained):
+    out_dir = tmp_path / "ev"
+    code, _, err = run_cli(capsys, "eval", "--checkpoint", str(trained),
+                           "--synthetic", "2", "--size", "8",
+                           "--out-dir", str(out_dir))
+    assert code == 2
+    assert "image_size (8)" in err and "ssim_window" in err
+    assert not out_dir.exists()
 
 
 def test_fuse_corrupt_checkpoint_exit5(tmp_path, capsys):

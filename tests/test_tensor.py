@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,28 @@ def test_conv2d_row_tiles_match_loop_oracle(monkeypatch, dtype, tol, B, Cin,
         assert xt.grad.dtype == dtype
         assert xt.grad.shape == x.shape
         assert np.allclose(xt.grad, want_gx, rtol=tol, atol=tol)
+
+
+def test_conv2d_forward_scratch_stays_within_one_tile():
+    # Beyond its output and the padded input, a forward keeps one column
+    # buffer of at most CONV_TILE_BYTES and one product buffer; a fresh
+    # tile per row block would hold two column tiles at once.
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.standard_normal((1, 64, 64, 64)).astype(np.float32))
+    w = Tensor(rng.standard_normal((64, 64, 3, 3)).astype(np.float32))
+    b = Tensor(np.zeros(64, dtype=np.float32))
+    out_bytes = x.data.nbytes
+    padded_bytes = 64 * 66 * 66 * 4
+    with no_grad():
+        tracemalloc.start()
+        try:
+            out = conv2d(x, w, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert out.data.nbytes == out_bytes
+    scratch = peak - out_bytes - padded_bytes
+    assert scratch <= ivfuse.tensor.CONV_TILE_BYTES + (1 << 20), scratch
 
 
 def test_conv2d_is_linear():

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import ivfuse.network
+import ivfuse.training
 from ivfuse.checkpoint import save_checkpoint
 from ivfuse.dataset import synth_corpus
 from ivfuse.errors import ConfigError, DivergenceError
+from ivfuse.losses import LossConfig
 from ivfuse.network import FeedbackConfig, init_params
 from ivfuse.tensor import Tensor
 from ivfuse.training import (Adam, SGD, TrainConfig, TrainingLog,
@@ -130,6 +132,17 @@ def test_training_log_format():
     fields = lines[1].split(",")
     assert fields[:2] == ["1", "0"]
     assert [float(f) for f in fields[2:]] == [1.5, 0.5, 0.25, 0.1]
+
+
+def test_ssim_window_larger_than_images_is_config_error(monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(ivfuse.training, "reconstruct", no_step)
+    corpus = synth_corpus(2, 16, seed=0)
+    cfg = desk_config(loss=LossConfig(ssim_window=17))
+    with pytest.raises(ConfigError, match="ssim_window.*16x16.*image_size"):
+        train(corpus, cfg)
 
 
 def test_early_stop_on_reconstruction_target():
