@@ -25,7 +25,7 @@ from .errors import (CheckpointFormatError, CheckpointSchemaError,
 from .gradcheck import run_gradient_checks
 from .images import read_image, write_pgm
 from .losses import LossConfig
-from .metrics import evaluate_corpus, measure_triple
+from .metrics import SSIM_CONFIG, evaluate_corpus, measure_triple
 from .network import FeedbackConfig, PreFusionConfig, fuse_images
 from .training import TrainConfig, train
 
@@ -36,30 +36,32 @@ EXIT_DIVERGENCE = 4
 EXIT_CHECKPOINT = 5
 EXIT_SIZE_MISMATCH = 6
 
-# Every accepted config key with its type and default. Flag names mirror
-# the keys; a handful of short aliases (--lr, --size, --steps) match the
+_TRAIN = TrainConfig()
+# Every accepted config key with its type and default; the library-backed
+# defaults are read from the config dataclasses. Flag names mirror the
+# keys; a handful of short aliases (--lr, --size, --steps) match the
 # documented usage.
 CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
-    "seed": (int, 0),
-    "learning_rate": (float, 1e-4),
-    "batch_size": (int, 32),
-    "epochs": (int, 200),
-    "max_steps": (int, None),
+    "seed": (int, _TRAIN.seed),
+    "learning_rate": (float, _TRAIN.learning_rate),
+    "batch_size": (int, _TRAIN.batch_size),
+    "epochs": (int, _TRAIN.epochs),
+    "max_steps": (int, _TRAIN.max_steps),
     "image_size": (int, 256),
-    "a1": (float, 0.7),
-    "ssim_weight": (float, 100.0),
-    "ag_weight": (float, 0.1),
-    "ssim_window": (int, 11),
-    "ssim_sigma": (float, 1.5),
-    "ag_mode": (str, "sharpness_match"),
-    "pixel_mode": (str, "mse"),
-    "n_feedback": (int, 4),
-    "optimizer": (str, "adam"),
-    "beta1": (float, 0.9),
-    "beta2": (float, 0.999),
-    "adam_eps": (float, 1e-8),
-    "stop_rmse": (float, None),
-    "eval_interval": (int, 50),
+    "a1": (float, _TRAIN.pre_fusion.a1),
+    "ssim_weight": (float, _TRAIN.loss.ssim_weight),
+    "ag_weight": (float, _TRAIN.loss.ag_weight),
+    "ssim_window": (int, _TRAIN.loss.ssim_window),
+    "ssim_sigma": (float, _TRAIN.loss.ssim_sigma),
+    "ag_mode": (str, _TRAIN.loss.ag_mode),
+    "pixel_mode": (str, _TRAIN.loss.pixel_mode),
+    "n_feedback": (int, _TRAIN.feedback.n_iterations),
+    "optimizer": (str, _TRAIN.optimizer),
+    "beta1": (float, _TRAIN.beta1),
+    "beta2": (float, _TRAIN.beta2),
+    "adam_eps": (float, _TRAIN.adam_eps),
+    "stop_rmse": (float, _TRAIN.stop_rmse),
+    "eval_interval": (int, _TRAIN.eval_interval),
     "synthetic": (int, None),
     "ir_dir": (str, None),
     "vis_dir": (str, None),
@@ -68,12 +70,12 @@ CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
     "pre_fuse_at_test": (bool, False),
 }
 
-DEMO_PAIRS = 6
-DEMO_SIZE = 32
-DEMO_STEPS = 600
-DEMO_LR = 1e-3
-DEMO_BATCH = 4
-DEMO_STOP_RMSE = 0.03
+# Desk-scale defaults that demo puts under the config file and the flags.
+DEMO_DEFAULTS = {"image_size": 32, "synthetic": 6, "learning_rate": 1e-3,
+                 "batch_size": 4, "max_steps": 600, "stop_rmse": 0.03,
+                 "eval_interval": 25, "epochs": 10 ** 6}
+TRAIN_FILES = ("checkpoint.hfn", "training_log.csv")
+REPORT_FILES = ("report.txt", "report.csv")
 
 
 def _parse_bool(text: str) -> bool:
@@ -99,26 +101,32 @@ def _convert(key: str, raw: str):
 def parse_config_file(path) -> dict:
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from None
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected 'key = value', got {text!r}")
-            key, raw = (s.strip() for s in text.split("=", 1))
-            if key not in CONFIG_SCHEMA:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _convert(key, raw)
+    for lineno, line in enumerate(lines, 1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(
+                f"{path}:{lineno}: expected 'key = value', got {text!r}")
+        key, raw = (s.strip() for s in text.split("=", 1))
+        if key not in CONFIG_SCHEMA:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = _convert(key, raw)
     return values
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults <- config file <- command-line flags."""
+    """defaults <- DEMO_DEFAULTS (demo only) <- config file <- flags."""
     cfg = {key: default for key, (_, default) in CONFIG_SCHEMA.items()}
-    if getattr(args, "config", None):
+    if args.command == "demo":
+        cfg.update(DEMO_DEFAULTS)
+    if args.config:
         cfg.update(parse_config_file(args.config))
     for key in CONFIG_SCHEMA:
         value = getattr(args, key, None)
@@ -132,17 +140,16 @@ def echo_config(cfg: dict) -> None:
         print(f"config {key} = {cfg[key]}")
 
 
-def _loss_config(cfg: dict) -> LossConfig:
-    return LossConfig(ssim_weight=cfg["ssim_weight"], ag_weight=cfg["ag_weight"],
-                      ssim_window=cfg["ssim_window"], ssim_sigma=cfg["ssim_sigma"],
-                      ag_mode=cfg["ag_mode"], pixel_mode=cfg["pixel_mode"])
-
-
 def _train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(
         learning_rate=cfg["learning_rate"], batch_size=cfg["batch_size"],
         epochs=cfg["epochs"], seed=cfg["seed"],
-        pre_fusion=PreFusionConfig(cfg["a1"]), loss=_loss_config(cfg),
+        pre_fusion=PreFusionConfig(cfg["a1"]),
+        loss=LossConfig(ssim_weight=cfg["ssim_weight"],
+                        ag_weight=cfg["ag_weight"],
+                        ssim_window=cfg["ssim_window"],
+                        ssim_sigma=cfg["ssim_sigma"], ag_mode=cfg["ag_mode"],
+                        pixel_mode=cfg["pixel_mode"]),
         feedback=FeedbackConfig(cfg["n_feedback"]), optimizer=cfg["optimizer"],
         beta1=cfg["beta1"], beta2=cfg["beta2"], adam_eps=cfg["adam_eps"],
         max_steps=cfg["max_steps"], stop_rmse=cfg["stop_rmse"],
@@ -172,29 +179,55 @@ def _test_pairs(corpus):
     return pairs
 
 
+def _check_outputs(out_dir: str, *names: str) -> None:
+    """Raise ConfigError unless every ``out_dir/name`` can be written as a
+    file: it is no directory, and its nearest existing ancestor is one.
+    Verbs check before any work, so a bad path writes nothing."""
+    for path in (os.path.join(out_dir, name) for name in names):
+        parent = os.path.dirname(path) or "."
+        while not os.path.lexists(parent):
+            parent = os.path.dirname(parent) or "."
+        if os.path.isdir(path) or not os.path.basename(path):
+            raise ConfigError(f"output path {path} is a directory")
+        if not os.path.isdir(parent):
+            raise ConfigError(
+                f"cannot write {path}: {parent} is not a directory")
+
+
+def _save_training(out_dir: str, params, log) -> list[str]:
+    paths = [os.path.join(out_dir, name) for name in TRAIN_FILES]
+    os.makedirs(out_dir, exist_ok=True)
+    save_checkpoint(params, paths[0])
+    log.save(paths[1])
+    return paths
+
+
+def _save_report(out_dir: str, report) -> list[str]:
+    paths = [os.path.join(out_dir, name) for name in REPORT_FILES]
+    os.makedirs(out_dir, exist_ok=True)
+    report.save(*paths)
+    print(report.table_text(), end="")
+    return paths
+
+
 def cmd_train(cfg: dict) -> int:
+    _check_outputs(cfg["out_dir"], *TRAIN_FILES)
     train_cfg = _train_config(cfg)
     params, log = train(_load_corpus(cfg, train_cfg.loss.ssim_window),
                         train_cfg)
-    out_dir = cfg["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    ckpt_path = os.path.join(out_dir, "checkpoint.hfn")
-    save_checkpoint(params, ckpt_path)
-    log_path = os.path.join(out_dir, "training_log.csv")
-    log.save(log_path)
-    last = log.rows[-1]
-    print(f"trained {len(log.rows)} steps; final loss {last[2]:.6f}")
-    print(f"wrote {ckpt_path}")
-    print(f"wrote {log_path}")
+    paths = _save_training(cfg["out_dir"], params, log)
+    print(f"trained {len(log.rows)} steps; final loss {log.rows[-1][2]:.6f}")
+    for path in paths:
+        print(f"wrote {path}")
     return 0
 
 
 def cmd_fuse(cfg: dict, ir_path: str, vis_path: str, out_path: str) -> int:
     if not cfg["checkpoint"]:
         raise ConfigError("fuse requires --checkpoint")
+    _check_outputs("", out_path)
     params = load_checkpoint(cfg["checkpoint"])
-    ir = read_image(ir_path)
-    vis = read_image(vis_path)
+    ir, vis = read_image(ir_path), read_image(vis_path)
     if ir.shape != vis.shape:
         raise ShapeError(
             f"image size mismatch: {ir_path} is {ir.shape}, "
@@ -205,9 +238,7 @@ def cmd_fuse(cfg: dict, ir_path: str, vis_path: str, out_path: str) -> int:
     # the metrics reject pairs smaller than the ssim window; do that
     # before anything is written
     row = measure_triple(ir, vis, fused)
-    out_dir = os.path.dirname(out_path)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
     write_pgm(out_path, fused)
     print(f"wrote {out_path}")
     print(f"metrics en={row.en:.6f} qabf={row.qabf:.6f} "
@@ -218,19 +249,14 @@ def cmd_fuse(cfg: dict, ir_path: str, vis_path: str, out_path: str) -> int:
 def cmd_eval(cfg: dict) -> int:
     if not cfg["checkpoint"]:
         raise ConfigError("eval requires --checkpoint")
+    _check_outputs(cfg["out_dir"], *REPORT_FILES)
     params = load_checkpoint(cfg["checkpoint"])
-    # the metrics score with the default ssim window
-    pairs = _test_pairs(_load_corpus(cfg, LossConfig().ssim_window))
+    pairs = _test_pairs(_load_corpus(cfg, SSIM_CONFIG.ssim_window))
     report = evaluate_corpus(pairs, params,
                              FeedbackConfig(cfg["n_feedback"]),
                              corpus="synthetic" if cfg["synthetic"] else "files")
-    out_dir = cfg["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    report.save(os.path.join(out_dir, "report.txt"),
-                os.path.join(out_dir, "report.csv"))
-    print(report.table_text(), end="")
-    print(f"wrote {os.path.join(out_dir, 'report.txt')}")
-    print(f"wrote {os.path.join(out_dir, 'report.csv')}")
+    for path in _save_report(cfg["out_dir"], report):
+        print(f"wrote {path}")
     return 0
 
 
@@ -249,38 +275,35 @@ def cmd_gradcheck(cfg: dict, n_seeds: int) -> int:
 def cmd_demo(cfg: dict) -> int:
     """Synthetic corpus, desk-scale training, fusion of the test pairs,
     and a metric report; everything deterministic in the seed."""
+    out_dir = cfg["out_dir"]
     train_cfg = _train_config(cfg)
-    # the images must fit both the loss's window and the metrics' default
-    window = max(train_cfg.loss.ssim_window, LossConfig().ssim_window)
+    # the images must fit both the loss's window and the metrics' window
+    window = max(train_cfg.loss.ssim_window, SSIM_CONFIG.ssim_window)
     corpus = _load_corpus(cfg, window)
     test_pairs = _test_pairs(corpus)
+    _check_outputs(out_dir, *TRAIN_FILES, *REPORT_FILES,
+                   *(f"{p.name}_fused.pgm" for p in test_pairs))
     params, log = train(corpus, train_cfg)
-    out_dir = cfg["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    ckpt_path = os.path.join(out_dir, "checkpoint.hfn")
-    save_checkpoint(params, ckpt_path)
-    log.save(os.path.join(out_dir, "training_log.csv"))
+    _save_training(out_dir, params, log)
 
     def sink(name, fused):
         write_pgm(os.path.join(out_dir, f"{name}_fused.pgm"), fused)
 
     report = evaluate_corpus(test_pairs, params, train_cfg.feedback,
                              corpus="synthetic-demo", fused_sink=sink)
-    report.save(os.path.join(out_dir, "report.txt"),
-                os.path.join(out_dir, "report.csv"))
-    print(report.table_text(), end="")
+    _save_report(out_dir, report)
     print(f"demo artifacts in {out_dir}: checkpoint.hfn, training_log.csv, "
           f"report.txt, report.csv, {len(report.rows)} fused image(s)")
     return 0
 
 
 def _add_config_flags(p: argparse.ArgumentParser, keys: list[str]) -> None:
+    p.add_argument("--config")
     aliases = {"learning_rate": ["--lr"], "image_size": ["--size"],
                "max_steps": ["--steps"]}
     for key in keys:
         typ, _ = CONFIG_SCHEMA[key]
-        flag = "--" + key.replace("_", "-")
-        names = [flag] + aliases.get(key, [])
+        names = ["--" + key.replace("_", "-")] + aliases.get(key, [])
         if typ is bool:
             p.add_argument(*names, dest=key, action="store_const", const=True,
                            default=None)
@@ -288,11 +311,8 @@ def _add_config_flags(p: argparse.ArgumentParser, keys: list[str]) -> None:
             p.add_argument(*names, dest=key, type=typ, default=None)
 
 
-_TRAIN_KEYS = ["seed", "learning_rate", "batch_size", "epochs", "max_steps",
-               "image_size", "a1", "ssim_weight", "ag_weight", "ssim_window",
-               "ssim_sigma", "ag_mode", "pixel_mode", "n_feedback",
-               "optimizer", "beta1", "beta2", "adam_eps", "stop_rmse",
-               "eval_interval", "synthetic", "ir_dir", "vis_dir", "out_dir"]
+_TRAIN_KEYS = [key for key in CONFIG_SCHEMA
+               if key not in ("checkpoint", "pre_fuse_at_test")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,66 +322,39 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train on a corpus or synthetic pairs")
-    p_train.add_argument("--config")
     _add_config_flags(p_train, _TRAIN_KEYS)
 
     p_fuse = sub.add_parser("fuse", help="fuse one registered pair")
     p_fuse.add_argument("infrared")
     p_fuse.add_argument("visible")
     p_fuse.add_argument("output")
-    p_fuse.add_argument("--config")
     _add_config_flags(p_fuse, ["checkpoint", "n_feedback", "a1",
                                "pre_fuse_at_test"])
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a test split")
-    p_eval.add_argument("--config")
     _add_config_flags(p_eval, ["seed", "checkpoint", "synthetic", "image_size",
                                "ir_dir", "vis_dir", "n_feedback", "out_dir"])
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    p_grad.add_argument("--config")
     p_grad.add_argument("--n-seeds", type=int, default=20)
     _add_config_flags(p_grad, ["seed"])
 
     p_demo = sub.add_parser("demo", help="end-to-end synthetic run")
-    p_demo.add_argument("--config")
     _add_config_flags(p_demo, _TRAIN_KEYS)
     return parser
-
-
-def _demo_defaults(cfg: dict, args: argparse.Namespace) -> dict:
-    """Desk-scale defaults for demo, unless the user pinned a value."""
-    pinned = {k for k in CONFIG_SCHEMA if getattr(args, k, None) is not None}
-    if getattr(args, "config", None):
-        pinned.update(parse_config_file(args.config))
-    overrides = {"image_size": DEMO_SIZE, "synthetic": DEMO_PAIRS,
-                 "learning_rate": DEMO_LR, "batch_size": DEMO_BATCH,
-                 "max_steps": DEMO_STEPS, "stop_rmse": DEMO_STOP_RMSE,
-                 "eval_interval": 25, "epochs": 10 ** 6}
-    for key, value in overrides.items():
-        if key not in pinned:
-            cfg[key] = value
-    return cfg
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        if args.command == "demo":
-            cfg = _demo_defaults(cfg, args)
         echo_config(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
         if args.command == "fuse":
             return cmd_fuse(cfg, args.infrared, args.visible, args.output)
-        if args.command == "eval":
-            return cmd_eval(cfg)
         if args.command == "gradcheck":
             return cmd_gradcheck(cfg, args.n_seeds)
-        if args.command == "demo":
-            return cmd_demo(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        verbs = {"train": cmd_train, "eval": cmd_eval, "demo": cmd_demo}
+        return verbs[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

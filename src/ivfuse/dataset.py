@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, IngestionError
 from .images import read_image, resize_bilinear
+from .losses import gaussian_window_1d
 
 TRAIN_FRACTION = 0.75
 
@@ -56,9 +57,11 @@ def assign_splits(pairs: list[ImagePair], seed: int) -> None:
         pairs[idx].split = "train" if rank < n_train else "test"
 
 
-def _check_image_size(size: int) -> None:
+def _check_size_and_seed(size: int, seed: int) -> None:
     if size < 1:
         raise ConfigError(f"image_size must be >= 1, got {size}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 def load_dataset(ir_dir, vis_dir, image_size: int, seed: int) -> PairDataset:
@@ -68,7 +71,7 @@ def load_dataset(ir_dir, vis_dir, image_size: int, seed: int) -> PairDataset:
     ``image_size`` square, and scaled to [0, 1]. Any file present in one
     directory but not the other is an error naming the orphan.
     """
-    _check_image_size(image_size)
+    _check_size_and_seed(image_size, seed)
     for d in (ir_dir, vis_dir):
         if not os.path.isdir(d):
             raise IngestionError(f"image directory not found: {d}")
@@ -100,9 +103,7 @@ def load_dataset(ir_dir, vis_dir, image_size: int, seed: int) -> PairDataset:
 def _smooth(img: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur with edge clamping."""
     radius = max(1, int(3.0 * sigma))
-    idx = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-(idx ** 2) / (2.0 * sigma * sigma))
-    kernel /= kernel.sum()
+    kernel = gaussian_window_1d(2 * radius + 1, sigma)
     padded = np.pad(img, radius, mode="edge")
     rows = np.apply_along_axis(
         lambda r: np.convolve(r, kernel, mode="valid"), 1, padded)
@@ -163,7 +164,7 @@ def synth_corpus(n_pairs: int, size: int, seed: int) -> PairDataset:
     """Deterministic registered synthetic pairs, split 3:1 like real data."""
     if n_pairs < 1:
         raise ConfigError(f"synthetic pair count must be >= 1, got {n_pairs}")
-    _check_image_size(size)
+    _check_size_and_seed(size, seed)
     rng = np.random.default_rng(seed)
     pairs = []
     for k in range(n_pairs):

@@ -262,6 +262,8 @@ def run_gradient_checks(seed: int = 0, n_seeds: int = 20,
     """Run every component over ``n_seeds`` seeds; keep the worst error."""
     if n_seeds < 1:
         raise ConfigError(f"n_seeds must be >= 1, got {n_seeds}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     names = components if components is not None else list(COMPONENTS)
     results = []
     for name in names:

@@ -36,6 +36,9 @@ REFERENCE_RESULTS = {
 QABF_STRENGTH = (0.9994, -15.0, 0.5)
 QABF_ORIENT = (0.9879, -22.0, 0.8)
 
+# SSIM metric window: 11 wide, sigma 1.5, whatever the training loss used
+SSIM_CONFIG = LossConfig()
+
 _SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
 _SOBEL_Y = _SOBEL_X.T.copy()
 
@@ -103,8 +106,7 @@ def qabf(a: np.ndarray, b: np.ndarray, f: np.ndarray) -> float:
     return float(np.sum(qa * ga + qb * gb) / den)
 
 
-def ssim_metric(f: np.ndarray, a: np.ndarray, b: np.ndarray,
-                cfg: LossConfig = LossConfig()) -> float:
+def ssim_metric(f: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """Mean SSIM of the fused image against each source.
 
     One 64-bit evaluation, with no graph, on the batch of the two pairs
@@ -117,7 +119,7 @@ def ssim_metric(f: np.ndarray, a: np.ndarray, b: np.ndarray,
     fused = np.stack([f, f])[:, np.newaxis].astype(np.float64)
     sources = np.stack([a, b])[:, np.newaxis].astype(np.float64)
     with no_grad():
-        return float(_ssim_graph(fused, sources, cfg).data)
+        return float(_ssim_graph(fused, sources, SSIM_CONFIG).data)
 
 
 def psnr(f: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -188,15 +190,13 @@ class MetricReport:
 
 
 def measure_triple(a: np.ndarray, b: np.ndarray, f: np.ndarray,
-                   pair_id: str = "pair",
-                   cfg: LossConfig = LossConfig()) -> MetricRow:
+                   pair_id: str = "pair") -> MetricRow:
     return MetricRow(pair_id, entropy(f), qabf(a, b, f),
-                     ssim_metric(f, a, b, cfg), psnr(f, a, b))
+                     ssim_metric(f, a, b), psnr(f, a, b))
 
 
 def evaluate_corpus(pairs, params: ModelParams,
                     fb: FeedbackConfig = FeedbackConfig(),
-                    cfg: LossConfig = LossConfig(),
                     corpus: str = "corpus", method: str = "ivfuse",
                     fused_sink=None) -> MetricReport:
     """Fuse every pair and report all four metrics per image plus means.
@@ -214,5 +214,5 @@ def evaluate_corpus(pairs, params: ModelParams,
         if fused_sink is not None:
             fused_sink(pair.name, fused)
         rows.append(measure_triple(pair.infrared, pair.visible, fused,
-                                   pair.name, cfg))
+                                   pair.name))
     return MetricReport(corpus, method, rows)

@@ -238,8 +238,8 @@ def fuse_images(infrared: np.ndarray, visible: np.ndarray,
     device, but passing ``pre_fusion`` re-enables it here for ablation.
     Addition fusion plus tied weights make the result independent of the
     argument order, bit for bit. Runs under ``no_grad``: no graph is kept,
-    so memory stays at a few layers' activations. Non-finite pixels are
-    rejected with a DomainError.
+    so memory stays at a few layers' activations. Pixels outside [0, 1],
+    NaN included, are rejected with a DomainError.
     """
     if infrared.ndim != 2 or visible.ndim != 2:
         raise ShapeError("fuse_images expects 2-d grayscale images")
@@ -248,8 +248,8 @@ def fuse_images(infrared: np.ndarray, visible: np.ndarray,
             f"fuse_images needs a registered pair of equal size, got "
             f"{infrared.shape} and {visible.shape}")
     for name, img in (("infrared", infrared), ("visible", visible)):
-        if not np.isfinite(img).all():
-            raise DomainError(f"fuse_images: {name} holds non-finite pixels")
+        if not ((img >= 0) & (img <= 1)).all():
+            raise DomainError(f"fuse_images: {name} has pixels outside [0, 1]")
     a, b = infrared, visible
     if pre_fusion is not None:
         a, b = pre_fuse(infrared, visible, pre_fusion)

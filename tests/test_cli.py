@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import ivfuse.tensor as tensor_mod
 from ivfuse.checkpoint import load_checkpoint, save_checkpoint
-from ivfuse.cli import main, parse_config_file, resolve_config, build_parser
+from ivfuse.cli import (_convert, build_parser, main, parse_config_file,
+                        resolve_config)
 from ivfuse.images import read_pgm, write_pgm
 from ivfuse.losses import ssim as ssim_graph
 from ivfuse.network import init_params
@@ -55,6 +58,49 @@ def test_flags_override_config_file(tmp_path):
     assert cfg["seed"] == 9         # flag wins
     assert cfg["batch_size"] == 7   # file wins over default
     assert cfg["epochs"] == 200     # default
+
+
+def test_demo_defaults_sit_under_file_and_flags(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("image_size = 20\nbatch_size = 3\n")
+
+    def echoed(*flags):
+        # one pair has no test split: demo exits 3 after the echo, untrained
+        code, out, _ = run_cli(capsys, "demo", "--config", str(cfg_path),
+                               "--synthetic", "1", *flags,
+                               "--out-dir", str(tmp_path / "o"))
+        assert code == 3
+        return {ln for ln in out.splitlines() if ln.startswith("config ")}
+
+    lines = echoed()
+    assert "config image_size = 20" in lines   # file beats the demo default
+    assert "config batch_size = 3" in lines
+    assert "config max_steps = 600" in lines   # demo default beats schema's
+    assert "config learning_rate = 0.001" in lines
+    lines = echoed("--size", "24")
+    assert "config image_size = 24" in lines   # flag beats the file
+    assert "config batch_size = 3" in lines
+
+
+def _readme_defaults() -> dict:
+    """Key -> default, parsed from the README's table of config keys."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| key | default | meaning |", 1)[1].split("\n\n")[0]
+    found = {}
+    for row in table.strip().splitlines()[1:]:
+        keys, defaults = row.split("|")[1:3]
+        keys = [k.strip(" `") for k in keys.split(",")]
+        defaults = [d.strip(" `") for d in defaults.split(",")]
+        if len(defaults) == 1:   # one default shared by every key
+            defaults *= len(keys)
+        for key, raw in zip(keys, defaults, strict=True):
+            found[key] = None if raw == "none" else _convert(key, raw)
+    return found
+
+
+def test_readme_key_table_matches_resolved_defaults():
+    defaults = resolve_config(build_parser().parse_args(["train"]))
+    assert _readme_defaults() == defaults
 
 
 def test_config_echoed_before_work(tmp_path, capsys):
@@ -140,16 +186,61 @@ _TINY = ["--synthetic", "2", "--size", "16", "--steps", "1"]
     # training fits a 5-wide window, but the report's metrics use 11
     (["demo", "--size", "8", "--ssim-window", "5", "--steps", "1"], 2,
      "11-wide ssim window"),
+    (["train", *_TINY, "--seed", "-1"], 2, "seed must be >= 0"),
+    (["eval", "--checkpoint", "{ckpt}", "--synthetic", "2", "--size", "16",
+      "--seed", "-3"], 2, "seed must be >= 0"),
+    (["gradcheck", "--seed", "-1"], 2, "seed must be >= 0"),
+    (["demo", *_TINY, "--seed", "-1"], 2, "seed must be >= 0"),
 ])
 def test_bad_value_exits_with_its_code_and_writes_nothing(tmp_path, capsys,
-                                                         argv, code, message):
+                                                         trained, argv, code,
+                                                         message):
     out_dir = tmp_path / "out"
+    argv = [a.format(ckpt=trained) for a in argv]
     if argv[0] != "gradcheck":
         argv = argv + ["--out-dir", str(out_dir)]
     got, _, err = run_cli(capsys, *argv)
     assert got == code
     assert message in err
     assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["fuse", "a.pgm", "a.pgm", "folder", "--checkpoint", "{ckpt}"],
+     "folder"),
+    (["fuse", "a.pgm", "a.pgm", "folder/", "--checkpoint", "{ckpt}"],
+     "folder/"),
+    (["fuse", "a.pgm", "a.pgm", "plain/x.pgm", "--checkpoint", "{ckpt}"],
+     "plain/x.pgm"),
+    (["fuse", "a.pgm", "a.pgm", "plain/sub/x.pgm", "--checkpoint", "{ckpt}"],
+     "plain/sub/x.pgm"),
+    (["train", "--synthetic", "2", "--size", "16", "--steps", "2",
+      "--out-dir", "plain"], "plain"),
+    (["eval", "--checkpoint", "{ckpt}", "--synthetic", "2", "--size", "16",
+      "--out-dir", "plain"], "plain"),
+    (["demo", "--synthetic", "2", "--size", "16", "--steps", "2",
+      "--out-dir", "plain"], "plain"),
+    (["demo", "--synthetic", "2", "--size", "16", "--steps", "2",
+      "--out-dir", "."], "_fused.pgm is a directory"),
+])
+def test_bad_output_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                 trained, argv, named):
+    # "folder" and the fused images' names are directories, "plain" a file
+    monkeypatch.chdir(tmp_path)
+    write_pgm(tmp_path / "a.pgm", np.zeros((16, 16)))
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "pair000_fused.pgm").mkdir()
+    (tmp_path / "pair001_fused.pgm").mkdir()
+    (tmp_path / "plain").write_bytes(b"")
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run_cli(capsys, *(a.format(ckpt=trained) for a in argv))
+    assert code == 2
+    assert named in err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "plain").read_bytes() == b""
+    # no training ran and no report was made
+    assert not [ln for ln in out.splitlines()
+                if ln.startswith(("trained ", "corpus: "))]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ivfuse import dataset
 from ivfuse.dataset import load_dataset, split_counts, synth_corpus
 from ivfuse.errors import ConfigError, IngestionError, ShapeError
 from ivfuse.images import (levels_to_unit, quantize_u8, read_pgm,
@@ -218,6 +219,39 @@ def test_synth_corpus_rejects_zero_pairs():
 def test_synth_corpus_bad_sizes_are_config_errors(n_pairs, size, key):
     with pytest.raises(ConfigError, match=key):
         synth_corpus(n_pairs, size, seed=0)
+
+
+def test_negative_seed_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="seed"):
+        synth_corpus(2, 16, seed=-1)
+    with pytest.raises(ConfigError, match="seed"):  # before reading dirs
+        load_dataset(tmp_path / "ir", tmp_path / "vis", 16, seed=-1)
+
+
+def _smooth_with_own_kernel(img, sigma):
+    """The generator's blur with its kernel built inline, as it was before
+    it shared ``gaussian_window_1d`` with the SSIM loss."""
+    radius = max(1, int(3.0 * sigma))
+    idx = np.arange(-radius, radius + 1, dtype=np.float64)
+    kernel = np.exp(-(idx ** 2) / (2.0 * sigma * sigma))
+    kernel /= kernel.sum()
+    padded = np.pad(img, radius, mode="edge")
+    rows = np.apply_along_axis(
+        lambda r: np.convolve(r, kernel, mode="valid"), 1, padded)
+    return np.apply_along_axis(
+        lambda c: np.convolve(c, kernel, mode="valid"), 0, rows)
+
+
+@pytest.mark.parametrize("n_pairs, size, seed", [(3, 16, 7), (2, 32, 0),
+                                                 (4, 27, 11)])
+def test_synth_corpus_unchanged_by_shared_window(monkeypatch, n_pairs, size,
+                                                 seed):
+    shared = synth_corpus(n_pairs, size, seed)
+    monkeypatch.setattr(dataset, "_smooth", _smooth_with_own_kernel)
+    own = synth_corpus(n_pairs, size, seed)
+    for a, b in zip(shared.pairs, own.pairs):
+        assert a.infrared.tobytes() == b.infrared.tobytes()
+        assert a.visible.tobytes() == b.visible.tobytes()
 
 
 def test_load_dataset_rejects_non_positive_size(tmp_path):

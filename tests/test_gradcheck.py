@@ -47,3 +47,8 @@ def test_no_seeds_is_a_config_error(n_seeds):
     # zero seeds would check nothing and report every component as passed
     with pytest.raises(ConfigError, match="n_seeds"):
         run_gradient_checks(n_seeds=n_seeds, components=["relu"])
+
+
+def test_negative_seed_is_a_config_error():
+    with pytest.raises(ConfigError, match="seed"):
+        run_gradient_checks(seed=-1, n_seeds=1, components=["relu"])

@@ -199,7 +199,7 @@ def test_fuse_images_size_mismatch():
         fuse_images(np.zeros((8, 8)), np.zeros((8, 9)), init_params(0))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.5])
 @pytest.mark.parametrize("argument", ["infrared", "visible"])
 def test_fuse_images_rejects_non_finite_pixels(argument, bad):
     images = {"infrared": rand_image(15), "visible": rand_image(16)}

@@ -1,15 +1,16 @@
-"""Property tests of the two file parsers: whatever bytes they are given,
-they return a valid result or raise their own error class, never another
-exception (which the CLI would report as a traceback)."""
+"""Property tests of the file parsers (PGM, HFN1, config): whatever bytes
+they are given, they return a valid result or raise their own error class,
+never another exception (which the CLI would report as a traceback)."""
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ivfuse.checkpoint import load_checkpoint, save_checkpoint
+from ivfuse.cli import CONFIG_SCHEMA, parse_config_file
 from ivfuse.errors import (CheckpointFormatError, CheckpointSchemaError,
-                           IngestionError)
+                           ConfigError, IngestionError)
 from ivfuse.images import read_pgm
 from ivfuse.network import init_params
 
@@ -126,3 +127,36 @@ def test_load_checkpoint_rejects_duplicate_tensor(tmp_path, checkpoint_bytes):
     path.write_bytes(b"\n".join(lines) + b"\n\n" + payload + bytes(4))
     with pytest.raises(CheckpointSchemaError, match="decoder.c5.bias"):
         load_checkpoint(path)
+
+
+# -------------------------------------------------------------- config
+
+# raw bytes, or a schema key set to raw bytes or to a plausible value
+CONFIG_LINE = st.one_of(
+    st.binary(max_size=30),
+    st.builds(lambda key, value: key.encode() + b" = " + value,
+              st.sampled_from(sorted(CONFIG_SCHEMA)),
+              st.one_of(st.binary(max_size=12), st.sampled_from(
+                  [b"3", b"-1", b"0.5", b"1e999", b"nan", b"yes", b"off",
+                   b"literal", b"7 # note", b"\xc3\xa9"]))))
+
+
+@FUZZ
+@example(lines=[b"seed = 5", b"\xff\xfe = 1"])
+@given(lines=st.lists(CONFIG_LINE, max_size=6))
+def test_parse_config_file_any_bytes(tmp_path, lines):
+    path = tmp_path / "c.cfg"
+    path.write_bytes(b"\n".join(lines))
+    try:
+        values = parse_config_file(path)
+    except ConfigError:
+        return
+    for key, value in values.items():
+        assert type(value) is CONFIG_SCHEMA[key][0]
+
+
+def test_parse_config_file_names_undecodable_file(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"seed = 5\nag_mode = lit\xe9ral\n")
+    with pytest.raises(ConfigError, match="latin1.cfg"):
+        parse_config_file(path)
