@@ -194,6 +194,13 @@ def _check_outputs(out_dir: str, *names: str) -> None:
                 f"cannot write {path}: {parent} is not a directory")
 
 
+def _check_out_dir(out_dir: str, *names: str) -> None:
+    """_check_outputs for the verbs that write under ``out_dir``."""
+    if not out_dir:
+        raise ConfigError("out_dir is empty; name a directory, such as '.'")
+    _check_outputs(out_dir, *names)
+
+
 def _save_training(out_dir: str, params, log) -> list[str]:
     paths = [os.path.join(out_dir, name) for name in TRAIN_FILES]
     os.makedirs(out_dir, exist_ok=True)
@@ -211,7 +218,7 @@ def _save_report(out_dir: str, report) -> list[str]:
 
 
 def cmd_train(cfg: dict) -> int:
-    _check_outputs(cfg["out_dir"], *TRAIN_FILES)
+    _check_out_dir(cfg["out_dir"], *TRAIN_FILES)
     train_cfg = _train_config(cfg)
     params, log = train(_load_corpus(cfg, train_cfg.loss.ssim_window),
                         train_cfg)
@@ -249,7 +256,7 @@ def cmd_fuse(cfg: dict, ir_path: str, vis_path: str, out_path: str) -> int:
 def cmd_eval(cfg: dict) -> int:
     if not cfg["checkpoint"]:
         raise ConfigError("eval requires --checkpoint")
-    _check_outputs(cfg["out_dir"], *REPORT_FILES)
+    _check_out_dir(cfg["out_dir"], *REPORT_FILES)
     params = load_checkpoint(cfg["checkpoint"])
     pairs = _test_pairs(_load_corpus(cfg, SSIM_CONFIG.ssim_window))
     report = evaluate_corpus(pairs, params,
@@ -281,7 +288,7 @@ def cmd_demo(cfg: dict) -> int:
     window = max(train_cfg.loss.ssim_window, SSIM_CONFIG.ssim_window)
     corpus = _load_corpus(cfg, window)
     test_pairs = _test_pairs(corpus)
-    _check_outputs(out_dir, *TRAIN_FILES, *REPORT_FILES,
+    _check_out_dir(out_dir, *TRAIN_FILES, *REPORT_FILES,
                    *(f"{p.name}_fused.pgm" for p in test_pairs))
     params, log = train(corpus, train_cfg)
     _save_training(out_dir, params, log)

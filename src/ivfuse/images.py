@@ -2,9 +2,10 @@
 resizing, and the 8-bit quantization shared by image emission and the
 entropy metric.
 
-PGM (P5, maxval 255) is the native format because it is bit-exact and
-trivial to parse. Other formats are decoded through Pillow when it is
-installed (``HAVE_PIL``); the core pipeline never requires it.
+PGM (P5) is the native format because it is bit-exact and trivial to
+parse. It is read at any maxval up to 65535, 16-bit samples included,
+and written at maxval 255. Other formats are decoded through Pillow when
+it is installed (``HAVE_PIL``); the core pipeline never requires it.
 """
 
 from __future__ import annotations
@@ -74,7 +75,11 @@ def resize_bilinear(img: np.ndarray, height: int, width: int) -> np.ndarray:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Binary PGM (P5, maxval 255) -> float64 image in [0, 1]."""
+    """Binary PGM (P5) -> float64 image in [0, 1], scaled by its maxval.
+
+    Maxval 1-255 stores one byte per sample, 256-65535 two big-endian
+    bytes (the Netpbm PGM spec); a sample above maxval is an error.
+    """
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -107,14 +112,20 @@ def read_pgm(path) -> np.ndarray:
     if width < 1 or height < 1:
         raise IngestionError(
             f"{path}: PGM dimensions must be positive, got {width}x{height}")
-    if maxval != 255:
-        raise IngestionError(f"{path}: only maxval 255 supported, got {maxval}")
+    if not 1 <= maxval <= 65535:
+        raise IngestionError(
+            f"{path}: PGM maxval must be in 1..65535, got {maxval}")
     i += 1  # single whitespace byte after maxval
-    pixels = blob[i:i + width * height]
-    if len(pixels) != width * height:
+    dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+    size = width * height * dtype.itemsize
+    pixels = blob[i:i + size]
+    if len(pixels) != size:
         raise IngestionError(f"{path}: truncated PGM pixel data")
-    arr = np.frombuffer(pixels, dtype=np.uint8).reshape(height, width)
-    return arr.astype(np.float64) / 255.0
+    arr = np.frombuffer(pixels, dtype=dtype).reshape(height, width)
+    if arr.max() > maxval:
+        raise IngestionError(
+            f"{path}: PGM sample {arr.max()} exceeds maxval {maxval}")
+    return arr.astype(np.float64) / maxval
 
 
 def write_pgm(path, img: np.ndarray) -> None:

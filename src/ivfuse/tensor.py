@@ -29,10 +29,10 @@ from .errors import DomainError, ShapeError
 # exactly zero on flat image regions; the unguarded adjoint would be inf.
 SQRT_GRAD_EPS = 1e-12
 
-# Cap on the bytes of the one im2col column buffer that each conv2d forward
-# and input gradient allocates and reuses. Rows of output are lowered into it
-# and multiplied a block at a time, so the working set stays near this size
-# however large the image is.
+# Cap on the scratch bytes that each conv2d forward and input gradient
+# allocates and reuses: the column buffer plus, when kernel rows are summed,
+# both product buffers. Rows of output are lowered and multiplied a block at
+# a time, so the working set stays near this size however large the image is.
 CONV_TILE_BYTES = 4 << 20
 
 Scalar = (int, float, np.integer, np.floating)
@@ -275,57 +275,121 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     else:
         raise ValueError(f"unknown padding mode {padding!r}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = sliding_window_view(xp, (kh, kw), axis=(2, 3))
     parents = (x, w) if b is None else (x, w, b)
 
     def backward(g):
         if b is not None:
             _accumulate(b, g.sum(axis=(0, 2, 3)))
+        # The padded input is rebuilt here rather than kept on the tape.
+        xp = x.data
+        if ph or pw:
+            xp = np.pad(xp, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        cols = sliding_window_view(xp, (kh, kw), axis=(2, 3))
         _accumulate(w, np.einsum("bohw,bchwuv->ocuv", g, cols, optimize=True))
-        # Input gradient: the conv forward of the (re)padded output gradient
-        # with the spatially flipped kernel, swapping the channel roles.
-        gp = np.pad(g, ((0, 0), (0, 0), (kh - 1 - ph,) * 2, (kw - 1 - pw,) * 2))
-        gcols = sliding_window_view(gp, (kh, kw), axis=(2, 3))
+        # Input gradient: the conv forward of the output gradient, padded by
+        # the rest of the kernel, with the spatially flipped kernel,
+        # swapping the channel roles.
         wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        _accumulate(x, _conv_forward(gcols, wflip, None))
+        _accumulate(x, _conv_forward(g, wflip, None, kh - 1 - ph, kw - 1 - pw))
 
-    return Tensor(_conv_forward(cols, w.data, None if b is None else b.data),
+    return Tensor(_conv_forward(x.data, w.data, None if b is None else b.data,
+                                ph, pw),
                   _parents=parents, _backward=backward)
 
 
-def _conv_forward(cols: np.ndarray, w: np.ndarray, b: np.ndarray | None
-                  ) -> np.ndarray:
-    """Row-tiled im2col GEMM over the (B, Cin, Ho, Wo, kh, kw) window view.
+def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
+                  ph: int, pw: int) -> np.ndarray:
+    """Row-tiled GEMM convolution of ``x`` zero-padded by ``ph`` and ``pw``.
 
-    Each block of output rows is lowered into one (Cin*kh*kw, B*rows*Wo)
-    column buffer of at most ``CONV_TILE_BYTES`` and multiplied by the
-    (Cout, Cin*kh*kw) weight matrix into one product buffer. Both buffers
-    are allocated once per call and reused for every block, so the memory
-    is not handed back to the allocator and faulted in again between
-    blocks; the bias is added in place at the end.
+    Each block of output rows lowers only the ``kw`` horizontal taps of its
+    input rows, the ``kh - 1`` halo rows included, into one
+    (B, Cin, kw, rows + kh - 1, Wo) column buffer (MEC; Cho & Brand 2017,
+    arXiv 1706.06873). Kernel row ``u`` is the view of that buffer ``u``
+    rows down, a plain 2-D GEMM operand per image, so a block runs ``kh``
+    GEMMs with the (Cout, Cin*kw) weight slices and sums their products in
+    two product buffers, the last sum landing in the output. Summing a
+    product costs about twice what lowering a tap does per channel, so when
+    Cin*kw < 2*Cout all ``kh*kw`` taps are lowered instead and one GEMM
+    writes the block into the output, as plain im2col. The zero padding is
+    written into the column buffer, so no padded copy of ``x`` is made, and
+    an unpadded 1-wide kernel lowers nothing: its GEMMs read the rows of
+    ``x`` in place. Buffers are allocated once per call and reused for
+    every block; the bias is added in place at the end.
     """
-    B, Cin, Ho, Wo, kh, kw = cols.shape
-    Cout = w.shape[0]
-    k = Cin * kh * kw
-    wmat = w.reshape(Cout, k)
-    pdtype = np.result_type(cols, w)
+    B, Cin, H, W = x.shape
+    Cout, _, kh, kw = w.shape
+    Ho, Wo = H + 2 * ph - kh + 1, W + 2 * pw - kw + 1
+    # kernel rows lowered into the columns, and row-offset GEMMs per block
+    kl = kh if Cin * kw < 2 * Cout else 1
+    shifts = kh - kl + 1
+    k = Cin * kl * kw
+    pdtype = np.result_type(x, w)
     dtype = pdtype if b is None else np.result_type(pdtype, b)
     out = np.empty((B, Cout, Ho, Wo), dtype=dtype)
-    rows = min(Ho, max(1, CONV_TILE_BYTES // (k * B * Wo * cols.itemsize)))
-    colbuf = np.empty(k * B * rows * Wo, dtype=cols.dtype)
-    prodbuf = np.empty(Cout * B * rows * Wo, dtype=pdtype)
+    lower = kl * kw > 1 or ph > 0      # else each kernel row is rows of x
+    col_row = B * k * Wo * x.itemsize if lower else 0
+    prod_row = 2 * B * Cout * Wo * np.dtype(pdtype).itemsize if shifts > 1 else 0
+    rows = Ho
+    if col_row + prod_row:
+        budget = CONV_TILE_BYTES - (shifts - 1) * col_row  # the halo rows
+        rows = min(Ho, max(1, budget // (col_row + prod_row)))
+    if lower:
+        colbuf = np.empty(B * k * (rows + shifts - 1) * Wo, dtype=x.dtype)
+    if shifts > 1:
+        prodbuf = np.empty((2, B * Cout * rows * Wo), dtype=pdtype)
+    wmats = w.reshape(Cout, Cin, shifts, kl, kw).transpose(
+        2, 0, 1, 3, 4).reshape(shifts, Cout, k)
     for r0 in range(0, Ho, rows):
         r = min(rows, Ho - r0)
-        n = B * r * Wo
-        tile = colbuf[:k * n].reshape(Cin, kh, kw, B, r, Wo)
-        np.copyto(tile, cols[:, :, r0:r0 + r].transpose(1, 4, 5, 0, 2, 3))
-        prod = np.matmul(wmat, tile.reshape(k, n),
-                         out=prodbuf[:Cout * n].reshape(Cout, n))
-        out[:, :, r0:r0 + r] = prod.reshape(Cout, B, r, Wo).swapaxes(0, 1)
+        n = r * Wo
+        if lower:
+            src = colbuf[:B * k * (r + shifts - 1) * Wo].reshape(
+                B, Cin, kl, kw, r + shifts - 1, Wo)
+            _lower_taps(x, src, r0 - ph, pw)
+        else:
+            src = x[:, :, r0:r0 + r + kh - 1][:, :, None, None]
+        dst = out[:, :, r0:r0 + r].reshape(B, Cout, n, copy=False)
+        if shifts == 1:
+            np.matmul(wmats[0], src.reshape(B, k, n, copy=False), out=dst)
+            continue
+        acc, prod = (p[:B * Cout * n].reshape(B, Cout, n) for p in prodbuf)
+        for u in range(shifts):
+            rows_u = src[..., u:u + r, :].reshape(B, k, n, copy=False)
+            np.matmul(wmats[u], rows_u, out=prod if u else acc)
+            if u:
+                np.add(acc, prod, out=dst if u == shifts - 1 else acc)
     if b is not None:
         out += b.reshape(1, Cout, 1, 1)
     return out
+
+
+def _lower_taps(x: np.ndarray, tile: np.ndarray, top: int, pw: int) -> None:
+    """Fill the (B, Cin, kl, kw, R, Wo) tile with taps of ``x`` zero-padded
+    by ``pw`` columns a side: ``tile[:, :, i, v, s, j]`` is input row
+    ``top + i + s``, column ``j + v - pw``, and zero outside the image. No
+    padded copy of ``x`` is made; each tap copies only the rows and columns
+    inside the image and zeroes the rest of its slab.
+    """
+    H, W = x.shape[2:]
+    _, _, kl, kw, R, Wo = tile.shape
+    for i in range(kl):
+        y = top + i
+        s0 = min(R, max(0, -y))
+        s1 = max(s0, min(R, H - y))
+        for v in range(kw):
+            j0 = min(Wo, max(0, pw - v))
+            j1 = max(j0, min(Wo, W + pw - v))
+            slab = tile[:, :, i, v]
+            slab[:, :, s0:s1, j0:j1] = x[:, :, y + s0:y + s1,
+                                         j0 + v - pw:j1 + v - pw]
+            if s0:
+                slab[:, :, :s0] = 0
+            if s1 < R:
+                slab[:, :, s1:] = 0
+            if j0:
+                slab[:, :, s0:s1, :j0] = 0
+            if j1 < Wo:
+                slab[:, :, s0:s1, j1:] = 0
 
 
 def concat_channels(parts: Sequence[Tensor]) -> Tensor:

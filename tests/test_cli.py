@@ -222,6 +222,12 @@ def test_bad_value_exits_with_its_code_and_writes_nothing(tmp_path, capsys,
       "--out-dir", "plain"], "plain"),
     (["demo", "--synthetic", "2", "--size", "16", "--steps", "2",
       "--out-dir", "."], "_fused.pgm is a directory"),
+    (["train", "--synthetic", "2", "--size", "16", "--steps", "2",
+      "--out-dir", ""], "out_dir"),
+    (["eval", "--checkpoint", "{ckpt}", "--synthetic", "2", "--size", "16",
+      "--out-dir", ""], "out_dir"),
+    (["demo", "--synthetic", "2", "--size", "16", "--steps", "2",
+      "--out-dir", ""], "out_dir"),
 ])
 def test_bad_output_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
                                                  trained, argv, named):
@@ -277,6 +283,19 @@ def test_fuse_swapped_inputs_identical_output(tmp_path, capsys, trained):
     assert code1 == code2 == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert read_pgm(out1).shape == (16, 16)
+
+
+def test_fuse_ignores_empty_out_dir(tmp_path, capsys, trained):
+    # fuse writes to its positional path, never under out_dir
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("out_dir =\n")
+    a_path, out = tmp_path / "a.pgm", tmp_path / "f.pgm"
+    write_pgm(a_path, np.random.default_rng(2).uniform(0, 1, (16, 16)))
+    code, _, err = run_cli(capsys, "fuse", str(a_path), str(a_path), str(out),
+                           "--checkpoint", str(trained),
+                           "--config", str(cfg_path))
+    assert code == 0, err
+    assert read_pgm(out).shape == (16, 16)
 
 
 def test_fuse_pair_with_itself_reports_ssim_to_source(tmp_path, capsys, trained):

@@ -224,6 +224,21 @@ def test_fuse_images_keeps_no_graph_in_memory():
     assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.0f} MiB"
 
 
+def test_fuse_images_float32_tracks_float64():
+    # The same weights at both precisions; the output conv is scaled so no
+    # fused pixel clips, which would hide the difference.
+    params = init_params(1, dtype=np.float32)
+    params.weight("decoder.c5").data *= np.float32(0.12)
+    params.bias("decoder.c5").data += np.float32(0.3)
+    wide = ModelParams({name: Tensor(t.data.astype(np.float64))
+                        for name, t in params.tensors.items()})
+    ir, vis = rand_image(1, side=64), rand_image(2, side=64)
+    f32 = fuse_images(ir, vis, params)
+    f64 = fuse_images(ir, vis, wide)
+    assert 0.0 < f64.min() and f64.max() < 1.0
+    assert np.abs(f32 - f64).max() <= 2e-6
+
+
 def test_fuse_images_optional_pre_fusion_changes_result():
     params = init_params(6)
     ir, vis = rand_image(13), rand_image(14)

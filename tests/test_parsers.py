@@ -11,7 +11,7 @@ from ivfuse.checkpoint import load_checkpoint, save_checkpoint
 from ivfuse.cli import CONFIG_SCHEMA, parse_config_file
 from ivfuse.errors import (CheckpointFormatError, CheckpointSchemaError,
                            ConfigError, IngestionError)
-from ivfuse.images import read_pgm
+from ivfuse.images import quantize_u8, read_pgm, write_pgm
 from ivfuse.network import init_params
 
 FUZZ = settings(max_examples=200, deadline=None,
@@ -60,6 +60,77 @@ def test_read_pgm_rejects_non_positive_dimensions(tmp_path, dims):
     path = tmp_path / "n.pgm"
     path.write_bytes(b"P5\n" + dims + b"\n255\n" + bytes(6))
     with pytest.raises(IngestionError, match="dimensions"):
+        read_pgm(path)
+
+
+def _pgm_samples(draw, maxval):
+    height, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    flat = draw(st.lists(st.integers(0, maxval), min_size=height * width,
+                         max_size=height * width))
+    return np.array(flat, dtype=np.int64).reshape(height, width)
+
+
+@st.composite
+def pgm_files(draw):
+    """A valid P5 file at any maxval, and the samples it holds."""
+    maxval = draw(st.one_of(st.integers(1, 255), st.integers(256, 65535)))
+    levels = _pgm_samples(draw, maxval)
+    dtype = np.uint8 if maxval < 256 else ">u2"
+    header = f"P5\n{levels.shape[1]} {levels.shape[0]}\n{maxval}\n".encode()
+    return header + levels.astype(dtype).tobytes(), levels, maxval
+
+
+@FUZZ
+@example(blob_levels_maxval=(b"P5\n2 1\n65535\n\x01\x02\xff\xff",
+                             np.array([[258, 65535]]), 65535))
+@given(blob_levels_maxval=pgm_files())
+def test_read_pgm_any_maxval_scales_by_maxval(tmp_path, blob_levels_maxval):
+    # two-byte samples are big-endian: 0x01 0x02 is 258
+    blob, levels, maxval = blob_levels_maxval
+    path = tmp_path / "m.pgm"
+    path.write_bytes(blob)
+    img = read_pgm(path)
+    assert img.dtype == np.float64
+    assert np.array_equal(img, levels / maxval)
+
+
+@FUZZ
+@given(maxval=st.one_of(st.integers(1, 254), st.integers(256, 65534)),
+       data=st.data())
+def test_read_pgm_rejects_sample_above_maxval(tmp_path, maxval, data):
+    levels = _pgm_samples(data.draw, maxval)
+    at = data.draw(st.integers(0, levels.size - 1))
+    levels.flat[at] = data.draw(
+        st.integers(maxval + 1, 255 if maxval < 256 else 65535))
+    dtype = np.uint8 if maxval < 256 else ">u2"
+    path = tmp_path / "o.pgm"
+    path.write_bytes(f"P5\n{levels.shape[1]} {levels.shape[0]}\n{maxval}\n"
+                     .encode() + levels.astype(dtype).tobytes())
+    with pytest.raises(IngestionError, match="exceeds maxval"):
+        read_pgm(path)
+
+
+@FUZZ
+@given(blob_levels_maxval=pgm_files())
+def test_write_pgm_stays_8_bit_and_byte_stable(tmp_path, blob_levels_maxval):
+    # whatever maxval an image was read at, it is written at 255, and
+    # writing what was read back gives the same bytes
+    blob, levels, maxval = blob_levels_maxval
+    src, first, second = (tmp_path / n for n in ("s.pgm", "1.pgm", "2.pgm"))
+    src.write_bytes(blob)
+    write_pgm(first, read_pgm(src))
+    write_pgm(second, read_pgm(first))
+    h, w = levels.shape
+    header = f"P5\n{w} {h}\n255\n".encode()
+    assert first.read_bytes() == second.read_bytes()
+    assert first.read_bytes() == header + quantize_u8(levels / maxval).tobytes()
+
+
+@pytest.mark.parametrize("maxval", [b"0", b"65536", b"-1"])
+def test_read_pgm_rejects_maxval_out_of_range(tmp_path, maxval):
+    path = tmp_path / "r.pgm"
+    path.write_bytes(b"P5\n1 1\n" + maxval + b"\n" + bytes(2))
+    with pytest.raises(IngestionError, match="maxval"):
         read_pgm(path)
 
 

@@ -71,6 +71,9 @@ def test_conv2d_matches_loop_oracle():
     (2, 1, 5, 7, 6, 3, 3, "same"),     # Cin=1
     (3, 4, 1, 7, 5, 3, 3, "same"),     # Cout=1
     (1, 1, 1, 9, 8, 5, 1, "valid"),    # 1-d window, as in the SSIM loss
+    (2, 3, 2, 9, 7, 5, 3, "valid"),    # 5x3 window, B=2
+    (1, 1, 1, 8, 9, 1, 5, "valid"),    # the SSIM loss's second pass
+    (2, 4, 1, 9, 6, 3, 1, "valid"),    # row-shifted GEMMs on the rows of x
 ])
 def test_conv2d_row_tiles_match_loop_oracle(monkeypatch, dtype, tol, B, Cin,
                                             Cout, H, W, kh, kw, padding):
@@ -86,10 +89,13 @@ def test_conv2d_row_tiles_match_loop_oracle(monkeypatch, dtype, tol, B, Cin,
     want_gx = conv2d_input_grad_loops(r, w, pad)
     # the input gradient lowers Cout*kh*kw columns for each of the H rows
     grad_row = Cout * kh * kw * B * W * x.itemsize
+    halo_row = (kh * Cin * kw + 2 * Cout) * B * Wo * x.itemsize
     # two rows per tile in the forward and then in the input gradient
-    # (neither divides the odd row counts), one row per tile, and the
-    # default cap (every row in one tile)
-    for cap in (2 * column_row, 2 * grad_row, 1,
+    # (neither divides the odd row counts); one output row with its kh - 1
+    # halo rows of horizontal taps and the two product rows that sum the
+    # kernel rows; one row per tile; and the default cap (every row in one
+    # tile)
+    for cap in (2 * column_row, 2 * grad_row, halo_row, 1,
                 ivfuse.tensor.CONV_TILE_BYTES):
         monkeypatch.setattr(ivfuse.tensor, "CONV_TILE_BYTES", cap)
         xt = Tensor(x)
@@ -124,6 +130,26 @@ def test_conv2d_forward_scratch_stays_within_one_tile():
     assert out.data.nbytes == out_bytes
     scratch = peak - out_bytes - padded_bytes
     assert scratch <= ivfuse.tensor.CONV_TILE_BYTES + (1 << 20), scratch
+
+
+def test_conv2d_1x1_forward_makes_no_copies():
+    # An unpadded 1-wide kernel needs neither a padded copy nor lowered
+    # columns: its GEMMs read the input rows in place and write the output.
+    rng = np.random.default_rng(10)
+    x = Tensor(rng.standard_normal((2, 64, 64, 64)).astype(np.float32))
+    w = Tensor(rng.standard_normal((64, 64, 1, 1)).astype(np.float32))
+    b = Tensor(np.zeros(64, dtype=np.float32))
+    with no_grad():
+        tracemalloc.start()
+        try:
+            out = conv2d(x, w, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    scratch = peak - out.data.nbytes
+    assert scratch <= 64 << 10, scratch
+    assert np.allclose(out.data, np.einsum("oc,bchw->bohw", w.data[:, :, 0, 0],
+                                           x.data), rtol=1e-4, atol=1e-4)
 
 
 def test_conv2d_is_linear():

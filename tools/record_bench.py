@@ -1,0 +1,111 @@
+"""Record the performance of one ivfuse checkout in BENCH_<commit>.json.
+
+    python3 tools/record_bench.py                      # this checkout
+    python3 tools/record_bench.py --root ../other --out-dir .
+
+Runs ``perfbench/run.py`` of the measured checkout once per workload (in
+its own fresh process, from that checkout's root) and keeps the final JSON
+line of each run, then times one ``ivfuse demo`` run end to end, start-up
+included. The record is written to ``BENCH_<short commit>.json`` in
+``--out-dir`` (default: the measured checkout). When ``src/ivfuse``
+differs from the checkout's HEAD, the name becomes
+``BENCH_<short commit>+<src hash>.json``: the first 8 hex digits of the
+``src_sha256`` that perfbench prints, which identifies the code measured.
+Exits 1 when a run fails, writing nothing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("fuse-256", "train-32", "cli-fuse-64")
+
+
+def _run(cmd: list[str], root: str, **kwargs) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    return subprocess.run(cmd, cwd=root, env=env, capture_output=True,
+                          text=True, **kwargs)
+
+
+def run_perfbench(root: str, workload: str) -> tuple[dict, dict]:
+    """The final JSON line of one run at perfbench's defaults, and the
+    environment it printed."""
+    proc = _run([sys.executable, "perfbench/run.py", "--workload", workload],
+                root)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"perfbench {workload} exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-500:]}")
+    result = json.loads(lines[-1])
+    if not result["correct"] or result["failed"]:
+        raise RuntimeError(f"perfbench {workload}: correct={result['correct']}"
+                           f", failed={result['failed']}")
+    run_env = next((json.loads(ln[4:]) for ln in lines if ln.startswith("env ")),
+                   {})
+    return result, run_env
+
+
+def time_demo(root: str) -> float:
+    """Wall seconds of ``python -m ivfuse demo`` (its default seed and
+    desk-scale schedule) into a scratch directory."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        t0 = time.perf_counter()
+        proc = _run([sys.executable, "-m", "ivfuse", "demo", "--out-dir",
+                     out_dir], root)
+        elapsed = time.perf_counter() - t0
+    if proc.returncode != 0:
+        raise RuntimeError(f"ivfuse demo exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-500:]}")
+    return elapsed
+
+
+def record_name(root: str, src_sha256: str) -> str:
+    def git(*args):
+        return _run(["git", *args], root).stdout.strip()
+
+    name = git("rev-parse", "--short", "HEAD") or "nogit"
+    if git("status", "--porcelain", "--", "src/ivfuse"):
+        name += "+" + src_sha256[:8]
+    return f"BENCH_{name}.json"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--root", default=ROOT,
+                    help="checkout to measure (default: this one)")
+    ap.add_argument("--out-dir", help="where to write the record "
+                    "(default: the measured checkout)")
+    args = ap.parse_args(argv)
+    root = os.path.abspath(args.root)
+
+    record = {"workloads": {}}
+    try:
+        for workload in WORKLOADS:
+            result, run_env = run_perfbench(root, workload)
+            record.setdefault("env", run_env)
+            record["workloads"][workload] = result
+            print(f"{workload}: " + " ".join(
+                f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()))
+        record["demo_wall_s"] = time_demo(root)
+        print(f"demo_wall_s={record['demo_wall_s']:.2f}")
+    except RuntimeError as exc:
+        print(f"record_bench: {exc}", file=sys.stderr)
+        return 1
+    path = os.path.join(args.out_dir or root,
+                        record_name(root, record["env"].get("src_sha256", "")))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
