@@ -22,6 +22,7 @@ from .tensor import Tensor, as_tensor, conv2d, narrow
 
 PIXEL_MODES = ("mse", "norm")
 AG_MODES = ("sharpness_match", "literal")
+SSIM_C1, SSIM_C2 = 0.01 ** 2, 0.03 ** 2   # stability constants on [0, 1]
 
 
 @dataclass(frozen=True)
@@ -30,8 +31,6 @@ class LossConfig:
     ag_weight: float = 0.1          # weight on the detail term
     ssim_window: int = 11
     ssim_sigma: float = 1.5
-    ssim_c1: float = 0.01 ** 2      # stability constants on a [0, 1] range
-    ssim_c2: float = 0.03 ** 2
     ag_mode: str = "sharpness_match"
     pixel_mode: str = "mse"
 
@@ -41,8 +40,6 @@ class LossConfig:
                 f"ssim_window must be odd and >= 3, got {self.ssim_window}")
         if not self.ssim_sigma > 0:
             raise ConfigError(f"ssim_sigma must be > 0, got {self.ssim_sigma}")
-        if self.ssim_c1 <= 0 or self.ssim_c2 <= 0:
-            raise ConfigError("ssim stability constants must be positive")
         if self.ag_mode not in AG_MODES:
             raise ConfigError(f"ag_mode must be one of {AG_MODES}")
         if self.pixel_mode not in PIXEL_MODES:
@@ -120,8 +117,8 @@ def ssim(output, target, cfg: LossConfig = LossConfig()) -> Tensor:
     var_o = _window_mean(o.square(), win) - mu_o.square()
     var_t = _window_mean(t.square(), win) - mu_t.square()
     cov = _window_mean(o * t, win) - mu_o * mu_t
-    num = (2.0 * (mu_o * mu_t) + cfg.ssim_c1) * (2.0 * cov + cfg.ssim_c2)
-    den = (mu_o.square() + mu_t.square() + cfg.ssim_c1) * (var_o + var_t + cfg.ssim_c2)
+    num = (2.0 * (mu_o * mu_t) + SSIM_C1) * (2.0 * cov + SSIM_C2)
+    den = (mu_o.square() + mu_t.square() + SSIM_C1) * (var_o + var_t + SSIM_C2)
     return (num / den).mean()
 
 

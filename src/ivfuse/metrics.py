@@ -197,7 +197,7 @@ def measure_triple(a: np.ndarray, b: np.ndarray, f: np.ndarray,
 
 def evaluate_corpus(pairs, params: ModelParams,
                     fb: FeedbackConfig = FeedbackConfig(),
-                    corpus: str = "corpus", method: str = "ivfuse",
+                    corpus: str = "corpus",
                     fused_sink=None) -> MetricReport:
     """Fuse every pair and report all four metrics per image plus means.
 
@@ -215,4 +215,4 @@ def evaluate_corpus(pairs, params: ModelParams,
             fused_sink(pair.name, fused)
         rows.append(measure_triple(pair.infrared, pair.visible, fused,
                                    pair.name))
-    return MetricReport(corpus, method, rows)
+    return MetricReport(corpus, "ivfuse", rows)

@@ -153,8 +153,6 @@ def pre_fuse(infrared: np.ndarray, visible: np.ndarray,
         raise ShapeError(
             f"pre_fuse needs a registered pair of equal size, got "
             f"{infrared.shape} and {visible.shape}")
-    if cfg.a1 == 1.0:
-        return infrared.copy(), visible.copy()
     iw = cfg.a1 * infrared + cfg.a2 * visible
     vw = cfg.a2 * infrared + cfg.a1 * visible
     return iw, vw

@@ -20,7 +20,6 @@ from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, ShapeError
 
@@ -29,9 +28,9 @@ from .errors import DomainError, ShapeError
 # exactly zero on flat image regions; the unguarded adjoint would be inf.
 SQRT_GRAD_EPS = 1e-12
 
-# Cap on the scratch bytes that each conv2d forward and input gradient
-# allocates and reuses: the column buffer plus, when kernel rows are summed,
-# both product buffers. Rows of output are lowered and multiplied a block at
+# Cap on the scratch bytes that each conv2d product (forward, input gradient,
+# weight gradient) allocates and reuses: the column buffer plus, when kernel
+# rows are summed, both product buffers. Rows of output are lowered a tile at
 # a time, so the working set stays near this size however large the image is.
 CONV_TILE_BYTES = 4 << 20
 
@@ -194,9 +193,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def backward(self):
-        backward(self)
-
 
 def as_tensor(x, dtype=None) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
@@ -280,17 +276,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     def backward(g):
         if b is not None:
             _accumulate(b, g.sum(axis=(0, 2, 3)))
-        # The padded input is rebuilt here rather than kept on the tape.
-        xp = x.data
-        if ph or pw:
-            xp = np.pad(xp, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        cols = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-        _accumulate(w, np.einsum("bohw,bchwuv->ocuv", g, cols, optimize=True))
-        # Input gradient: the conv forward of the output gradient, padded by
-        # the rest of the kernel, with the spatially flipped kernel,
-        # swapping the channel roles.
+        # Input gradient: the conv of the output gradient, padded by the rest
+        # of the kernel, with the flipped kernel and channel roles swapped.
         wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         _accumulate(x, _conv_forward(g, wflip, None, kh - 1 - ph, kw - 1 - pw))
+        gw = np.zeros_like(w.data)
+        gblocks, tiles = _row_tiles(x.data, gw, ph, pw)  # views of gw
+        for r0, r, views in tiles:
+            gt = g[:, :, r0:r0 + r].reshape(B, Cout, -1)
+            for gu, view in zip(gblocks, views):
+                gu += (gt @ view.transpose(0, 2, 1)).sum(0).reshape(gu.shape)
+        _accumulate(w, gw)
 
     return Tensor(_conv_forward(x.data, w.data, None if b is None else b.data,
                                 ph, pw),
@@ -299,68 +295,77 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                   ph: int, pw: int) -> np.ndarray:
-    """Row-tiled GEMM convolution of ``x`` zero-padded by ``ph`` and ``pw``.
-
-    Each block of output rows lowers only the ``kw`` horizontal taps of its
-    input rows, the ``kh - 1`` halo rows included, into one
-    (B, Cin, kw, rows + kh - 1, Wo) column buffer (MEC; Cho & Brand 2017,
-    arXiv 1706.06873). Kernel row ``u`` is the view of that buffer ``u``
-    rows down, a plain 2-D GEMM operand per image, so a block runs ``kh``
-    GEMMs with the (Cout, Cin*kw) weight slices and sums their products in
-    two product buffers, the last sum landing in the output. Summing a
-    product costs about twice what lowering a tap does per channel, so when
-    Cin*kw < 2*Cout all ``kh*kw`` taps are lowered instead and one GEMM
-    writes the block into the output, as plain im2col. The zero padding is
-    written into the column buffer, so no padded copy of ``x`` is made, and
-    an unpadded 1-wide kernel lowers nothing: its GEMMs read the rows of
-    ``x`` in place. Buffers are allocated once per call and reused for
-    every block; the bias is added in place at the end.
-    """
-    B, Cin, H, W = x.shape
-    Cout, _, kh, kw = w.shape
-    Ho, Wo = H + 2 * ph - kh + 1, W + 2 * pw - kw + 1
-    # kernel rows lowered into the columns, and row-offset GEMMs per block
-    kl = kh if Cin * kw < 2 * Cout else 1
-    shifts = kh - kl + 1
-    k = Cin * kl * kw
+    """Stride-1 conv of ``x`` zero-padded by ``ph`` and ``pw``: one GEMM per
+    :func:`_row_tiles` view, several blocks summed in two product buffers."""
+    (B, _, H, W), (Cout, _, kh, kw) = x.shape, w.shape
     pdtype = np.result_type(x, w)
-    dtype = pdtype if b is None else np.result_type(pdtype, b)
-    out = np.empty((B, Cout, Ho, Wo), dtype=dtype)
+    out = np.empty((B, Cout, H + 2 * ph - kh + 1, W + 2 * pw - kw + 1),
+                   dtype=pdtype if b is None else np.result_type(pdtype, b))
+    wblocks, tiles = _row_tiles(x, w, ph, pw)
+    wmats = wblocks.reshape(len(wblocks), Cout, -1)
+    for r0, r, views in tiles:
+        dst = out[:, :, r0:r0 + r].reshape(B, Cout, -1, copy=False)
+        if len(views) == 1:
+            np.matmul(wmats[0], views[0], out=dst)
+            continue
+        if r0 == 0:         # the first block has the most rows
+            prodbuf = np.empty((2, dst.size), dtype=pdtype)
+        acc, prod = (p[:dst.size].reshape(dst.shape) for p in prodbuf)
+        np.matmul(wmats[0], views[0], out=acc)
+        for u in range(1, len(views)):
+            np.matmul(wmats[u], views[u], out=prod)
+            np.add(acc, prod, out=dst if u == len(views) - 1 else acc)
+    if b is not None:
+        out += b.reshape(1, Cout, 1, 1)
+    return out
+
+
+def _row_tiles(x: np.ndarray, w: np.ndarray, ph: int, pw: int):
+    """Lower ``x`` zero-padded by ``ph`` and ``pw`` for a stride-1 conv with
+    weights shaped like ``w``, a tile of output rows at a time. Returns
+    ``w`` viewed as (shifts, Cout, Cin, kl, kw) kernel-row blocks, and an
+    iterator of ``(r0, r, views)``: output rows r0 to r0 + r, and for block
+    ``u`` its (B, Cin*kl*kw, r*Wo) GEMM operand. The forward, the input
+    gradient and the weight gradient all run on these tiles.
+
+    A tile lowers only the ``kw`` horizontal taps of its rows and its
+    ``shifts - 1`` halo rows into one column buffer, and ``views[u]`` is
+    that buffer ``u`` rows down (MEC; Cho & Brand 2017, arXiv 1706.06873).
+    Summing a product costs about twice what lowering a tap does per
+    channel, so when Cin*kw < 2*Cout all taps form one block, as im2col.
+    The zero padding is written into the buffer, so ``x`` is never copied
+    padded, and an unpadded 1-wide kernel's views are rows of ``x`` in
+    place. The buffer is reused for every tile, and rows are capped so that
+    it and, with several blocks, two product buffers fit CONV_TILE_BYTES.
+    """
+    (B, Cin, H, W), (Cout, _, kh, kw) = x.shape, w.shape
+    Ho, Wo = H + 2 * ph - kh + 1, W + 2 * pw - kw + 1
+    kl = kh if Cin * kw < 2 * Cout else 1
+    shifts, k = kh - kl + 1, Cin * kl * kw
     lower = kl * kw > 1 or ph > 0      # else each kernel row is rows of x
     col_row = B * k * Wo * x.itemsize if lower else 0
-    prod_row = 2 * B * Cout * Wo * np.dtype(pdtype).itemsize if shifts > 1 else 0
+    prod_row = 2 * B * Cout * Wo * np.result_type(x, w).itemsize * (shifts > 1)
     rows = Ho
     if col_row + prod_row:
         budget = CONV_TILE_BYTES - (shifts - 1) * col_row  # the halo rows
         rows = min(Ho, max(1, budget // (col_row + prod_row)))
     if lower:
         colbuf = np.empty(B * k * (rows + shifts - 1) * Wo, dtype=x.dtype)
-    if shifts > 1:
-        prodbuf = np.empty((2, B * Cout * rows * Wo), dtype=pdtype)
-    wmats = w.reshape(Cout, Cin, shifts, kl, kw).transpose(
-        2, 0, 1, 3, 4).reshape(shifts, Cout, k)
-    for r0 in range(0, Ho, rows):
-        r = min(rows, Ho - r0)
-        n = r * Wo
-        if lower:
-            src = colbuf[:B * k * (r + shifts - 1) * Wo].reshape(
-                B, Cin, kl, kw, r + shifts - 1, Wo)
-            _lower_taps(x, src, r0 - ph, pw)
-        else:
-            src = x[:, :, r0:r0 + r + kh - 1][:, :, None, None]
-        dst = out[:, :, r0:r0 + r].reshape(B, Cout, n, copy=False)
-        if shifts == 1:
-            np.matmul(wmats[0], src.reshape(B, k, n, copy=False), out=dst)
-            continue
-        acc, prod = (p[:B * Cout * n].reshape(B, Cout, n) for p in prodbuf)
-        for u in range(shifts):
-            rows_u = src[..., u:u + r, :].reshape(B, k, n, copy=False)
-            np.matmul(wmats[u], rows_u, out=prod if u else acc)
-            if u:
-                np.add(acc, prod, out=dst if u == shifts - 1 else acc)
-    if b is not None:
-        out += b.reshape(1, Cout, 1, 1)
-    return out
+
+    def tiles():
+        for r0 in range(0, Ho, rows):
+            r = min(rows, Ho - r0)
+            if lower:
+                src = colbuf[:B * k * (r + shifts - 1) * Wo].reshape(
+                    B, Cin, kl, kw, r + shifts - 1, Wo)
+                _lower_taps(x, src, r0 - ph, pw)
+            else:
+                src = x[:, :, r0:r0 + r + kh - 1][:, :, None, None]
+            yield r0, r, [src[..., u:u + r, :].reshape(B, k, r * Wo, copy=False)
+                          for u in range(shifts)]
+
+    return (w.reshape(Cout, Cin, shifts, kl, kw).transpose(2, 0, 1, 3, 4),
+            tiles())
 
 
 def _lower_taps(x: np.ndarray, tile: np.ndarray, top: int, pw: int) -> None:

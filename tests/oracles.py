@@ -56,6 +56,28 @@ def conv2d_input_grad_loops(g, w, pad):
     return gxp[:, :, pad:pad + H, pad:pad + W]
 
 
+def conv2d_weight_grad_loops(x, g, kh, kw, pad):
+    """Weight gradient of conv2d_loops: every g[b, o, i, j] adds
+    g * xp[b, c, i + u, j + v] into w[o, c, u, v], xp the zero-padded input.
+    """
+    B, Cin, H, W = x.shape
+    Bg, Cout, Ho, Wo = g.shape
+    assert B == Bg
+    xp = np.zeros((B, Cin, H + 2 * pad, W + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad:pad + H, pad:pad + W] = x
+    gw = np.zeros((Cout, Cin, kh, kw), dtype=x.dtype)
+    for bi in range(B):
+        for o in range(Cout):
+            for i in range(Ho):
+                for j in range(Wo):
+                    gv = g[bi, o, i, j]
+                    for c in range(Cin):
+                        for u in range(kh):
+                            for v in range(kw):
+                                gw[o, c, u, v] += gv * xp[bi, c, i + u, j + v]
+    return gw
+
+
 def entropy_loops(img):
     """Shannon entropy of the 8-bit histogram, counting by hand."""
     counts = [0] * 256

@@ -11,7 +11,8 @@ from ivfuse.errors import DomainError, ShapeError
 from ivfuse.tensor import (Tensor, backward, concat_channels, conv2d,
                            finite_diff_gradient, narrow, no_grad,
                            tile_channels)
-from oracles import conv2d_input_grad_loops, conv2d_loops
+from oracles import (conv2d_input_grad_loops, conv2d_loops,
+                     conv2d_weight_grad_loops)
 
 
 def rand(shape, seed=0, lo=-1.0, hi=1.0):
@@ -87,19 +88,20 @@ def test_conv2d_row_tiles_match_loop_oracle(monkeypatch, dtype, tol, B, Cin,
     column_row = Cin * kh * kw * B * Wo * x.itemsize  # one output row's columns
     r = rng.standard_normal(want.shape).astype(dtype)
     want_gx = conv2d_input_grad_loops(r, w, pad)
+    want_gw = conv2d_weight_grad_loops(x, r, kh, kw, pad)
     # the input gradient lowers Cout*kh*kw columns for each of the H rows
     grad_row = Cout * kh * kw * B * W * x.itemsize
     halo_row = (kh * Cin * kw + 2 * Cout) * B * Wo * x.itemsize
-    # two rows per tile in the forward and then in the input gradient
-    # (neither divides the odd row counts); one output row with its kh - 1
-    # halo rows of horizontal taps and the two product rows that sum the
-    # kernel rows; one row per tile; and the default cap (every row in one
-    # tile)
+    # two rows per tile in the forward and the weight gradient, which share
+    # tiles, and then in the input gradient (neither divides the odd row
+    # counts); one output row with its kh - 1 halo rows of horizontal taps
+    # and the two product rows that sum the kernel rows; one row per tile;
+    # and the default cap (every row in one tile)
     for cap in (2 * column_row, 2 * grad_row, halo_row, 1,
                 ivfuse.tensor.CONV_TILE_BYTES):
         monkeypatch.setattr(ivfuse.tensor, "CONV_TILE_BYTES", cap)
-        xt = Tensor(x)
-        out = conv2d(xt, Tensor(w), Tensor(b), padding=padding)
+        xt, wt = Tensor(x), Tensor(w)
+        out = conv2d(xt, wt, Tensor(b), padding=padding)
         got = out.data
         assert got.dtype == dtype
         assert got.shape == want.shape
@@ -108,6 +110,9 @@ def test_conv2d_row_tiles_match_loop_oracle(monkeypatch, dtype, tol, B, Cin,
         assert xt.grad.dtype == dtype
         assert xt.grad.shape == x.shape
         assert np.allclose(xt.grad, want_gx, rtol=tol, atol=tol)
+        assert wt.grad.dtype == dtype
+        assert wt.grad.shape == w.shape
+        assert np.allclose(wt.grad, want_gw, rtol=tol, atol=tol)
 
 
 def test_conv2d_forward_scratch_stays_within_one_tile():
@@ -130,6 +135,27 @@ def test_conv2d_forward_scratch_stays_within_one_tile():
     assert out.data.nbytes == out_bytes
     scratch = peak - out_bytes - padded_bytes
     assert scratch <= ivfuse.tensor.CONV_TILE_BYTES + (1 << 20), scratch
+
+
+def test_conv2d_backward_scratch_stays_within_one_tile():
+    # The input gradient is a forward and the weight gradient runs on the
+    # forward's row tiles, so beyond the gradient arrays a backward keeps
+    # about one tile of scratch. Lowering every tap of the whole padded
+    # input at once for the weight gradient would take 9 MiB more here.
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.standard_normal((1, 64, 64, 64)).astype(np.float32))
+    w = Tensor(rng.standard_normal((64, 64, 3, 3)).astype(np.float32))
+    b = Tensor(np.zeros(64, dtype=np.float32))
+    out = conv2d(x, w, b)
+    loss = out.sum()
+    tracemalloc.start()
+    try:
+        backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = ivfuse.tensor.CONV_TILE_BYTES + 4 * out.data.nbytes + (1 << 20)
+    assert peak <= bound, (peak, bound)
 
 
 def test_conv2d_1x1_forward_makes_no_copies():

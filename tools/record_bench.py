@@ -6,12 +6,14 @@
 Runs ``perfbench/run.py`` of the measured checkout once per workload (in
 its own fresh process, from that checkout's root) and keeps the final JSON
 line of each run, then times one ``ivfuse demo`` run end to end, start-up
-included. The record is written to ``BENCH_<short commit>.json`` in
-``--out-dir`` (default: the measured checkout). When ``src/ivfuse``
-differs from the checkout's HEAD, the name becomes
-``BENCH_<short commit>+<src hash>.json``: the first 8 hex digits of the
-``src_sha256`` that perfbench prints, which identifies the code measured.
-Exits 1 when a run fails, writing nothing.
+included, and one B=4 256x256 training step (after a warm-up step, in a
+fresh process, with that process's peak RSS). That step needs about 4 GB,
+so run the recorder alone on the machine. The record is written to
+``BENCH_<short commit>.json`` in ``--out-dir`` (default: the measured
+checkout). When ``src/ivfuse`` differs from the checkout's HEAD, the name
+becomes ``BENCH_<short commit>+<src hash>.json``: the first 8 hex digits
+of the ``src_sha256`` that perfbench prints, which identifies the code
+measured. Exits 1 when a run fails, writing nothing.
 """
 
 from __future__ import annotations
@@ -27,6 +29,35 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("fuse-256", "train-32", "cli-fuse-64")
 
+# One Adam step of reconstruct + composite loss on a B=4 256x256 batch at
+# float32, the paper's training size; prints its time after a warm-up step
+# and the process's peak RSS. Only public ivfuse API, so any checkout runs it.
+TRAIN_STEP = """
+import json, resource, time
+import numpy as np
+import ivfuse as iv
+
+params = iv.init_params(0)
+opt = iv.Adam(params.tensors, 1e-4)
+x = iv.Tensor(np.random.default_rng(0).uniform(
+    0, 1, (4, 1, 256, 256)).astype(np.float32))
+
+
+def step():
+    t0 = time.perf_counter()
+    loss, _ = iv.composite_loss_parts(iv.reconstruct(x, params), x)
+    iv.backward(loss)
+    opt.step()
+    return time.perf_counter() - t0
+
+
+step()
+step_s = step()
+peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"batch": 4, "size": 256, "step_s": step_s,
+                  "peak_rss_mb": peak_kib / 1024}))
+"""
+
 
 def _run(cmd: list[str], root: str, **kwargs) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
@@ -34,15 +65,21 @@ def _run(cmd: list[str], root: str, **kwargs) -> subprocess.CompletedProcess:
                           text=True, **kwargs)
 
 
+def _stdout_lines(proc: subprocess.CompletedProcess, what: str) -> list[str]:
+    """The lines a run printed; RuntimeError when it failed or printed none."""
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{what} exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-500:]}")
+    return lines
+
+
 def run_perfbench(root: str, workload: str) -> tuple[dict, dict]:
     """The final JSON line of one run at perfbench's defaults, and the
     environment it printed."""
     proc = _run([sys.executable, "perfbench/run.py", "--workload", workload],
                 root)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"perfbench {workload} exited {proc.returncode}: "
-                           f"{proc.stderr.strip()[-500:]}")
+    lines = _stdout_lines(proc, f"perfbench {workload}")
     result = json.loads(lines[-1])
     if not result["correct"] or result["failed"]:
         raise RuntimeError(f"perfbench {workload}: correct={result['correct']}"
@@ -64,6 +101,12 @@ def time_demo(root: str) -> float:
         raise RuntimeError(f"ivfuse demo exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-500:]}")
     return elapsed
+
+
+def time_train_step(root: str) -> dict:
+    """Time and peak RSS of one B=4 256x256 training step (TRAIN_STEP)."""
+    proc = _run([sys.executable, "-c", TRAIN_STEP], root)
+    return json.loads(_stdout_lines(proc, "training step")[-1])
 
 
 def record_name(root: str, src_sha256: str) -> str:
@@ -95,6 +138,9 @@ def main(argv=None) -> int:
                 f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()))
         record["demo_wall_s"] = time_demo(root)
         print(f"demo_wall_s={record['demo_wall_s']:.2f}")
+        record["train_256"] = time_train_step(root)
+        print("train_256: " + " ".join(
+            f"{k}={v:.4g}" for k, v in record["train_256"].items()))
     except RuntimeError as exc:
         print(f"record_bench: {exc}", file=sys.stderr)
         return 1
