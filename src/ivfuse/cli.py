@@ -8,7 +8,7 @@ variables are never consulted.
 
 Exit codes: 0 success; 1 gradient check failure; 2 configuration error;
 3 ingestion error; 4 training divergence; 5 checkpoint format/schema
-error; 6 image size mismatch.
+error, or weights whose fusion is not finite; 6 image size mismatch.
 """
 
 from __future__ import annotations
@@ -16,12 +16,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import load_dataset, synth_corpus
 from .errors import (CheckpointFormatError, CheckpointSchemaError,
-                     ConfigError, DivergenceError, IngestionError,
-                     ShapeError)
+                     ConfigError, DivergenceError, DomainError,
+                     IngestionError, ShapeError)
 from .gradcheck import run_gradient_checks
 from .images import read_image, write_pgm
 from .losses import LossConfig
@@ -201,6 +202,16 @@ def _check_out_dir(out_dir: str, *names: str) -> None:
     _check_outputs(out_dir, *names)
 
 
+@contextmanager
+def _fusing_with(checkpoint: str):
+    """Report a non-finite fusion as an error of ``checkpoint``: the verbs
+    fuse images in [0, 1], so its weights are at fault."""
+    try:
+        yield
+    except DomainError as exc:
+        raise CheckpointSchemaError(f"{checkpoint}: {exc}") from None
+
+
 def _save_training(out_dir: str, params, log) -> list[str]:
     paths = [os.path.join(out_dir, name) for name in TRAIN_FILES]
     os.makedirs(out_dir, exist_ok=True)
@@ -240,8 +251,9 @@ def cmd_fuse(cfg: dict, ir_path: str, vis_path: str, out_path: str) -> int:
             f"image size mismatch: {ir_path} is {ir.shape}, "
             f"{vis_path} is {vis.shape}")
     pre = PreFusionConfig(cfg["a1"]) if cfg["pre_fuse_at_test"] else None
-    fused = fuse_images(ir, vis, params, FeedbackConfig(cfg["n_feedback"]),
-                        pre_fusion=pre)
+    with _fusing_with(cfg["checkpoint"]):
+        fused = fuse_images(ir, vis, params,
+                            FeedbackConfig(cfg["n_feedback"]), pre_fusion=pre)
     # the metrics reject pairs smaller than the ssim window; do that
     # before anything is written
     row = measure_triple(ir, vis, fused)
@@ -259,9 +271,10 @@ def cmd_eval(cfg: dict) -> int:
     _check_out_dir(cfg["out_dir"], *REPORT_FILES)
     params = load_checkpoint(cfg["checkpoint"])
     pairs = _test_pairs(_load_corpus(cfg, SSIM_CONFIG.ssim_window))
-    report = evaluate_corpus(pairs, params,
-                             FeedbackConfig(cfg["n_feedback"]),
-                             corpus="synthetic" if cfg["synthetic"] else "files")
+    with _fusing_with(cfg["checkpoint"]):
+        report = evaluate_corpus(
+            pairs, params, FeedbackConfig(cfg["n_feedback"]),
+            corpus="synthetic" if cfg["synthetic"] else "files")
     for path in _save_report(cfg["out_dir"], report):
         print(f"wrote {path}")
     return 0
@@ -291,13 +304,14 @@ def cmd_demo(cfg: dict) -> int:
     _check_out_dir(out_dir, *TRAIN_FILES, *REPORT_FILES,
                    *(f"{p.name}_fused.pgm" for p in test_pairs))
     params, log = train(corpus, train_cfg)
-    _save_training(out_dir, params, log)
+    checkpoint, _ = _save_training(out_dir, params, log)
 
     def sink(name, fused):
         write_pgm(os.path.join(out_dir, f"{name}_fused.pgm"), fused)
 
-    report = evaluate_corpus(test_pairs, params, train_cfg.feedback,
-                             corpus="synthetic-demo", fused_sink=sink)
+    with _fusing_with(checkpoint):
+        report = evaluate_corpus(test_pairs, params, train_cfg.feedback,
+                                 corpus="synthetic-demo", fused_sink=sink)
     _save_report(out_dir, report)
     print(f"demo artifacts in {out_dir}: checkpoint.hfn, training_log.csv, "
           f"report.txt, report.csv, {len(report.rows)} fused image(s)")

@@ -75,10 +75,9 @@ def load_dataset(ir_dir, vis_dir, image_size: int, seed: int) -> PairDataset:
     for d in (ir_dir, vis_dir):
         if not os.path.isdir(d):
             raise IngestionError(f"image directory not found: {d}")
-    ir_names = {f for f in os.listdir(ir_dir)
-                if os.path.isfile(os.path.join(ir_dir, f))}
-    vis_names = {f for f in os.listdir(vis_dir)
-                 if os.path.isfile(os.path.join(vis_dir, f))}
+    ir_names, vis_names = ({f for f in os.listdir(d)
+                            if os.path.isfile(os.path.join(d, f))}
+                           for d in (ir_dir, vis_dir))
     orphans = ir_names.symmetric_difference(vis_names)
     if orphans:
         name = sorted(orphans)[0]
@@ -90,10 +89,9 @@ def load_dataset(ir_dir, vis_dir, image_size: int, seed: int) -> PairDataset:
 
     pairs = []
     for name in sorted(ir_names):
-        ir = read_image(os.path.join(ir_dir, name))
-        vis = read_image(os.path.join(vis_dir, name))
-        ir = np.clip(resize_bilinear(ir, image_size, image_size), 0.0, 1.0)
-        vis = np.clip(resize_bilinear(vis, image_size, image_size), 0.0, 1.0)
+        ir, vis = (np.clip(resize_bilinear(read_image(os.path.join(d, name)),
+                                           image_size, image_size), 0.0, 1.0)
+                   for d in (ir_dir, vis_dir))
         stem = os.path.splitext(name)[0]
         pairs.append(ImagePair(stem, ir, vis))
     assign_splits(pairs, seed)

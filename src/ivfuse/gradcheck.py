@@ -76,14 +76,12 @@ def _check_conv2d(rng, h):
     r = _projection(rng, (1, 3, 5, 5))
     r1 = _projection(rng, (1, 2, 5, 5))
     rv = _projection(rng, (1, 3, 3, 3))
-    worst = 0.0
-    worst = max(worst, _check(lambda t: (conv2d(t, w, b) * r).sum(), x, h))
-    worst = max(worst, _check(lambda t: (conv2d(x, t, b) * r).sum(), w, h))
-    worst = max(worst, _check(lambda t: (conv2d(x, w, t) * r).sum(), b, h))
-    worst = max(worst, _check(lambda t: (conv2d(t, w1) * r1).sum(), x, h))
-    worst = max(worst, _check(
-        lambda t: (conv2d(t, w, b, padding="valid") * rv).sum(), x, h))
-    return worst
+    return max(_check(lambda t: (conv2d(t, w, b) * r).sum(), x, h),
+               _check(lambda t: (conv2d(x, t, b) * r).sum(), w, h),
+               _check(lambda t: (conv2d(x, w, t) * r).sum(), b, h),
+               _check(lambda t: (conv2d(t, w1) * r1).sum(), x, h),
+               _check(lambda t: (conv2d(t, w, b, padding="valid") * rv).sum(),
+                      x, h))
 
 
 def _check_relu(rng, h):

@@ -57,6 +57,16 @@ def _as_batch(x) -> Tensor:
         f"expected an (H, W) image or a (B, 1, H, W) batch, got shape {t.shape}")
 
 
+def _as_batches(output, target, caller: str) -> tuple[Tensor, Tensor]:
+    """_as_batch of both arguments; ShapeError naming ``caller`` unless the
+    two batches share a shape."""
+    o, t = _as_batch(output), _as_batch(target)
+    if o.shape != t.shape:
+        raise ShapeError(
+            f"{caller} needs equal shapes, got {o.shape} and {t.shape}")
+    return o, t
+
+
 def pixel_loss(output, target, mode: str = "mse") -> Tensor:
     """Elementwise reconstruction distance.
 
@@ -65,11 +75,7 @@ def pixel_loss(output, target, mode: str = "mse") -> Tensor:
     loss weights from the image size. A batch scores the mean of its
     per-image distances.
     """
-    o = _as_batch(output)
-    t = _as_batch(target)
-    if o.shape != t.shape:
-        raise ShapeError(
-            f"pixel_loss needs equal shapes, got {o.shape} and {t.shape}")
+    o, t = _as_batches(output, target, "pixel_loss")
     if mode not in PIXEL_MODES:
         raise ConfigError(f"pixel_mode must be one of {PIXEL_MODES}")
     sq = (o - t).square()
@@ -102,11 +108,7 @@ def ssim(output, target, cfg: LossConfig = LossConfig()) -> Tensor:
     with image b of ``target`` and scores the mean of the B per-image
     values (every image has the same number of windows).
     """
-    o = _as_batch(output)
-    t = _as_batch(target)
-    if o.shape != t.shape:
-        raise ShapeError(
-            f"ssim needs equal shapes, got {o.shape} and {t.shape}")
+    o, t = _as_batches(output, target, "ssim")
     H, W = o.shape[2], o.shape[3]
     if H < cfg.ssim_window or W < cfg.ssim_window:
         raise ShapeError(
@@ -172,11 +174,7 @@ def composite_loss_parts(output, target, cfg: LossConfig = LossConfig()
     the mean of its per-image losses, and each logged part is the mean of
     that part over the batch; one image is the batch B=1.
     """
-    o = _as_batch(output)
-    t = _as_batch(target)
-    if o.shape != t.shape:
-        raise ShapeError(
-            f"composite_loss needs equal shapes, got {o.shape} and {t.shape}")
+    o, t = _as_batches(output, target, "composite_loss")
     lp = pixel_loss(o, t, cfg.pixel_mode)
     ls = ssim_loss(o, t, cfg)
     lag = _detail_term(o, t, cfg)

@@ -50,6 +50,12 @@ def entropy(img: np.ndarray) -> float:
     return float(-np.sum(p * np.log2(p)) + 0.0)  # +0.0 folds away -0.0
 
 
+def _check_triple(caller: str, f, a, b) -> None:
+    if a.shape != f.shape or b.shape != f.shape:
+        raise ShapeError(f"{caller} needs three equal shapes, got "
+                         f"{a.shape}, {b.shape}, {f.shape}")
+
+
 def _sobel_same(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient magnitude and orientation, zero-padded borders."""
     padded = np.pad(img.astype(np.float64), 1)
@@ -92,9 +98,7 @@ def qabf(a: np.ndarray, b: np.ndarray, f: np.ndarray) -> float:
     Gradient-strength-weighted mean of the two per-source preservation
     maps; 0 when both sources are flat.
     """
-    if a.shape != b.shape or a.shape != f.shape:
-        raise ShapeError(
-            f"qabf needs three equal shapes, got {a.shape}, {b.shape}, {f.shape}")
+    _check_triple("qabf", f, a, b)
     ga, aa = _sobel_same(a)
     gb, ab = _sobel_same(b)
     gf, af = _sobel_same(f)
@@ -112,10 +116,7 @@ def ssim_metric(f: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     One 64-bit evaluation, with no graph, on the batch of the two pairs
     (f, a) and (f, b).
     """
-    if a.shape != f.shape or b.shape != f.shape:
-        raise ShapeError(
-            f"ssim_metric needs three equal shapes, got {a.shape}, {b.shape}, "
-            f"{f.shape}")
+    _check_triple("ssim_metric", f, a, b)
     fused = np.stack([f, f])[:, np.newaxis].astype(np.float64)
     sources = np.stack([a, b])[:, np.newaxis].astype(np.float64)
     with no_grad():
@@ -128,9 +129,7 @@ def psnr(f: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     A reference identical to f contributes +inf; callers treat an
     infinite result as the defined sentinel for a degenerate comparison.
     """
-    if a.shape != f.shape or b.shape != f.shape:
-        raise ShapeError(
-            f"psnr needs three equal shapes, got {a.shape}, {b.shape}, {f.shape}")
+    _check_triple("psnr", f, a, b)
     vals = []
     for ref in (a, b):
         mse = float(np.mean((f.astype(np.float64) - ref.astype(np.float64)) ** 2))

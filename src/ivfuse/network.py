@@ -187,9 +187,6 @@ def encode(img: Tensor, params: ModelParams) -> Tensor:
 
 def fuse_add(phi1: Tensor, phi2: Tensor) -> Tensor:
     """Elementwise addition of the two encoders' feature maps."""
-    if phi1.shape != phi2.shape:
-        raise ShapeError(
-            f"fuse_add needs equal shapes, got {phi1.shape} and {phi2.shape}")
     return phi1 + phi2
 
 
@@ -237,7 +234,9 @@ def fuse_images(infrared: np.ndarray, visible: np.ndarray,
     Addition fusion plus tied weights make the result independent of the
     argument order, bit for bit. Runs under ``no_grad``: no graph is kept,
     so memory stays at a few layers' activations. Pixels outside [0, 1],
-    NaN included, are rejected with a DomainError.
+    NaN included, are rejected with a DomainError, and so is a decoded
+    image that is not finite (weights that overflow), before clipping
+    could hide it.
     """
     if infrared.ndim != 2 or visible.ndim != 2:
         raise ShapeError("fuse_images expects 2-d grayscale images")
@@ -251,10 +250,11 @@ def fuse_images(infrared: np.ndarray, visible: np.ndarray,
     a, b = infrared, visible
     if pre_fusion is not None:
         a, b = pre_fuse(infrared, visible, pre_fusion)
-    dtype = params.dtype
-    with no_grad():
-        ta = Tensor(a[np.newaxis, np.newaxis].astype(dtype))
-        tb = Tensor(b[np.newaxis, np.newaxis].astype(dtype))
+    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
+        ta, tb = (Tensor(v[np.newaxis, np.newaxis].astype(params.dtype))
+                  for v in (a, b))
         fused = decode(fuse_add(encode(ta, params), encode(tb, params)),
-                       params, fb)
-    return np.clip(fused.data[0, 0], 0.0, 1.0)
+                       params, fb).data[0, 0]
+    if not np.isfinite(fused).all():
+        raise DomainError("fuse_images: the decoded image is not finite")
+    return np.clip(fused, 0.0, 1.0)

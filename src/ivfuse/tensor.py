@@ -66,8 +66,9 @@ class Tensor:
 
     A leaf (a tensor built from data, such as a parameter) starts with a
     zero ``grad``, so a leaf that does not lie on a path to the loss
-    reports exactly zero. An op output's ``grad`` is None until
-    :func:`backward` first writes to it.
+    reports exactly zero. Only leaves hold gradients: an op output's
+    ``grad`` is None, except inside :func:`backward` between the first
+    write to it and the run of its backward closure.
     """
 
     __slots__ = ("data", "grad", "_parents", "_backward")
@@ -455,23 +456,25 @@ def tile_channels(x: Tensor, reps: int) -> Tensor:
 # -- reverse pass ----------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every ancestor of ``loss`` with dloss/dvalue.
+    """Set ``grad`` on every leaf ancestor of ``loss`` to dloss/dleaf.
 
     The graph is replayed in reverse topological order, visiting each node
-    once and accumulating over consumers. All reachable gradients are reset
-    first (leaves to zeros, op outputs to None until first written), so
-    repeated calls on the same graph give identical results.
+    once and accumulating over consumers. Every reachable ``grad`` is reset
+    to None first, so repeated calls on the same graph give identical
+    results. An op output's adjoint is dropped as soon as its closure has
+    passed it on to its parents, so afterwards only leaves hold gradients.
     """
     if loss.data.shape != ():
         raise ShapeError(
             f"backward needs a rank-0 loss, got shape {loss.data.shape}")
     order = _topo_order(loss)
     for t in order:
-        t.grad = np.zeros_like(t.data) if t._backward is None else None
+        t.grad = None
     loss.grad = np.ones_like(loss.data)
     for t in reversed(order):
         if t._backward is not None:
             t._backward(t.grad)
+            t.grad = None
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

@@ -120,12 +120,6 @@ class TrainingLog:
         self.rows.append((epoch, step, parts["L"], parts["L_p"],
                           parts["L_ssim"], parts["L_ag"]))
 
-    def epoch_means(self) -> dict[int, float]:
-        sums: dict[int, list[float]] = {}
-        for epoch, _, total, *_ in self.rows:
-            sums.setdefault(epoch, []).append(total)
-        return {e: float(np.mean(v)) for e, v in sums.items()}
-
     def lines(self) -> list[str]:
         out = [self.HEADER]
         for epoch, step, total, lp, ls, lag in self.rows:
@@ -191,7 +185,6 @@ def train(dataset: PairDataset, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed)
     log = TrainingLog()
     step = 0
-    done = False
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(samples))
         for lo in range(0, len(order), cfg.batch_size):
@@ -207,14 +200,9 @@ def train(dataset: PairDataset, cfg: TrainConfig,
             log.record(epoch, step, parts)
             step += 1
             if cfg.max_steps is not None and step >= cfg.max_steps:
-                done = True
-            if (cfg.stop_rmse is not None and not done
-                    and step % cfg.eval_interval == 0):
-                rmse = reconstruction_rmse(params, samples, cfg.feedback)
-                if rmse < cfg.stop_rmse:
-                    done = True
-            if done:
-                break
-        if done:
-            break
+                return params, log
+            if (cfg.stop_rmse is not None and step % cfg.eval_interval == 0
+                    and reconstruction_rmse(params, samples, cfg.feedback)
+                    < cfg.stop_rmse):
+                return params, log
     return params, log

@@ -10,6 +10,7 @@ from ivfuse.cli import (_convert, build_parser, main, parse_config_file,
 from ivfuse.images import read_pgm, write_pgm
 from ivfuse.losses import ssim as ssim_graph
 from ivfuse.network import init_params
+from test_network import overflowing_params
 
 
 def run_cli(capsys, *argv):
@@ -399,6 +400,28 @@ def test_fuse_non_finite_checkpoint_exit5(tmp_path, capsys):
     assert code == 5
     assert "decoder.c5.bias" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("signed", [True, False])
+def test_overflowing_checkpoint_exit5_writes_nothing(tmp_path, capsys, signed):
+    # finite weights that load, but whose fusion is NaN (mixed signs) or
+    # overflows to inf (all positive): fuse and eval name the checkpoint
+    bad = tmp_path / "huge.hfn"
+    save_checkpoint(overflowing_params(signed), bad)
+    a_path, out = tmp_path / "a.pgm", tmp_path / "f.pgm"
+    write_pgm(a_path, np.random.default_rng(4).uniform(0, 1, (16, 16)))
+    code, stdout, err = run_cli(capsys, "fuse", str(a_path), str(a_path),
+                                str(out), "--checkpoint", str(bad))
+    assert code == 5, stdout
+    assert str(bad) in err and "not finite" in err
+    assert not out.exists()
+    out_dir = tmp_path / "ev"
+    code, stdout, err = run_cli(capsys, "eval", "--checkpoint", str(bad),
+                                "--synthetic", "2", "--size", "16",
+                                "--out-dir", str(out_dir))
+    assert code == 5, stdout
+    assert str(bad) in err and "not finite" in err
+    assert not out_dir.exists()
 
 
 def test_fuse_wrong_schema_checkpoint_exit5(tmp_path, capsys, trained):

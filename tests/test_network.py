@@ -139,7 +139,7 @@ def test_fuse_add_identity_and_commutative():
 
 
 def test_fuse_add_shape_mismatch():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"\(1, 64, 4, 4\) and \(1, 64, 4, 5\)"):
         fuse_add(Tensor(np.zeros((1, 64, 4, 4))), Tensor(np.zeros((1, 64, 4, 5))))
 
 
@@ -206,6 +206,23 @@ def test_fuse_images_rejects_non_finite_pixels(argument, bad):
     images[argument][3, 4] = bad
     with pytest.raises(DomainError, match=argument):
         fuse_images(images["infrared"], images["visible"], init_params(0),
+                    FeedbackConfig(1))
+
+
+def overflowing_params(signed: bool) -> ModelParams:
+    """Finite float32 weights of magnitude 3e37, which a checkpoint accepts;
+    with mixed signs the fusion is all NaN, all positive it overflows to inf."""
+    params = init_params(3)
+    for t in params.tensors.values():
+        t.data[...] = (np.sign(t.data) if signed else 1.0) * np.float32(3e37)
+    return params
+
+
+@pytest.mark.parametrize("signed", [True, False])
+def test_fuse_images_rejects_non_finite_output(signed):
+    # clipping would turn NaN into black and inf into white without a word
+    with pytest.raises(DomainError, match="not finite"):
+        fuse_images(rand_image(3), rand_image(4), overflowing_params(signed),
                     FeedbackConfig(1))
 
 

@@ -453,7 +453,7 @@ def test_no_grad_is_per_thread():
     assert seen[0] is not None
 
 
-def test_op_output_grad_is_none_until_backward():
+def test_op_output_grad_is_none_before_and_after_backward():
     x = Tensor(rand((1, 2, 4, 4), 30))
     w = Tensor(rand((2, 2, 3, 3), 31))
     y = conv2d(x, w)
@@ -461,20 +461,53 @@ def test_op_output_grad_is_none_until_backward():
     assert y.grad is None and loss.grad is None
     assert np.array_equal(x.grad, np.zeros_like(x.data))  # leaves keep zeros
     backward(loss)
-    assert y.grad.shape == y.shape and y.grad.dtype == y.dtype
+    assert y.grad is None and loss.grad is None
+    assert x.grad.shape == x.shape and x.grad.dtype == x.dtype
+    assert w.grad.shape == w.shape and w.grad.dtype == w.dtype
 
 
 def test_first_gradient_write_owns_its_array():
-    # concat passes slices of its gradient, reshape passes a view
-    x = Tensor(rand((1, 2, 3, 3), 32))
-    a, b = x * 1.0, x * 2.0
-    whole = concat_channels([a, b])
-    flat = whole.reshape((-1,))
-    backward((flat * Tensor(rand(flat.shape, 33))).sum())
-    assert not np.shares_memory(a.grad, whole.grad)
-    assert not np.shares_memory(b.grad, whole.grad)
-    assert not np.shares_memory(whole.grad, flat.grad)
-    assert np.array_equal(a.grad, whole.grad[:, :2])
+    # concat passes slices of its gradient, reshape a view, and x + x the
+    # same array to both operands; every leaf must get an array of its own
+    a = Tensor(rand((1, 2, 3, 3), 32))
+    b = Tensor(rand((1, 1, 3, 3), 33))
+    c = Tensor(rand((3, 9), 36))
+    x = Tensor(rand((1, 3, 3, 3), 37))
+    m = rand((1, 3, 3, 3), 38)
+    whole = concat_channels([a, b]) + c.reshape((1, 3, 3, 3)) + (x + x)
+    backward((whole * Tensor(m)).sum())
+    grads = [a.grad, b.grad, c.grad, x.grad]
+    for i, g in enumerate(grads):
+        assert g.flags.owndata
+        for other in grads[i + 1:]:
+            assert not np.shares_memory(g, other)
+    assert np.array_equal(a.grad, m[:, :2])
+    assert np.array_equal(b.grad, m[:, 2:])
+    assert np.array_equal(c.grad, m.reshape(3, 9))
+    assert np.array_equal(x.grad, 2.0 * m)
+
+
+def test_backward_drops_each_adjoint_once_passed_on():
+    # An op output's adjoint is freed as soon as its closure has passed it
+    # on, so a chain keeps a few activation-sized arrays alive during the
+    # backward, not one per op, and only the leaf holds a gradient after it.
+    x = Tensor(rand((1, 8, 64, 64), 39))
+    nbytes = x.data.nbytes
+    outs, y = [], x
+    for _ in range(16):
+        scaled = y * 1.01
+        y = scaled.relu()
+        outs += [scaled, y]
+    loss = y.sum()
+    tracemalloc.start()
+    try:
+        backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * nbytes, peak / nbytes
+    assert all(t.grad is None for t in outs + [loss])
+    assert x.grad.shape == x.shape
 
 
 # ------------------------------------------------- finite_diff_gradient

@@ -114,12 +114,12 @@ def test_fusion_layer_never_invoked_during_training(monkeypatch):
 
 def test_epoch_means_non_increasing_after_epoch_20():
     # default optimizer config: batch 32 covers the whole desk corpus,
-    # so epoch means are full-batch losses
+    # so each epoch is one step and its mean is that full-batch loss
     corpus = synth_corpus(4, 32, seed=7)
     cfg = TrainConfig(epochs=30, seed=7)
     _, log = train(corpus, cfg)
-    em = log.epoch_means()
-    means = [em[e] for e in sorted(em)]
+    assert [row[0] for row in log.rows] == list(range(1, 31))
+    means = [row[2] for row in log.rows]
     tail = means[19:]
     assert all(b <= a for a, b in zip(tail, tail[1:]))
 

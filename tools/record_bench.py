@@ -6,14 +6,16 @@
 Runs ``perfbench/run.py`` of the measured checkout once per workload (in
 its own fresh process, from that checkout's root) and keeps the final JSON
 line of each run, then times one ``ivfuse demo`` run end to end, start-up
-included, and one B=4 256x256 training step (after a warm-up step, in a
-fresh process, with that process's peak RSS). That step needs about 4 GB,
-so run the recorder alone on the machine. The record is written to
+included, one B=4 256x256 training step (after a warm-up step, in a fresh
+process, with that process's peak RSS), and one run of the checkout's
+Tier-1 suite (wall time, passed and failed counts). That step needs a few
+GB, so run the recorder alone on the machine. The record is written to
 ``BENCH_<short commit>.json`` in ``--out-dir`` (default: the measured
 checkout). When ``src/ivfuse`` differs from the checkout's HEAD, the name
 becomes ``BENCH_<short commit>+<src hash>.json``: the first 8 hex digits
 of the ``src_sha256`` that perfbench prints, which identifies the code
-measured. Exits 1 when a run fails, writing nothing.
+measured. Exits 1 when a run fails, writing nothing; failing Tier-1 tests
+are recorded, not treated as a failed run.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -28,6 +31,9 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("fuse-256", "train-32", "cli-fuse-64")
+# The Tier-1 suite, as ROADMAP.md runs it; no cache is left in the checkout.
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider"]
 
 # One Adam step of reconstruct + composite loss on a B=4 256x256 batch at
 # float32, the paper's training size; prints its time after a warm-up step
@@ -109,6 +115,22 @@ def time_train_step(root: str) -> dict:
     return json.loads(_stdout_lines(proc, "training step")[-1])
 
 
+def run_tier1(root: str) -> dict:
+    """Wall seconds and the passed and failed counts (errors included) of
+    the Tier-1 suite; RuntimeError when pytest prints no summary."""
+    t0 = time.perf_counter()
+    proc = _run([sys.executable, *TIER1], root)
+    elapsed = time.perf_counter() - t0
+    summary = (proc.stdout.strip().splitlines() or [""])[-1]
+    counts = {kind: int(n) for n, kind in
+              re.findall(r"(\d+) (passed|failed|error)", summary)}
+    if not counts:
+        raise RuntimeError(f"Tier-1 suite exited {proc.returncode}: "
+                           f"{summary[-500:]}")
+    return {"wall_s": elapsed, "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0) + counts.get("error", 0)}
+
+
 def record_name(root: str, src_sha256: str) -> str:
     def git(*args):
         return _run(["git", *args], root).stdout.strip()
@@ -141,6 +163,9 @@ def main(argv=None) -> int:
         record["train_256"] = time_train_step(root)
         print("train_256: " + " ".join(
             f"{k}={v:.4g}" for k, v in record["train_256"].items()))
+        record["tier1"] = run_tier1(root)
+        print("tier1: " + " ".join(
+            f"{k}={v:.4g}" for k, v in record["tier1"].items()))
     except RuntimeError as exc:
         print(f"record_bench: {exc}", file=sys.stderr)
         return 1
