@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._files import write_atomic
-from .errors import CheckpointFormatError, CheckpointSchemaError
-from .network import ModelParams, expected_shape, parameter_names
+from .errors import CheckpointFormatError, CheckpointSchemaError, ShapeError
+from .network import ModelParams, check_param_shapes
 from .tensor import Tensor
 
 MAGIC = b"HFN1"
@@ -22,15 +22,13 @@ _DTYPE_TOKEN = "f32"
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    names = parameter_names()
     lines = []
-    for name in names:
-        t = params.tensors[name]
+    for name, t in params.tensors.items():
         dims = ",".join(str(d) for d in t.shape)
         lines.append(f"{name} {_DTYPE_TOKEN} {dims}")
     manifest = ("\n".join(lines) + "\n\n").encode("utf-8")
-    payload = b"".join(np.ascontiguousarray(
-        params.tensors[name].data, dtype="<f4").tobytes() for name in names)
+    payload = b"".join(np.ascontiguousarray(t.data, dtype="<f4").tobytes()
+                       for t in params.tensors.values())
     write_atomic(path, MAGIC + b"\n" + manifest + payload)
 
 
@@ -74,22 +72,15 @@ def load_checkpoint(path) -> ModelParams:
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise CheckpointSchemaError(f"{path}: tensors listed twice: {repeated}")
-    known = set(parameter_names())
-    seen = set(names)
-    if seen != known:
-        missing = sorted(known - seen)
-        extra = sorted(seen - known)
-        raise CheckpointSchemaError(
-            f"{path}: tensor set mismatch, missing {missing}, unexpected {extra}")
-    for name, shape in entries:
-        want = expected_shape(name)
-        if shape != want:
-            raise CheckpointSchemaError(
-                f"{path}: {name} has shape {shape}, expected {want}")
+    shapes = dict(entries)
+    try:
+        check_param_shapes(shapes)
+    except ShapeError as exc:
+        raise CheckpointSchemaError(f"{path}: {exc}") from None
 
     tensors: dict[str, Tensor] = {}
     offset = 0
-    for name, shape in entries:
+    for name, shape in shapes.items():
         count = int(np.prod(shape))
         nbytes = 4 * count
         if offset + nbytes > len(payload):
@@ -105,5 +96,4 @@ def load_checkpoint(path) -> ModelParams:
     if offset != len(payload):
         raise CheckpointFormatError(
             f"{path}: {len(payload) - offset} trailing bytes after payload")
-    ordered = {name: tensors[name] for name in parameter_names()}
-    return ModelParams(ordered)
+    return ModelParams(tensors)

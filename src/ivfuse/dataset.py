@@ -15,8 +15,6 @@ from .errors import ConfigError, IngestionError
 from .images import read_image, resize_bilinear
 from .losses import gaussian_window_1d
 
-TRAIN_FRACTION = 0.75
-
 
 @dataclass
 class ImagePair:

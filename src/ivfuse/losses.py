@@ -35,6 +35,10 @@ class LossConfig:
     pixel_mode: str = "mse"
 
     def __post_init__(self):
+        for name in ("ssim_weight", "ag_weight"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, "
+                                  f"got {getattr(self, name)}")
         if self.ssim_window < 3 or self.ssim_window % 2 == 0:
             raise ConfigError(
                 f"ssim_window must be odd and >= 3, got {self.ssim_window}")

@@ -37,22 +37,25 @@ LAYER_SPECS: dict[str, tuple[int, int, int, int, bool]] = {
 # The channel-tiling factor used by both residual skips (16 -> 64).
 SKIP_TILE = 4
 
-
-def parameter_names() -> list[str]:
-    """Canonical flat tensor names, in checkpoint payload order."""
-    names = []
-    for layer in LAYER_SPECS:
-        names.append(layer + ".weight")
-        names.append(layer + ".bias")
-    return names
+# flat tensor name -> shape, in checkpoint payload order
+PARAM_SHAPES: dict[str, tuple[int, ...]] = {
+    f"{layer}.{kind}": shape
+    for layer, (cout, cin, kh, kw, _) in LAYER_SPECS.items()
+    for kind, shape in (("weight", (cout, cin, kh, kw)), ("bias", (cout,)))}
 
 
-def expected_shape(tensor_name: str) -> tuple[int, ...]:
-    layer, _, kind = tensor_name.rpartition(".")
-    if layer not in LAYER_SPECS or kind not in ("weight", "bias"):
-        raise KeyError(tensor_name)
-    cout, cin, kh, kw, _ = LAYER_SPECS[layer]
-    return (cout, cin, kh, kw) if kind == "weight" else (cout,)
+def check_param_shapes(shapes: dict[str, tuple[int, ...]]) -> None:
+    """Raise ShapeError unless ``shapes`` names exactly the tensors of
+    PARAM_SHAPES, in any order, each with its shape."""
+    if shapes.keys() != PARAM_SHAPES.keys():
+        missing = sorted(PARAM_SHAPES.keys() - shapes.keys())
+        extra = sorted(shapes.keys() - PARAM_SHAPES.keys())
+        raise ShapeError(
+            f"tensor set mismatch, missing {missing}, unexpected {extra}")
+    for name, shape in shapes.items():
+        if shape != PARAM_SHAPES[name]:
+            raise ShapeError(
+                f"{name} has shape {shape}, expected {PARAM_SHAPES[name]}")
 
 
 class ModelParams:
@@ -60,23 +63,13 @@ class ModelParams:
 
     Both encoder channels run this single parameter set, which is what
     makes the architecture Siamese: there is physically one copy of the
-    weights. Shapes are validated against the layer table on construction.
+    weights. Construction checks the tensors against PARAM_SHAPES and
+    stores them in its order.
     """
 
     def __init__(self, tensors: dict[str, Tensor]):
-        expected = parameter_names()
-        if list(tensors) != expected:
-            missing = set(expected) - set(tensors)
-            extra = set(tensors) - set(expected)
-            raise ShapeError(
-                f"parameter set mismatch: missing {sorted(missing)}, "
-                f"unexpected {sorted(extra)}")
-        for name, t in tensors.items():
-            want = expected_shape(name)
-            if t.shape != want:
-                raise ShapeError(
-                    f"{name} has shape {t.shape}, expected {want}")
-        self.tensors = tensors
+        check_param_shapes({name: t.shape for name, t in tensors.items()})
+        self.tensors = {name: tensors[name] for name in PARAM_SHAPES}
 
     def weight(self, layer: str) -> Tensor:
         return self.tensors[layer + ".weight"]
@@ -158,20 +151,24 @@ def pre_fuse(infrared: np.ndarray, visible: np.ndarray,
     return iw, vw
 
 
+def _layer(name: str, x: Tensor, params: ModelParams) -> Tensor:
+    """The conv ``name`` of LAYER_SPECS on ``x``, with a ReLU after it
+    where the table says so. Rebinding ``x`` lets an input that only this
+    call holds (a concatenation) be freed before the ReLU allocates."""
+    x = conv2d(x, params.weight(name), params.bias(name))
+    return x.relu() if LAYER_SPECS[name][4] else x
+
+
 def rdb_forward(f0: Tensor, params: ModelParams) -> Tensor:
     """Residual dense block: three densely connected 3x3 convs, channel
     concatenation to 64, a 1x1 fusion conv, and a tiled local skip."""
     if f0.shape[1] != 16:
         raise ShapeError(f"rdb_forward expects 16 channels, got {f0.shape[1]}")
-    d1 = conv2d(f0, params.weight("encoder.rdb.conv1"),
-                params.bias("encoder.rdb.conv1")).relu()
-    d2 = conv2d(concat_channels([f0, d1]), params.weight("encoder.rdb.conv2"),
-                params.bias("encoder.rdb.conv2")).relu()
-    d3 = conv2d(concat_channels([f0, d1, d2]), params.weight("encoder.rdb.conv3"),
-                params.bias("encoder.rdb.conv3")).relu()
+    d1 = _layer("encoder.rdb.conv1", f0, params)
+    d2 = _layer("encoder.rdb.conv2", concat_channels([f0, d1]), params)
+    d3 = _layer("encoder.rdb.conv3", concat_channels([f0, d1, d2]), params)
     stacked = concat_channels([f0, d1, d2, d3])
-    fused = conv2d(stacked, params.weight("encoder.rdb.conv4"),
-                   params.bias("encoder.rdb.conv4"))
+    fused = _layer("encoder.rdb.conv4", stacked, params)
     return fused + tile_channels(f0, SKIP_TILE)
 
 
@@ -180,8 +177,7 @@ def encode(img: Tensor, params: ModelParams) -> Tensor:
     if img.data.ndim != 4 or img.shape[1] != 1:
         raise ShapeError(
             f"encode expects a (B, 1, H, W) tensor, got {img.shape}")
-    rough = conv2d(img, params.weight("encoder.c1"),
-                   params.bias("encoder.c1")).relu()
+    rough = _layer("encoder.c1", img, params)
     return rdb_forward(rough, params) + tile_channels(rough, SKIP_TILE)
 
 
@@ -191,10 +187,10 @@ def fuse_add(phi1: Tensor, phi2: Tensor) -> Tensor:
 
 
 def _decoder_pass(x: Tensor, params: ModelParams) -> Tensor:
-    h = conv2d(x, params.weight("decoder.c2"), params.bias("decoder.c2")).relu()
-    h = conv2d(h, params.weight("decoder.c3"), params.bias("decoder.c3")).relu()
-    h = conv2d(h, params.weight("decoder.c4"), params.bias("decoder.c4")).relu()
-    return conv2d(h, params.weight("decoder.c5"), params.bias("decoder.c5"))
+    h = _layer("decoder.c2", x, params)
+    h = _layer("decoder.c3", h, params)
+    h = _layer("decoder.c4", h, params)
+    return _layer("decoder.c5", h, params)
 
 
 def decode(y: Tensor, params: ModelParams,
@@ -210,8 +206,7 @@ def decode(y: Tensor, params: ModelParams,
         raise ShapeError(f"decode expects a (B, 64, H, W) tensor, got {y.shape}")
     out = _decoder_pass(y, params)
     for _ in range(fb.n_iterations - 1):
-        fed_back = conv2d(out, params.weight("decoder.c6"),
-                          params.bias("decoder.c6"))
+        fed_back = _layer("decoder.c6", out, params)
         out = _decoder_pass(y + fed_back, params)
     return out
 

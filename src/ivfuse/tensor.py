@@ -101,7 +101,7 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
-    # -- elementwise arithmetic (identical shapes, or one true scalar) ----
+    # -- elementwise arithmetic (identical shapes, or one scalar) ---------
 
     def __add__(self, other):
         return _binary(self, other, np.add,
@@ -114,7 +114,8 @@ class Tensor:
                        lambda g, a, b: g, lambda g, a, b: -g)
 
     def __rsub__(self, other):
-        return as_tensor(other, dtype=self.dtype) - self
+        return _binary(self, other, lambda a, b: np.subtract(b, a),
+                       lambda g, a, b: -g, lambda g, a, b: g)
 
     def __mul__(self, other):
         return _binary(self, other, np.multiply,
@@ -127,7 +128,8 @@ class Tensor:
                        lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b))
 
     def __rtruediv__(self, other):
-        return as_tensor(other, dtype=self.dtype) / self
+        return _binary(self, other, lambda a, b: np.divide(b, a),
+                       lambda g, a, b: -g * b / (a * a), lambda g, a, b: g / a)
 
     def __neg__(self):
         return self * -1.0
@@ -200,28 +202,23 @@ def as_tensor(x, dtype=None) -> Tensor:
 
 
 def _binary(a: Tensor, other, fwd, grad_a, grad_b) -> Tensor:
-    """Elementwise op on identical shapes; scalars broadcast, nothing else."""
+    """Elementwise op on identical shapes. A Python or numpy scalar
+    broadcasts; a Tensor or array must match ``a``'s shape exactly, so a
+    rank-0 one combines only with another rank-0 one."""
     scalar_rhs = isinstance(other, Scalar)
     b = other if scalar_rhs else as_tensor(other, dtype=a.dtype)
-    if not scalar_rhs and a.shape != b.shape and b.shape != () and a.shape != ():
+    if not scalar_rhs and a.shape != b.shape:
         raise ShapeError(
             f"elementwise operands must share a shape, got {a.shape} and {b.shape}")
     bdata = b if scalar_rhs else b.data
     parents = (a,) if scalar_rhs else (a, b)
 
     def backward(g):
-        _accumulate(a, _reduce_to(grad_a(g, a.data, bdata), a.shape))
+        _accumulate(a, grad_a(g, a.data, bdata))
         if not scalar_rhs:
-            _accumulate(b, _reduce_to(grad_b(g, a.data, bdata), b.shape))
+            _accumulate(b, grad_b(g, a.data, bdata))
 
     return Tensor(fwd(a.data, bdata), _parents=parents, _backward=backward)
-
-
-def _reduce_to(g, shape):
-    """Collapse a gradient onto a rank-0 operand; identity otherwise."""
-    if shape == () and np.ndim(g) != 0:
-        return np.sum(g)
-    return g
 
 
 def _accumulate(t: Tensor, g) -> None:

@@ -60,8 +60,9 @@ class TrainConfig:
             if not 0 <= getattr(self, name) < 1:
                 raise ConfigError(
                     f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not self.adam_eps > 0:
-            raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
+        if not 0 < self.adam_eps < np.inf:
+            raise ConfigError(
+                f"adam_eps must be finite and > 0, got {self.adam_eps}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.eval_interval < 1:

@@ -9,7 +9,7 @@ import pytest
 from ivfuse.checkpoint import save_checkpoint
 from ivfuse.images import write_pgm
 from ivfuse.metrics import MetricReport, MetricRow
-from ivfuse.network import init_params, parameter_names
+from ivfuse.network import PARAM_SHAPES, init_params
 from ivfuse.training import TrainingLog
 
 
@@ -33,7 +33,7 @@ class Unencodable:
 def _checkpoint(paths, seed, bad):
     params = init_params(seed)
     if bad:  # the last tensor, after every other one was encoded
-        last = params.tensors[parameter_names()[-1]]
+        last = params.tensors[list(PARAM_SHAPES)[-1]]
         last.data = np.array([Unencodable()] * last.data.size)
     save_checkpoint(params, paths[0])
 

@@ -192,6 +192,12 @@ _TINY = ["--synthetic", "2", "--size", "16", "--steps", "1"]
       "--seed", "-3"], 2, "seed must be >= 0"),
     (["gradcheck", "--seed", "-1"], 2, "seed must be >= 0"),
     (["demo", *_TINY, "--seed", "-1"], 2, "seed must be >= 0"),
+    (["train", *_TINY, "--adam-eps", "inf"], 2, "adam_eps"),
+    (["train", *_TINY, "--ag-weight", "nan"], 2, "ag_weight"),
+    (["train", *_TINY, "--ag-weight", "inf"], 2, "ag_weight"),
+    (["train", *_TINY, "--ag-weight", "-1"], 2, "ag_weight"),
+    (["train", *_TINY, "--ssim-weight", "-1"], 2, "ssim_weight"),
+    (["train", *_TINY, "--ssim-weight", "nan"], 2, "ssim_weight"),
 ])
 def test_bad_value_exits_with_its_code_and_writes_nothing(tmp_path, capsys,
                                                          trained, argv, code,

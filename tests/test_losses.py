@@ -78,6 +78,11 @@ def test_ssim_config_validation():
     for sigma in (0.0, -1.5, float("nan")):
         with pytest.raises(ConfigError, match="ssim_sigma"):
             LossConfig(ssim_sigma=sigma)
+    for key in ("ssim_weight", "ag_weight"):
+        for bad in (-1.0, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigError, match=key):
+                LossConfig(**{key: bad})
+        LossConfig(**{key: 0.0})
 
 
 # --------------------------------------------------------------- ssim_loss

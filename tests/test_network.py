@@ -6,9 +6,10 @@ import pytest
 from ivfuse.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from ivfuse.errors import (CheckpointFormatError, CheckpointSchemaError,
                            ConfigError, DomainError, ShapeError)
-from ivfuse.network import (LAYER_SPECS, FeedbackConfig, ModelParams,
-                            PreFusionConfig, decode, encode, fuse_add,
-                            fuse_images, init_params, pre_fuse, rdb_forward)
+from ivfuse.network import (LAYER_SPECS, PARAM_SHAPES, FeedbackConfig,
+                            ModelParams, PreFusionConfig, decode, encode,
+                            fuse_add, fuse_images, init_params, pre_fuse,
+                            rdb_forward)
 from ivfuse.tensor import Tensor, tile_channels
 
 # Architecture table: kernel size, in channels, out channels, activation.
@@ -27,11 +28,8 @@ EXPECTED_LAYERS = {
 
 
 def zero_params(dtype=np.float64):
-    tensors = {}
-    for layer, (cout, cin, kh, kw, _) in LAYER_SPECS.items():
-        tensors[layer + ".weight"] = Tensor(np.zeros((cout, cin, kh, kw), dtype))
-        tensors[layer + ".bias"] = Tensor(np.zeros(cout, dtype))
-    return ModelParams(tensors)
+    return ModelParams({name: Tensor(np.zeros(shape, dtype))
+                        for name, shape in PARAM_SHAPES.items()})
 
 
 def rand_image(seed, side=16):
@@ -168,6 +166,14 @@ def test_decode_zero_feedback_conv_is_noop():
     one = decode(y, params, FeedbackConfig(1))
     four = decode(y, params, FeedbackConfig(4))
     assert np.array_equal(one.data, four.data)
+
+
+def test_forward_applies_relu_where_the_layer_table_says(monkeypatch):
+    params = init_params(5, dtype=np.float64)
+    y = Tensor(np.random.default_rng(11).standard_normal((1, 64, 8, 8)))
+    assert (decode(y, params).data < 0).any()
+    monkeypatch.setitem(LAYER_SPECS, "decoder.c5", (1, 16, 3, 3, True))
+    assert (decode(y, params).data >= 0).all()
 
 
 def test_feedback_config_validation():
@@ -313,6 +319,24 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
         assert np.array_equal(loaded.tensors[name].data,
                               params.tensors[name].data)
         assert loaded.tensors[name].dtype == np.float32
+
+
+def test_checkpoint_in_reverse_order_loads_in_canonical_order(tmp_path):
+    params = init_params(15)
+    path = tmp_path / "model.hfn"
+    save_checkpoint(params, path)
+    head, payload = path.read_bytes().split(b"\n\n", 1)
+    magic, *lines = head.split(b"\n")
+    chunks, offset = [], 0
+    for t in params.tensors.values():
+        chunks.append(payload[offset:offset + t.data.nbytes])
+        offset += t.data.nbytes
+    path.write_bytes(b"\n".join([magic, *lines[::-1]]) + b"\n\n"
+                     + b"".join(chunks[::-1]))
+    loaded = load_checkpoint(path)
+    assert list(loaded.tensors) == list(PARAM_SHAPES)
+    for name, t in params.tensors.items():
+        assert np.array_equal(loaded.tensors[name].data, t.data)
 
 
 def test_checkpoint_bad_magic(tmp_path):

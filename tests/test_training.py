@@ -177,6 +177,7 @@ def test_train_config_validation():
                 dict(learning_rate=float("inf")), dict(stop_rmse=0.0),
                 dict(max_steps=0), dict(eval_interval=0),
                 dict(adam_eps=-1.0), dict(adam_eps=0.0),
+                dict(adam_eps=float("inf")), dict(adam_eps=float("nan")),
                 dict(beta1=1.0), dict(beta1=-0.1), dict(beta2=1.0),
                 dict(beta2=float("nan")), dict(seed=-1)):
         with pytest.raises(ConfigError, match=next(iter(bad))):

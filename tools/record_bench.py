@@ -9,7 +9,9 @@ line of each run, then times one ``ivfuse demo`` run end to end, start-up
 included, one B=4 256x256 training step (after a warm-up step, in a fresh
 process, with that process's peak RSS), and one run of the checkout's
 Tier-1 suite (wall time, passed and failed counts). That step needs a few
-GB, so run the recorder alone on the machine. The record is written to
+GB, so run the recorder alone on the machine. It also stores
+``src_lines``, the total line count of ``src/ivfuse/*.py``: the size
+measure of the design aim in ROADMAP.md. The record is written to
 ``BENCH_<short commit>.json`` in ``--out-dir`` (default: the measured
 checkout). When ``src/ivfuse`` differs from the checkout's HEAD, the name
 becomes ``BENCH_<short commit>+<src hash>.json``: the first 8 hex digits
@@ -21,6 +23,7 @@ are recorded, not treated as a failed run.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import re
@@ -131,6 +134,15 @@ def run_tier1(root: str) -> dict:
             "failed": counts.get("failed", 0) + counts.get("error", 0)}
 
 
+def count_src_lines(root: str) -> int:
+    """Total line count of ``src/ivfuse/*.py`` in the checkout."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "ivfuse", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
 def record_name(root: str, src_sha256: str) -> str:
     def git(*args):
         return _run(["git", *args], root).stdout.strip()
@@ -150,7 +162,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
 
-    record = {"workloads": {}}
+    record = {"workloads": {}, "src_lines": count_src_lines(root)}
+    print(f"src_lines={record['src_lines']}")
     try:
         for workload in WORKLOADS:
             result, run_env = run_perfbench(root, workload)
