@@ -18,13 +18,14 @@ import os
 import sys
 from contextlib import contextmanager
 
+from . import images
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import load_dataset, synth_corpus
 from .errors import (CheckpointFormatError, CheckpointSchemaError,
                      ConfigError, DivergenceError, DomainError,
                      IngestionError, ShapeError)
 from .gradcheck import run_gradient_checks
-from .images import read_image, write_pgm
+from .images import write_pgm
 from .losses import LossConfig
 from .metrics import SSIM_CONFIG, evaluate_corpus, measure_triple
 from .network import FeedbackConfig, PreFusionConfig, fuse_images
@@ -245,7 +246,8 @@ def cmd_fuse(cfg: dict, ir_path: str, vis_path: str, out_path: str) -> int:
         raise ConfigError("fuse requires --checkpoint")
     _check_outputs("", out_path)
     params = load_checkpoint(cfg["checkpoint"])
-    ir, vis = read_image(ir_path), read_image(vis_path)
+    # looked up on the module, so a wrapper installed on images.read_pgm applies
+    ir, vis = images.read_pgm(ir_path), images.read_pgm(vis_path)
     if ir.shape != vis.shape:
         raise ShapeError(
             f"image size mismatch: {ir_path} is {ir.shape}, "

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IngestionError
-from .images import read_image, resize_bilinear
+from .images import read_pgm, resize_bilinear
 from .losses import gaussian_window_1d
 
 
@@ -65,9 +65,10 @@ def _check_size_and_seed(size: int, seed: int) -> None:
 def load_dataset(ir_dir, vis_dir, image_size: int, seed: int) -> PairDataset:
     """Pair equally named files from two directories.
 
-    Images are decoded, converted to grayscale, bilinearly resized to
-    ``image_size`` square, and scaled to [0, 1]. Any file present in one
-    directory but not the other is an error naming the orphan.
+    Every file is read as a binary PGM (whatever its name), bilinearly
+    resized to ``image_size`` square, and scaled to [0, 1]. Any file
+    present in one directory but not the other is an error naming the
+    orphan.
     """
     _check_size_and_seed(image_size, seed)
     for d in (ir_dir, vis_dir):
@@ -87,7 +88,7 @@ def load_dataset(ir_dir, vis_dir, image_size: int, seed: int) -> PairDataset:
 
     pairs = []
     for name in sorted(ir_names):
-        ir, vis = (np.clip(resize_bilinear(read_image(os.path.join(d, name)),
+        ir, vis = (np.clip(resize_bilinear(read_pgm(os.path.join(d, name)),
                                            image_size, image_size), 0.0, 1.0)
                    for d in (ir_dir, vis_dir))
         stem = os.path.splitext(name)[0]

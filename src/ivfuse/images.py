@@ -1,11 +1,9 @@
-"""Grayscale image plumbing: binary PGM files, luma conversion, bilinear
-resizing, and the 8-bit quantization shared by image emission and the
-entropy metric.
+"""Grayscale image plumbing: binary PGM files, bilinear resizing, and the
+8-bit quantization shared by image emission and the entropy metric.
 
-PGM (P5) is the native format because it is bit-exact and trivial to
+PGM (P5) is the one image format, because it is bit-exact and trivial to
 parse. It is read at any maxval up to 65535, 16-bit samples included,
-and written at maxval 255. Other formats are decoded through Pillow when
-it is installed (``HAVE_PIL``); the core pipeline never requires it.
+and written at maxval 255.
 """
 
 from __future__ import annotations
@@ -15,45 +13,11 @@ import numpy as np
 from ._files import write_atomic
 from .errors import IngestionError, ShapeError
 
-try:
-    from PIL import Image as _PILImage
-    HAVE_PIL = True
-except ImportError:  # pragma: no cover - depends on the environment
-    _PILImage = None
-    HAVE_PIL = False
-
-# ITU-R BT.601 luma weights.
-LUMA_WEIGHTS = (0.299, 0.587, 0.114)
-
 
 def quantize_u8(img: np.ndarray) -> np.ndarray:
     """[0, 1] floats -> uint8 levels, ties rounded away from zero."""
     levels = np.floor(255.0 * np.clip(img, 0.0, 1.0) + 0.5)
     return levels.astype(np.uint8)
-
-
-def levels_to_unit(arr: np.ndarray, name: str = "image") -> np.ndarray:
-    """Decoded pixel levels -> float64 in [0, 1], scaled by the dtype.
-
-    8-bit levels are divided by 255 and 16-bit levels by 65535, whatever
-    values the image happens to hold; a bilevel (bool) image maps to 0
-    and 1. Any other pixel type is an IngestionError naming ``name``.
-    """
-    if arr.dtype == np.bool_:
-        return arr.astype(np.float64)
-    if arr.dtype.kind == "u" and arr.dtype.itemsize in (1, 2):
-        return arr.astype(np.float64) / float(np.iinfo(arr.dtype).max)
-    raise IngestionError(f"{name}: unsupported pixel type {arr.dtype}")
-
-
-def to_gray(rgb: np.ndarray) -> np.ndarray:
-    """(H, W, 3) array in [0, 1] -> single luma channel."""
-    if rgb.ndim == 2:
-        return rgb
-    if rgb.ndim != 3 or rgb.shape[2] not in (3, 4):
-        raise ShapeError(f"expected (H, W, 3) color data, got {rgb.shape}")
-    r, g, b = LUMA_WEIGHTS
-    return r * rgb[..., 0] + g * rgb[..., 1] + b * rgb[..., 2]
 
 
 def resize_bilinear(img: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -136,18 +100,3 @@ def write_pgm(path, img: np.ndarray) -> None:
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
     write_atomic(path, header + data.tobytes())
 
-
-def read_image(path) -> np.ndarray:
-    """Decode any supported image file to a [0, 1] grayscale array."""
-    name = str(path)
-    if name.lower().endswith(".pgm"):
-        return read_pgm(path)
-    if not HAVE_PIL:
-        raise IngestionError(
-            f"{name}: only .pgm is supported without Pillow installed")
-    try:
-        with _PILImage.open(path) as im:
-            arr = np.asarray(im)
-    except Exception as exc:
-        raise IngestionError(f"{name}: undecodable image ({exc})") from exc
-    return to_gray(levels_to_unit(arr, name))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._files import write_atomic
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
 from .images import quantize_u8
 from .losses import LossConfig, ssim as _ssim_graph
 from .network import FeedbackConfig, ModelParams, fuse_images
@@ -43,8 +43,15 @@ _SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
 _SOBEL_Y = _SOBEL_X.T.copy()
 
 
+def _check_finite(caller: str, **images) -> None:
+    for name, img in images.items():
+        if not np.isfinite(img).all():
+            raise DomainError(f"{caller}: {name} has non-finite pixels")
+
+
 def entropy(img: np.ndarray) -> float:
     """Shannon entropy (bits) of the 8-bit intensity histogram."""
+    _check_finite("entropy", img=img)
     hist = np.bincount(quantize_u8(img).ravel(), minlength=256)
     p = hist[hist > 0] / img.size
     return float(-np.sum(p * np.log2(p)) + 0.0)  # +0.0 folds away -0.0
@@ -54,6 +61,7 @@ def _check_triple(caller: str, f, a, b) -> None:
     if a.shape != f.shape or b.shape != f.shape:
         raise ShapeError(f"{caller} needs three equal shapes, got "
                          f"{a.shape}, {b.shape}, {f.shape}")
+    _check_finite(caller, a=a, b=b, f=f)
 
 
 def _sobel_same(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,6 +198,7 @@ class MetricReport:
 
 def measure_triple(a: np.ndarray, b: np.ndarray, f: np.ndarray,
                    pair_id: str = "pair") -> MetricRow:
+    _check_triple("measure_triple", f, a, b)
     return MetricRow(pair_id, entropy(f), qabf(a, b, f),
                      ssim_metric(f, a, b), psnr(f, a, b))
 

@@ -357,19 +357,45 @@ def test_fuse_pair_below_ssim_window_exit6_writes_nothing(tmp_path, capsys,
     (["fuse", "{missing}", "{img}", "{out}", "--checkpoint", "{ckpt}"], 3,
      "{missing}"),
     (["fuse", "{img}", "{dir}", "{out}", "--checkpoint", "{ckpt}"], 3, "{dir}"),
+    (["fuse", "{png}", "{img}", "{out}", "--checkpoint", "{ckpt}"], 3, "{png}"),
+    (["train", "--ir-dir", "{ir_dir}", "--vis-dir", "{vis_dir}", "--size",
+      "16", "--steps", "1", "--out-dir", "{out_dir}"], 3, "{ir_dir}/face.png"),
 ])
 def test_unreadable_file_exits_with_its_code_naming_it(tmp_path, capsys,
                                                        trained, argv, code,
                                                        named):
     where = {"img": tmp_path / "a.pgm", "out": tmp_path / "out" / "f.pgm",
              "out_dir": tmp_path / "out", "missing": tmp_path / "gone.pgm",
-             "dir": tmp_path / "folder.pgm", "ckpt": trained}
+             "dir": tmp_path / "folder.pgm", "ckpt": trained,
+             "png": tmp_path / "photo.png", "ir_dir": tmp_path / "ir",
+             "vis_dir": tmp_path / "vis"}
     write_pgm(where["img"], np.zeros((16, 16)))
     where["dir"].mkdir()
+    # PNG is not read: a file is PGM by its P5 content, not by its name
+    png = b"\x89PNG\r\n\x1a\n" + bytes(64)
+    where["png"].write_bytes(png)
+    for d in ("ir_dir", "vis_dir"):
+        where[d].mkdir()
+        (where[d] / "face.png").write_bytes(png)
     got, _, err = run_cli(capsys, *(a.format(**where) for a in argv))
     assert got == code
     assert named.format(**where) in err
     assert not where["out_dir"].exists()
+
+
+def test_fuse_reads_a_pgm_whatever_its_name(tmp_path, capsys, trained):
+    img = np.random.default_rng(3).uniform(0, 1, (16, 16))
+    runs = []
+    for name in ("x.pgm", "x.png"):
+        src, out = tmp_path / name, tmp_path / f"fused-{name}"
+        write_pgm(src, img)
+        code, stdout, err = run_cli(capsys, "fuse", str(src), str(src),
+                                    str(out), "--checkpoint", str(trained))
+        assert code == 0, err
+        metrics = [ln for ln in stdout.splitlines() if ln.startswith("metrics ")]
+        assert len(metrics) == 1
+        runs.append((out.read_bytes(), metrics))
+    assert runs[0] == runs[1]
 
 
 def test_eval_below_metric_window_exit2_writes_nothing(tmp_path, capsys,

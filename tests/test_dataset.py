@@ -4,8 +4,7 @@ import pytest
 from ivfuse import dataset
 from ivfuse.dataset import load_dataset, split_counts, synth_corpus
 from ivfuse.errors import ConfigError, IngestionError, ShapeError
-from ivfuse.images import (levels_to_unit, quantize_u8, read_pgm,
-                           resize_bilinear, to_gray, write_pgm)
+from ivfuse.images import quantize_u8, read_pgm, resize_bilinear, write_pgm
 from ivfuse.metrics import entropy
 
 
@@ -43,43 +42,11 @@ def test_pgm_rejects_truncated(tmp_path):
         read_pgm(path)
 
 
-def test_levels_to_unit_scales_8_bit_by_dtype():
-    # an 8-bit image whose levels are all 0 or 1 is still 8-bit
-    levels = np.array([[0, 1], [1, 0]], dtype=np.uint8)
-    assert np.array_equal(levels_to_unit(levels), levels / 255.0)
-    full = np.array([[0, 128, 255]], dtype=np.uint8)
-    assert np.array_equal(levels_to_unit(full), [[0.0, 128 / 255.0, 1.0]])
-
-
-def test_levels_to_unit_scales_16_bit_by_dtype():
-    levels = np.array([[0, 1000, 65535]], dtype=np.uint16)
-    want = [[0.0, 1000 / 65535.0, 1.0]]
-    assert np.array_equal(levels_to_unit(levels), want)
-    assert np.array_equal(levels_to_unit(levels.astype(">u2")), want)
-
-
-def test_levels_to_unit_bilevel_and_unsupported():
-    assert np.array_equal(levels_to_unit(np.array([[True, False]])), [[1.0, 0.0]])
-    for dtype in (np.int32, np.float32):
-        with pytest.raises(IngestionError, match="scan.tif"):
-            levels_to_unit(np.zeros((2, 2), dtype), "scan.tif")
-
-
 def test_quantize_ties_away_from_zero():
     # 0.5/255 is exactly half way between levels 0 and 1
     assert quantize_u8(np.array([[0.5 / 255.0]]))[0, 0] == 1
     assert quantize_u8(np.array([[1.0]]))[0, 0] == 255
     assert quantize_u8(np.array([[0.0]]))[0, 0] == 0
-
-
-def test_to_gray_luma_weights():
-    rgb = np.zeros((1, 1, 3))
-    rgb[0, 0] = (1.0, 0.0, 0.0)
-    assert to_gray(rgb)[0, 0] == pytest.approx(0.299)
-    rgb[0, 0] = (0.0, 1.0, 0.0)
-    assert to_gray(rgb)[0, 0] == pytest.approx(0.587)
-    rgb[0, 0] = (0.0, 0.0, 1.0)
-    assert to_gray(rgb)[0, 0] == pytest.approx(0.114)
 
 
 def test_resize_identity_when_same_size():

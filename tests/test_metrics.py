@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ivfuse.dataset import synth_corpus
-from ivfuse.errors import ShapeError
+from ivfuse.errors import DomainError, ShapeError
 from ivfuse.losses import ssim as ssim_graph
 from ivfuse.metrics import (REFERENCE_RESULTS, MetricReport, MetricRow,
                             entropy, evaluate_corpus, measure_triple, psnr,
@@ -219,3 +219,19 @@ def test_measure_triple_all_finite_on_random_inputs():
     row = measure_triple(img(24), img(25), img(26))
     for v in row.values():
         assert math.isfinite(v)
+
+
+@pytest.mark.parametrize("metric, names", [
+    (entropy, ("img",)),
+    (qabf, ("a", "b", "f")),
+    (ssim_metric, ("f", "a", "b")),
+    (psnr, ("f", "a", "b")),
+    (measure_triple, ("a", "b", "f")),
+], ids=["entropy", "qabf", "ssim_metric", "psnr", "measure_triple"])
+def test_metrics_reject_a_nan_pixel_naming_the_argument(metric, names):
+    for k, name in enumerate(names):
+        args = [img(30 + j) for j in range(len(names))]
+        args[k][3, 5] = np.nan
+        with pytest.raises(DomainError,
+                           match=rf"^{metric.__name__}: {name} has non-finite"):
+            metric(*args)

@@ -487,6 +487,17 @@ def test_first_gradient_write_owns_its_array():
     assert np.array_equal(x.grad, 2.0 * m)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_first_gradient_write_turns_negative_zero_positive(dtype):
+    # _accumulate's first write adds 0, so an adjoint of -0.0 lands in the
+    # leaf as +0.0, exactly as accumulating it into zeros would
+    x = Tensor(rand((2, 3), 40).astype(dtype))
+    backward((x * -0.0).sum())
+    assert x.grad.dtype == dtype
+    assert np.array_equal(x.grad, np.zeros((2, 3)))
+    assert not np.signbit(x.grad).any()
+
+
 def test_backward_drops_each_adjoint_once_passed_on():
     # An op output's adjoint is freed as soon as its closure has passed it
     # on, so a chain keeps a few activation-sized arrays alive during the
