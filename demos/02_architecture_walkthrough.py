@@ -11,7 +11,7 @@ import numpy as np
 
 from ivfuse.network import (FeedbackConfig, decode, encode, fuse_add,
                             fuse_images, init_params, rdb_forward)
-from ivfuse.tensor import Tensor, tile_channels
+from ivfuse.tensor import Tensor
 
 rng = np.random.default_rng(1)
 params = init_params(seed=1, dtype=np.float64)
@@ -47,7 +47,7 @@ for name, t in zeroed.tensors.items():
 f0 = Tensor(rng.standard_normal((1, 16, 8, 8)))
 print("zeroed dense block reduces to the tiled skip (bitwise):",
       np.array_equal(rdb_forward(f0, zeroed).data,
-                     tile_channels(f0, 4).data))
+                     np.tile(f0.data, (1, 4, 1, 1))))
 
 # Tied weights + addition fusion make the whole pipeline symmetric.
 params = init_params(seed=3)

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import losses, network
 from .errors import ConfigError
-from .tensor import (Tensor, backward, concat_channels, conv2d,
-                     finite_diff_gradient, narrow, no_grad, tile_channels)
+from .tensor import (Tensor, add_tiled, backward, concat_channels, conv2d,
+                     finite_diff_gradient, narrow, no_grad)
 
 DEFAULT_TOLERANCE = 1e-4
 DEFAULT_STEP = 1e-5
@@ -76,12 +76,20 @@ def _check_conv2d(rng, h):
     r = _projection(rng, (1, 3, 5, 5))
     r1 = _projection(rng, (1, 2, 5, 5))
     rv = _projection(rng, (1, 3, 3, 3))
+    # the fused ReLU's kink: outputs whose pre-activation a step could push
+    # across 0 get no weight in the loss
+    with no_grad():
+        kink = np.abs(conv2d(x, w, b).data) < 10 * h
+    rr = Tensor(np.where(kink, 0.0, r.data))
     return max(_check(lambda t: (conv2d(t, w, b) * r).sum(), x, h),
                _check(lambda t: (conv2d(x, t, b) * r).sum(), w, h),
                _check(lambda t: (conv2d(x, w, t) * r).sum(), b, h),
                _check(lambda t: (conv2d(t, w1) * r1).sum(), x, h),
                _check(lambda t: (conv2d(t, w, b, padding="valid") * rv).sum(),
-                      x, h))
+                      x, h),
+               _check(lambda t: (conv2d(t, w, b, relu=True) * rr).sum(), x, h),
+               _check(lambda t: (conv2d(x, t, b, relu=True) * rr).sum(), w, h),
+               _check(lambda t: (conv2d(x, w, t, relu=True) * rr).sum(), b, h))
 
 
 def _check_relu(rng, h):
@@ -103,10 +111,12 @@ def _check_concat(rng, h):
     return worst
 
 
-def _check_tile(rng, h):
-    x = Tensor(rng.standard_normal((1, 2, 3, 3)))
+def _check_add_tiled(rng, h):
+    x = Tensor(rng.standard_normal((1, 8, 3, 3)))
+    s = Tensor(rng.standard_normal((1, 2, 3, 3)))
     r = _projection(rng, (1, 8, 3, 3))
-    return _check(lambda t: (tile_channels(t, 4) * r).sum(), x, h)
+    return max(_check(lambda t: (add_tiled(t, s) * r).sum(), x, h),
+               _check(lambda t: (add_tiled(x, t) * r).sum(), s, h))
 
 
 def _check_narrow(rng, h):
@@ -239,7 +249,7 @@ COMPONENTS: dict[str, Callable] = {
     "conv2d": _check_conv2d,
     "relu": _check_relu,
     "concat_channels": _check_concat,
-    "tile_channels": _check_tile,
+    "add_tiled": _check_add_tiled,
     "narrow": _check_narrow,
     "elementwise": _check_elementwise,
     "sqrt_abs": _check_sqrt_abs,

@@ -6,9 +6,9 @@ fixed number of refinement iterations.
 Channel plan: 1 -> 16 -> 64 in the encoder (dense chain 16/32/48 -> 16,
 then a 1x1 fusion conv to 64), and 64 -> 64 -> 32 -> 16 -> 1 in the
 decoder, with a 1 -> 64 feedback projection. The residual skips bridge a
-16-channel tensor onto a 64-channel one by tiling it four times along the
-channel axis, which is parameter-free and collapses to an ordinary skip
-when channel counts match.
+16-channel tensor onto a 64-channel one by adding it to each of the four
+16-channel groups (``add_tiled``), which is parameter-free, makes no tiled
+copy, and collapses to an ordinary skip when channel counts match.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .tensor import Tensor, concat_channels, conv2d, no_grad, tile_channels
+from .tensor import Tensor, add_tiled, concat_channels, conv2d, no_grad
 
 # name -> (out_channels, in_channels, kernel_h, kernel_w, relu follows)
 LAYER_SPECS: dict[str, tuple[int, int, int, int, bool]] = {
@@ -33,9 +33,6 @@ LAYER_SPECS: dict[str, tuple[int, int, int, int, bool]] = {
     "decoder.c5": (1, 16, 3, 3, False),
     "decoder.c6": (64, 1, 3, 3, False),
 }
-
-# The channel-tiling factor used by both residual skips (16 -> 64).
-SKIP_TILE = 4
 
 # flat tensor name -> shape, in checkpoint payload order
 PARAM_SHAPES: dict[str, tuple[int, ...]] = {
@@ -152,33 +149,36 @@ def pre_fuse(infrared: np.ndarray, visible: np.ndarray,
 
 
 def _layer(name: str, x: Tensor, params: ModelParams) -> Tensor:
-    """The conv ``name`` of LAYER_SPECS on ``x``, with a ReLU after it
-    where the table says so. Rebinding ``x`` lets an input that only this
-    call holds (a concatenation) be freed before the ReLU allocates."""
-    x = conv2d(x, params.weight(name), params.bias(name))
-    return x.relu() if LAYER_SPECS[name][4] else x
+    """The conv ``name`` of LAYER_SPECS on ``x``, with the ReLU fused into
+    it where the table says so. Callers pass an input that nothing else
+    reads (a concatenation, the decoder's feedback sum) inline, so that
+    under ``no_grad`` it is freed as soon as this call returns."""
+    return conv2d(x, params.weight(name), params.bias(name),
+                  relu=LAYER_SPECS[name][4])
 
 
 def rdb_forward(f0: Tensor, params: ModelParams) -> Tensor:
     """Residual dense block: three densely connected 3x3 convs, channel
-    concatenation to 64, a 1x1 fusion conv, and a tiled local skip."""
+    concatenation to 64, a 1x1 fusion conv, and a channel-repeated local
+    skip."""
     if f0.shape[1] != 16:
         raise ShapeError(f"rdb_forward expects 16 channels, got {f0.shape[1]}")
     d1 = _layer("encoder.rdb.conv1", f0, params)
     d2 = _layer("encoder.rdb.conv2", concat_channels([f0, d1]), params)
     d3 = _layer("encoder.rdb.conv3", concat_channels([f0, d1, d2]), params)
-    stacked = concat_channels([f0, d1, d2, d3])
-    fused = _layer("encoder.rdb.conv4", stacked, params)
-    return fused + tile_channels(f0, SKIP_TILE)
+    return add_tiled(
+        _layer("encoder.rdb.conv4", concat_channels([f0, d1, d2, d3]), params),
+        f0)
 
 
 def encode(img: Tensor, params: ModelParams) -> Tensor:
-    """Rough 3x3 features, the dense block, and a tiled global skip."""
+    """Rough 3x3 features, the dense block, and a channel-repeated global
+    skip."""
     if img.data.ndim != 4 or img.shape[1] != 1:
         raise ShapeError(
             f"encode expects a (B, 1, H, W) tensor, got {img.shape}")
     rough = _layer("encoder.c1", img, params)
-    return rdb_forward(rough, params) + tile_channels(rough, SKIP_TILE)
+    return add_tiled(rdb_forward(rough, params), rough)
 
 
 def fuse_add(phi1: Tensor, phi2: Tensor) -> Tensor:
@@ -206,8 +206,7 @@ def decode(y: Tensor, params: ModelParams,
         raise ShapeError(f"decode expects a (B, 64, H, W) tensor, got {y.shape}")
     out = _decoder_pass(y, params)
     for _ in range(fb.n_iterations - 1):
-        fed_back = _layer("decoder.c6", out, params)
-        out = _decoder_pass(y + fed_back, params)
+        out = _decoder_pass(y + _layer("decoder.c6", out, params), params)
     return out
 
 

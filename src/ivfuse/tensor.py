@@ -1,10 +1,11 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Just enough operations for the fusion network and its losses: 2-D
-convolution, ReLU, channel concatenation, axis slicing, channel tiling,
-reshaping, elementwise arithmetic, square root, and sum and mean over all
-or some axes. Tensors are float32 for training and float64 for gradient
-checking; the code path is identical, only the dtype differs.
+convolution (with an optional fused ReLU), ReLU, channel concatenation,
+axis slicing, a skip add that repeats a narrower tensor along the channel
+axis, reshaping, elementwise arithmetic, square root, and sum and mean
+over all or some axes. Tensors are float32 for training and float64 for
+gradient checking; the code path is identical, only the dtype differs.
 
 Values are immutable by convention: no operation writes into its inputs,
 so tensors can be shared freely. The optimizer mutates parameter ``data``
@@ -238,13 +239,19 @@ def _accumulate(t: Tensor, g) -> None:
 # -- structural operations -------------------------------------------------
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
-           padding: str = "same") -> Tensor:
-    """2-D cross-correlation, stride 1.
+           padding: str = "same", relu: bool = False) -> Tensor:
+    """2-D cross-correlation, stride 1, optionally followed by ReLU.
 
     ``x`` is (B, Cin, H, W), ``w`` is (Cout, Cin, kh, kw), ``b`` is (Cout,)
     or None. ``padding="same"`` zero-pads so the spatial size is preserved
     (odd kernels only); ``"valid"`` keeps only fully covered windows.
     Differentiable with respect to all three arguments.
+
+    ``relu=True`` gives ``conv2d(x, w, b).relu()`` bit for bit, with no
+    pre-activation array: the ReLU clamps the conv's own output in place,
+    and backward masks the gradient by ``out > 0``, which holds exactly
+    where the pre-activation was > 0, NaN included (in-place activation;
+    Rota Bulo et al. 2018, arXiv 1712.02616).
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-d, got shape {x.shape}")
@@ -272,6 +279,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     parents = (x, w) if b is None else (x, w, b)
 
     def backward(g):
+        if relu:
+            g = g * (out > 0)
         if b is not None:
             _accumulate(b, g.sum(axis=(0, 2, 3)))
         # Input gradient: the conv of the output gradient, padded by the rest
@@ -286,9 +295,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
                 gu += (gt @ view.transpose(0, 2, 1)).sum(0).reshape(gu.shape)
         _accumulate(w, gw)
 
-    return Tensor(_conv_forward(x.data, w.data, None if b is None else b.data,
-                                ph, pw),
-                  _parents=parents, _backward=backward)
+    out = _conv_forward(x.data, w.data, None if b is None else b.data, ph, pw)
+    if relu:
+        np.maximum(out, 0, out=out)
+    return Tensor(out, _parents=parents, _backward=backward)
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
@@ -437,17 +447,25 @@ def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return Tensor(x.data[index].copy(), _parents=(x,), _backward=backward)
 
 
-def tile_channels(x: Tensor, reps: int) -> Tensor:
-    """Repeat the channel axis ``reps`` times: (B, C, H, W) -> (B, reps*C, H, W)."""
-    if x.data.ndim != 4:
-        raise ShapeError(f"tile_channels input must be 4-d, got {x.shape}")
-    B, C, H, W = x.shape
+def add_tiled(x: Tensor, s: Tensor) -> Tensor:
+    """``x`` plus ``s`` repeated along the channel axis to ``x``'s width:
+    (B, reps*C, H, W) + (B, C, H, W), a parameter-free residual skip from
+    C channels onto reps*C. ``s`` is broadcast over a (B, reps, C, H, W)
+    view of ``x``, so no tiled copy of it is made."""
+    if (x.data.ndim != 4 or s.data.ndim != 4 or x.shape[0] != s.shape[0]
+            or x.shape[2:] != s.shape[2:] or x.shape[1] % s.shape[1]):
+        raise ShapeError(
+            f"add_tiled needs (B, reps*C, H, W) and (B, C, H, W), got "
+            f"{x.shape} and {s.shape}")
+    B, C, H, W = s.shape
+    reps = x.shape[1] // C
 
     def backward(g):
-        _accumulate(x, g.reshape(B, reps, C, H, W).sum(axis=1))
+        _accumulate(x, g)
+        _accumulate(s, g.reshape(B, reps, C, H, W).sum(axis=1))
 
-    return Tensor(np.tile(x.data, (1, reps, 1, 1)), _parents=(x,),
-                  _backward=backward)
+    out = np.add(x.data.reshape(B, reps, C, H, W), s.data[:, np.newaxis])
+    return Tensor(out.reshape(x.shape), _parents=(x, s), _backward=backward)
 
 
 # -- reverse pass ----------------------------------------------------------

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 import ivfuse.tensor
 from ivfuse.errors import DomainError, ShapeError
-from ivfuse.tensor import (Tensor, backward, concat_channels, conv2d,
-                           finite_diff_gradient, narrow, no_grad,
-                           tile_channels)
+from ivfuse.tensor import (Tensor, add_tiled, backward, concat_channels,
+                           conv2d, finite_diff_gradient, narrow, no_grad)
 from oracles import (conv2d_input_grad_loops, conv2d_loops,
                      conv2d_weight_grad_loops)
 
@@ -231,6 +230,40 @@ def test_relu_subgradient_zero_at_kink():
     assert x.grad[0] == 0.0
 
 
+def _same_bits(a, b):
+    return (a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", ["random", "nan", "zero", "no_bias"])
+def test_conv2d_fused_relu_matches_conv_then_relu_bitwise(dtype, case):
+    # The fused op clamps the conv output in place and masks the gradient
+    # by out > 0; both must equal a separate ReLU's, zero signs and NaN
+    # included. Zero weights and bias make every pre-activation exactly 0.
+    rng = np.random.default_rng(41)
+    xs = rng.standard_normal((2, 3, 6, 5)).astype(dtype)
+    ws = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
+    bs = rng.standard_normal(4).astype(dtype)
+    if case == "nan":
+        xs[1, 2, 3, 1] = np.nan
+    if case == "zero":
+        ws[...] = 0
+        bs[...] = 0
+    r = Tensor(rng.standard_normal((2, 4, 6, 5)).astype(dtype))
+    results = []
+    for fused in (False, True):
+        x, w = Tensor(xs), Tensor(ws)
+        b = None if case == "no_bias" else Tensor(bs)
+        out = (conv2d(x, w, b, relu=True) if fused
+               else conv2d(x, w, b).relu())
+        backward((out * r).sum())
+        results.append([out.data, x.grad, w.grad]
+                       + ([] if b is None else [b.grad]))
+    for separate, fused in zip(*results):
+        assert _same_bits(fused, separate)
+
+
 # ---------------------------------------------------------------- concat
 
 def test_concat_single_part_identity():
@@ -334,14 +367,28 @@ def test_narrow_and_gradient_scatter():
     assert np.array_equal(x.grad, want)
 
 
-def test_tile_channels_values_and_gradient():
-    x = Tensor(rand((1, 2, 2, 2), 14))
-    t = tile_channels(x, 3)
-    assert t.shape == (1, 6, 2, 2)
-    for k in range(3):
-        assert np.array_equal(t.data[:, 2 * k:2 * k + 2], x.data)
-    backward(t.sum())
-    assert np.array_equal(x.grad, np.full_like(x.data, 3.0))
+def test_add_tiled_values_and_gradient():
+    for dtype in (np.float32, np.float64):
+        x = Tensor(rand((2, 6, 3, 4), 14).astype(dtype))
+        s = Tensor(rand((2, 2, 3, 4), 35).astype(dtype))
+        m = rand((2, 6, 3, 4), 42).astype(dtype)
+        t = add_tiled(x, s)
+        assert t.dtype == dtype
+        assert np.array_equal(t.data, x.data + np.tile(s.data, (1, 3, 1, 1)))
+        backward((t * Tensor(m)).sum())
+        assert np.array_equal(x.grad, m)
+        assert np.array_equal(s.grad, m[:, 0:2] + m[:, 2:4] + m[:, 4:6])
+
+
+@pytest.mark.parametrize("x_shape, s_shape", [
+    ((1, 6, 3, 3), (1, 4, 3, 3)),   # 6 channels are not a multiple of 4
+    ((1, 4, 3, 3), (2, 2, 3, 3)),
+    ((1, 4, 3, 3), (1, 2, 3, 2)),
+    ((4, 3, 3), (1, 2, 3, 3)),
+])
+def test_add_tiled_rejects_mismatched_shapes(x_shape, s_shape):
+    with pytest.raises(ShapeError, match="add_tiled"):
+        add_tiled(Tensor(np.zeros(x_shape)), Tensor(np.zeros(s_shape)))
 
 
 # -------------------------------------------------------------- backward
@@ -403,7 +450,7 @@ def test_gradient_accumulates_over_consumers():
 
 def _every_op(x, w):
     y = conv2d(x, w).relu()
-    z = concat_channels([y, tile_channels(narrow(y, 1, 0, 1), 2)])
+    z = concat_channels([y, add_tiled(y, narrow(y, 1, 0, 1))])
     return (z.square().sqrt().abs() * 2.0 - z / 3.0).reshape((-1,)).mean()
 
 
@@ -412,7 +459,7 @@ def test_no_grad_records_no_graph():
     w = Tensor(rand((2, 2, 3, 3), 26))
     with no_grad():
         y = conv2d(x, w).relu()
-        z = concat_channels([y, tile_channels(narrow(y, 1, 0, 1), 2)])
+        z = concat_channels([y, add_tiled(y, narrow(y, 1, 0, 1))])
         outs = [y, z, z.square(), z.sqrt(), z.abs(), z + 1.0, z - z, z * z,
                 z / 2.0, z.sum(axis=1), z.mean(), z.reshape((-1,))]
     for out in outs:
@@ -548,7 +595,7 @@ def test_forward_ops_keep_finite_inputs_finite(seed):
     w = Tensor(rng.uniform(-2, 2, size=(3, 2, 3, 3)))
     y = conv2d(x, w).relu()
     z = (y.square() + 1.0).sqrt() * 0.5 + y.abs()
-    out = concat_channels([z, y, tile_channels(narrow(z, 1, 0, 1), 3)])
+    out = concat_channels([z, y, add_tiled(y, narrow(z, 1, 0, 1))])
     assert np.all(np.isfinite(out.data))
     assert np.isfinite(out.mean().item())
 
