@@ -157,18 +157,24 @@ def _layer(name: str, x: Tensor, params: ModelParams) -> Tensor:
                   relu=LAYER_SPECS[name][4])
 
 
+def _dense_features(f0: Tensor, params: ModelParams) -> Tensor:
+    """The dense chain's 64-channel concatenation [f0, d1, d2, d3]. ``d1``
+    to ``d3`` are locals here, so they are freed when this returns, while
+    the concatenation holds copies of them."""
+    d1 = _layer("encoder.rdb.conv1", f0, params)
+    d2 = _layer("encoder.rdb.conv2", concat_channels([f0, d1]), params)
+    d3 = _layer("encoder.rdb.conv3", concat_channels([f0, d1, d2]), params)
+    return concat_channels([f0, d1, d2, d3])
+
+
 def rdb_forward(f0: Tensor, params: ModelParams) -> Tensor:
     """Residual dense block: three densely connected 3x3 convs, channel
     concatenation to 64, a 1x1 fusion conv, and a channel-repeated local
     skip."""
     if f0.shape[1] != 16:
         raise ShapeError(f"rdb_forward expects 16 channels, got {f0.shape[1]}")
-    d1 = _layer("encoder.rdb.conv1", f0, params)
-    d2 = _layer("encoder.rdb.conv2", concat_channels([f0, d1]), params)
-    d3 = _layer("encoder.rdb.conv3", concat_channels([f0, d1, d2]), params)
     return add_tiled(
-        _layer("encoder.rdb.conv4", concat_channels([f0, d1, d2, d3]), params),
-        f0)
+        _layer("encoder.rdb.conv4", _dense_features(f0, params), params), f0)
 
 
 def encode(img: Tensor, params: ModelParams) -> Tensor:
@@ -186,11 +192,12 @@ def fuse_add(phi1: Tensor, phi2: Tensor) -> Tensor:
     return phi1 + phi2
 
 
-def _decoder_pass(x: Tensor, params: ModelParams) -> Tensor:
-    h = _layer("decoder.c2", x, params)
-    h = _layer("decoder.c3", h, params)
-    h = _layer("decoder.c4", h, params)
-    return _layer("decoder.c5", h, params)
+def _decoder_pass(h: Tensor, params: ModelParams) -> Tensor:
+    """c2 to c5 on ``h``. Each layer's input is dropped once it has run, so
+    under ``no_grad`` the feedback sum is freed after ``decoder.c2``."""
+    for name in ("decoder.c2", "decoder.c3", "decoder.c4", "decoder.c5"):
+        h = _layer(name, h, params)
+    return h
 
 
 def decode(y: Tensor, params: ModelParams,

@@ -12,12 +12,23 @@ so tensors can be shared freely. The optimizer mutates parameter ``data``
 in place between graph builds, which is safe because every step records a
 fresh graph. Inside :func:`no_grad` ops record no graph at all, which is
 how inference runs.
+
+The graph is kept apart from the values. A recorded op's output holds
+its value and a small node; the node holds the nodes of the op's inputs
+and an adjoint that captured, when the op ran, only the arrays it reads:
+conv its input and weights, and its output when the ReLU is fused; mul
+and div their operands; relu, square and abs their input; sqrt its
+result; add, sub, concat, add_tiled, narrow, reshape, sum and mean
+shapes only. A leaf is its own node. So an intermediate that the caller
+drops is freed unless some adjoint reads it, and a graph lives until the
+caller drops its loss and every output of it that it kept.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,9 +60,8 @@ _grad_mode = _GradMode()
 def no_grad():
     """Build no graph inside the block (in the calling thread).
 
-    Ops return plain results: no parents and no backward closure are
-    recorded, so each intermediate is freed as soon as its consumers have
-    run. Nests, and restores the previous state on exit, also when the
+    Ops return plain results with no graph node, so each intermediate is
+    freed as soon as its consumers have run. Nests, and restores the previous state on exit, also when the
     block raises.
     """
     previous = _grad_mode.recording
@@ -67,25 +77,40 @@ class Tensor:
 
     A leaf (a tensor built from data, such as a parameter) starts with a
     zero ``grad``, so a leaf that does not lie on a path to the loss
-    reports exactly zero. Only leaves hold gradients: an op output's
-    ``grad`` is None, except inside :func:`backward` between the first
-    write to it and the run of its backward closure.
+    reports exactly zero. Only leaves hold gradients; an op output's
+    ``grad`` is always None. A recorded op's output points to its graph
+    node, whose ``_parents`` and ``_backward`` it shows as its own: the
+    nodes of its inputs, and the closure that :func:`backward` calls with
+    the output's adjoint. Assigning ``_backward`` replaces that closure,
+    so a wrapper can time or alter one op's backward. Outside a graph
+    (a leaf, or an output made under :func:`no_grad`) they read () and
+    None, and assigning ``_backward`` does nothing.
     """
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_node")
 
-    def __init__(self, data, dtype=None, _parents=(), _backward=None):
+    def __init__(self, data, dtype=None, _parents=(), _adjoint=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
-        self.grad = np.zeros_like(arr) if _backward is None else None
-        if _grad_mode.recording:
-            self._parents = _parents
-            self._backward = _backward
-        else:
-            self._parents = ()
-            self._backward = None
+        self.grad = np.zeros_like(arr) if _adjoint is None else None
+        self._node = (_Node(arr, _parents, _adjoint)
+                      if _adjoint is not None and _grad_mode.recording
+                      else None)
+
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        if self._node is not None:   # outside a graph there is none to replace
+            self._node._backward = fn
 
     @property
     def shape(self):
@@ -106,17 +131,17 @@ class Tensor:
 
     def __add__(self, other):
         return _binary(self, other, np.add,
-                       lambda g, a, b: g, lambda g, a, b: g)
+                       lambda g, a, b: g, lambda g, a, b: g, saves=False)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         return _binary(self, other, np.subtract,
-                       lambda g, a, b: g, lambda g, a, b: -g)
+                       lambda g, a, b: g, lambda g, a, b: -g, saves=False)
 
     def __rsub__(self, other):
         return _binary(self, other, lambda a, b: np.subtract(b, a),
-                       lambda g, a, b: -g, lambda g, a, b: g)
+                       lambda g, a, b: -g, lambda g, a, b: g, saves=False)
 
     def __mul__(self, other):
         return _binary(self, other, np.multiply,
@@ -137,62 +162,46 @@ class Tensor:
 
     def relu(self):
         """max(0, x); gradient passes where x > 0 and is zero at x == 0."""
-        def backward(g):
-            _accumulate(self, g * (self.data > 0))
-
-        return Tensor(np.maximum(self.data, 0), _parents=(self,),
-                      _backward=backward)
+        x = self.data
+        return Tensor(np.maximum(x, 0), _parents=(self,),
+                      _adjoint=lambda g: (g * (x > 0),))
 
     def square(self):
-        def backward(g):
-            _accumulate(self, g * (2.0 * self.data))
-
-        return Tensor(self.data * self.data, _parents=(self,),
-                      _backward=backward)
+        x = self.data
+        return Tensor(x * x, _parents=(self,),
+                      _adjoint=lambda g: (g * (2.0 * x),))
 
     def sqrt(self):
         if np.any(self.data < 0):
             raise DomainError("sqrt of a negative value")
         root = np.sqrt(self.data)
-
-        def backward(g):
-            _accumulate(self, g / (2.0 * np.maximum(root, SQRT_GRAD_EPS)))
-
-        return Tensor(root, _parents=(self,), _backward=backward)
+        return Tensor(root, _parents=(self,), _adjoint=lambda g: (
+            g / (2.0 * np.maximum(root, SQRT_GRAD_EPS)),))
 
     def abs(self):
         """|x|; the subgradient at x == 0 is 0."""
-        def backward(g):
-            _accumulate(self, g * np.sign(self.data))
-
-        return Tensor(np.abs(self.data), _parents=(self,), _backward=backward)
+        x = self.data
+        return Tensor(np.abs(x), _parents=(self,),
+                      _adjoint=lambda g: (g * np.sign(x),))
 
     # -- reductions -------------------------------------------------------
 
     def sum(self, axis=None):
         """Sum over ``axis`` (an int or a tuple of ints), or over everything."""
-        def backward(g):
-            _accumulate(self, g if axis is None else np.expand_dims(g, axis))
-
         return Tensor(np.sum(self.data, axis=axis), _parents=(self,),
-                      _backward=backward)
+                      _adjoint=lambda g: (_unreduce(g, axis),))
 
     def mean(self, axis=None):
         """Mean over ``axis`` (an int or a tuple of ints), or over everything."""
         data = np.mean(self.data, axis=axis)
         n = self.data.size // data.size
-
-        def backward(g):
-            _accumulate(self, (g if axis is None else np.expand_dims(g, axis)) / n)
-
-        return Tensor(data, _parents=(self,), _backward=backward)
+        return Tensor(data, _parents=(self,),
+                      _adjoint=lambda g: (_unreduce(g, axis) / n,))
 
     def reshape(self, shape):
-        def backward(g):
-            _accumulate(self, g.reshape(self.data.shape))
-
+        src = self.data.shape
         return Tensor(self.data.reshape(shape), _parents=(self,),
-                      _backward=backward)
+                      _adjoint=lambda g: (g.reshape(src),))
 
     def item(self):
         return float(self.data)
@@ -202,36 +211,72 @@ def as_tensor(x, dtype=None) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
 
 
-def _binary(a: Tensor, other, fwd, grad_a, grad_b) -> Tensor:
+def _unreduce(g, axis):
+    """The adjoint of a reduction over ``axis``, shaped to broadcast back."""
+    return g if axis is None else np.expand_dims(g, axis)
+
+
+def _binary(a: Tensor, other, fwd, grad_a, grad_b, saves=True) -> Tensor:
     """Elementwise op on identical shapes. A Python or numpy scalar
     broadcasts; a Tensor or array must match ``a``'s shape exactly, so a
-    rank-0 one combines only with another rank-0 one."""
+    rank-0 one combines only with another rank-0 one. ``grad_a`` and
+    ``grad_b`` map (g, a, b) to each operand's gradient; with
+    ``saves=False`` they read only g, and the graph keeps no operand."""
     scalar_rhs = isinstance(other, Scalar)
     b = other if scalar_rhs else as_tensor(other, dtype=a.dtype)
     if not scalar_rhs and a.shape != b.shape:
         raise ShapeError(
             f"elementwise operands must share a shape, got {a.shape} and {b.shape}")
-    bdata = b if scalar_rhs else b.data
-    parents = (a,) if scalar_rhs else (a, b)
+    adata, bdata = a.data, b if scalar_rhs else b.data
+    out = fwd(adata, bdata)
+    if not saves:
+        adata = bdata = None
 
-    def backward(g):
-        _accumulate(a, grad_a(g, a.data, bdata))
-        if not scalar_rhs:
-            _accumulate(b, grad_b(g, a.data, bdata))
+    def adjoint(g):
+        yield grad_a(g, adata, bdata)
+        yield grad_b(g, adata, bdata)   # not reached with a scalar rhs
 
-    return Tensor(fwd(a.data, bdata), _parents=parents, _backward=backward)
+    return Tensor(out, _parents=(a,) if scalar_rhs else (a, b),
+                  _adjoint=adjoint)
 
 
-def _accumulate(t: Tensor, g) -> None:
-    """Add ``g`` into ``t.grad``; the first write allocates ``t``'s own array.
+class _Node:
+    """A recorded op: what :func:`backward` needs of it and nothing more.
 
-    ``g`` may be a slice or a view of another tensor's gradient, so it is
+    ``_parents`` are the nodes of the op's inputs (a leaf input is its own
+    node). ``_backward(g)`` calls the op's adjoint function on ``g``, the
+    output's adjoint; that yields one gradient per input, in input order,
+    and each is added into its parent's ``grad``. ``grad`` holds the
+    output's adjoint while :func:`backward` runs, and ``shape`` and
+    ``dtype`` are the output's. The output's value itself is not kept.
+    """
+
+    __slots__ = ("shape", "dtype", "grad", "_parents", "_backward")
+
+    def __init__(self, data: np.ndarray, parents, adjoint):
+        self.shape, self.dtype, self.grad = data.shape, data.dtype, None
+        self._parents = parents = tuple(
+            p if p._node is None else p._node for p in parents)
+
+        def backward(g):
+            grads = iter(adjoint(g))
+            for p in parents:
+                _accumulate(p, next(grads))
+
+        self._backward = backward
+
+
+def _accumulate(t, g) -> None:
+    """Add ``g`` into ``t.grad`` (a leaf or a node); the first write
+    allocates ``t``'s own array.
+
+    ``g`` may be a slice or a view of another node's gradient, so it is
     never stored as is. Adding 0 into a fresh array casts and broadcasts
     ``g`` to ``t`` exactly as accumulating it into zeros would, signed
     zeros included.
     """
     if t.grad is None:
-        t.grad = np.add(g, 0, out=np.empty_like(t.data))
+        t.grad = np.add(g, 0, out=np.empty(t.shape, t.dtype))
     else:
         t.grad += g
 
@@ -276,29 +321,30 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     else:
         raise ValueError(f"unknown padding mode {padding!r}")
 
-    parents = (x, w) if b is None else (x, w, b)
+    xd, wd = x.data, w.data
+    out = _conv_forward(xd, wd, None if b is None else b.data, ph, pw)
+    if relu:
+        np.maximum(out, 0, out=out)
+    relu_out = out if relu else None   # what the fused ReLU's mask reads
 
-    def backward(g):
-        if relu:
-            g = g * (out > 0)
-        if b is not None:
-            _accumulate(b, g.sum(axis=(0, 2, 3)))
+    def adjoint(g):
+        if relu_out is not None:
+            g = g * (relu_out > 0)
         # Input gradient: the conv of the output gradient, padded by the rest
         # of the kernel, with the flipped kernel and channel roles swapped.
-        wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        _accumulate(x, _conv_forward(g, wflip, None, kh - 1 - ph, kw - 1 - pw))
-        gw = np.zeros_like(w.data)
-        gblocks, tiles = _row_tiles(x.data, gw, ph, pw)  # views of gw
+        wflip = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        yield _conv_forward(g, wflip, None, kh - 1 - ph, kw - 1 - pw)
+        gw = np.zeros_like(wd)
+        gblocks, tiles = _row_tiles(xd, gw, ph, pw)  # views of gw
         for r0, r, views in tiles:
             gt = g[:, :, r0:r0 + r].reshape(B, Cout, -1)
             for gu, view in zip(gblocks, views):
                 gu += (gt @ view.transpose(0, 2, 1)).sum(0).reshape(gu.shape)
-        _accumulate(w, gw)
+        yield gw
+        yield g.sum(axis=(0, 2, 3))     # not reached without a bias
 
-    out = _conv_forward(x.data, w.data, None if b is None else b.data, ph, pw)
-    if relu:
-        np.maximum(out, 0, out=out)
-    return Tensor(out, _parents=parents, _backward=backward)
+    return Tensor(out, _parents=(x, w) if b is None else (x, w, b),
+                  _adjoint=adjoint)
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
@@ -416,16 +462,10 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
             raise ShapeError(
                 f"concat_channels parts must share batch and spatial dims, "
                 f"got {first} and {p.shape}")
-    widths = [p.shape[1] for p in parts]
-
-    def backward(g):
-        c0 = 0
-        for p, width in zip(parts, widths):
-            _accumulate(p, g[:, c0:c0 + width])
-            c0 += width
-
+    bounds = list(accumulate((p.shape[1] for p in parts), initial=0))
     return Tensor(np.concatenate([p.data for p in parts], axis=1),
-                  _parents=tuple(parts), _backward=backward)
+                  _parents=tuple(parts), _adjoint=lambda g: (
+                      g[:, c0:c1] for c0, c1 in zip(bounds, bounds[1:])))
 
 
 def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -438,13 +478,14 @@ def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
             f"{x.shape[axis]}")
     index = tuple(slice(start, stop) if d == axis else slice(None)
                   for d in range(x.data.ndim))
+    shape, dtype = x.shape, x.dtype
 
-    def backward(g):
-        scatter = np.zeros_like(x.data)
+    def adjoint(g):
+        scatter = np.zeros(shape, dtype)
         scatter[index] = g
-        _accumulate(x, scatter)
+        return (scatter,)
 
-    return Tensor(x.data[index].copy(), _parents=(x,), _backward=backward)
+    return Tensor(x.data[index].copy(), _parents=(x,), _adjoint=adjoint)
 
 
 def add_tiled(x: Tensor, s: Tensor) -> Tensor:
@@ -460,12 +501,12 @@ def add_tiled(x: Tensor, s: Tensor) -> Tensor:
     B, C, H, W = s.shape
     reps = x.shape[1] // C
 
-    def backward(g):
-        _accumulate(x, g)
-        _accumulate(s, g.reshape(B, reps, C, H, W).sum(axis=1))
+    def adjoint(g):
+        yield g
+        yield g.reshape(B, reps, C, H, W).sum(axis=1)
 
     out = np.add(x.data.reshape(B, reps, C, H, W), s.data[:, np.newaxis])
-    return Tensor(out.reshape(x.shape), _parents=(x, s), _backward=backward)
+    return Tensor(out.reshape(x.shape), _parents=(x, s), _adjoint=adjoint)
 
 
 # -- reverse pass ----------------------------------------------------------
@@ -476,27 +517,32 @@ def backward(loss: Tensor) -> None:
     The graph is replayed in reverse topological order, visiting each node
     once and accumulating over consumers. Every reachable ``grad`` is reset
     to None first, so repeated calls on the same graph give identical
-    results. An op output's adjoint is dropped as soon as its closure has
-    passed it on to its parents, so afterwards only leaves hold gradients.
+    results. A node's adjoint is dropped as soon as its closure has passed
+    it on to its parents, so afterwards only leaves hold gradients. The
+    graph is not consumed: the arrays its adjoints read stay held until
+    the caller drops ``loss`` and every other output of it, which a
+    training loop does before it builds the next graph.
     """
     if loss.data.shape != ():
         raise ShapeError(
             f"backward needs a rank-0 loss, got shape {loss.data.shape}")
-    order = _topo_order(loss)
+    root = loss if loss._node is None else loss._node
+    order = _topo_order(root)
     for t in order:
         t.grad = None
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
     for t in reversed(order):
         if t._backward is not None:
             t._backward(t.grad)
             t.grad = None
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    """Iterative DFS postorder; inputs always precede their consumers."""
-    order: list[Tensor] = []
+def _topo_order(root) -> list:
+    """Iterative DFS postorder over nodes and leaves; inputs always precede
+    their consumers."""
+    order: list = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[object, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:

@@ -197,6 +197,7 @@ def train(dataset: PairDataset, cfg: TrainConfig,
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, step {step}")
             backward(loss)
+            del out, loss   # free this step's graph before the next forward
             opt.step()
             log.record(epoch, step, parts)
             step += 1

@@ -568,6 +568,82 @@ def test_backward_drops_each_adjoint_once_passed_on():
     assert x.grad.shape == x.shape
 
 
+def test_forward_holds_no_value_that_no_adjoint_reads():
+    # add and add_tiled adjoints read no values, so an intermediate the
+    # caller has dropped is freed although the graph still records its op
+    x = Tensor(rand((1, 8, 64, 64), 41))
+    c = Tensor(rand((1, 8, 64, 64), 42))
+    s = Tensor(rand((1, 2, 64, 64), 43))
+    nbytes = x.data.nbytes
+    tracemalloc.start()
+    try:
+        y = x
+        for _ in range(16):
+            y = add_tiled(y + c, s)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 3 * nbytes, held / nbytes
+    backward(y.sum())
+    assert np.array_equal(x.grad, np.ones_like(x.data))
+    assert np.array_equal(c.grad, np.full_like(c.data, 16.0))
+    assert np.array_equal(s.grad, np.full_like(s.data, 64.0))
+
+
+def _every_op_kept(x, w, b, held):
+    """A loss through every op; ``held`` gets each intermediate."""
+    def keep(t):
+        held.append(t)
+        return t
+    y = keep(conv2d(x, w, b, relu=True))
+    tiled = keep(add_tiled(y, keep(narrow(y, 1, 0, 1))))
+    z = keep(conv2d(keep(narrow(keep(concat_channels([y, tiled])), 1, 1, 3)), w))
+    u = keep(keep(keep(keep(z.relu()).square()).sqrt()).abs())
+    v = keep(keep(keep(u * 2.0) - keep(z / 3.0)) * keep(1.0 - keep(z * z)))
+    r = keep(keep(1.0 / keep(keep(v.square()) + 1.0)) + keep(v / keep(u + 2.0)))
+    means = keep(keep(r.reshape((2, -1))).mean(axis=1))
+    return keep(means.sum()) - keep(keep(z.sum(axis=(2, 3))).mean())
+
+
+def test_backward_reads_nothing_the_caller_dropped():
+    # every adjoint keeps what it reads, so dropping every intermediate
+    # before backward() gives the gradients of a run that holds them all
+    grads = []
+    for hold in (True, False):
+        x = Tensor(rand((1, 2, 5, 5), 44))
+        w = Tensor(rand((2, 2, 3, 3), 45))
+        b = Tensor(rand((2,), 46))
+        held = []
+        loss = _every_op_kept(x, w, b, held)
+        if not hold:
+            held.clear()
+        backward(loss)
+        grads.append([x.grad, w.grad, b.grad])
+    for kept, dropped in zip(*grads):
+        assert np.array_equal(kept, dropped)
+
+
+def test_backward_calls_the_closure_assigned_to_an_output():
+    # tracers and deliberately broken adjoints wrap ``out._backward``
+    x = Tensor(rand((1, 2, 4, 4), 47))
+    w = Tensor(rand((3, 2, 3, 3), 48))
+    out = conv2d(x, w, relu=True)
+    inner = out._backward
+    seen = []
+
+    def wrapped(g):
+        seen.append(g.shape)
+        inner(g * 2.0)
+
+    out._backward = wrapped
+    assert out._backward is wrapped
+    backward(out.sum())
+    assert seen == [out.shape]
+    doubled = x.grad.copy()
+    backward(conv2d(x, w, relu=True).sum())
+    assert np.array_equal(doubled, 2.0 * x.grad)
+
+
 # ------------------------------------------------- finite_diff_gradient
 
 def test_finite_diff_sum_is_ones():

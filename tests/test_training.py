@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,23 @@ def test_training_is_deterministic_bitwise(tmp_path):
         outs.append((path.read_bytes(), log.lines()))
     assert outs[0][0] == outs[1][0]
     assert outs[0][1] == outs[1][1]
+
+
+def test_a_step_frees_the_previous_steps_graph():
+    # train() drops each step's graph once backward has run, so a second
+    # step's forward never runs alongside the first step's tape: two steps
+    # peak no higher than one (B=4, 32x32, 8 blends an epoch)
+    corpus = synth_corpus(5, 32, seed=8)
+    peaks = []
+    for steps in (1, 2):
+        tracemalloc.start()
+        try:
+            train(corpus, desk_config(seed=8, max_steps=steps))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] <= 1.1 * peaks[0], [p / 2 ** 20 for p in peaks]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
