@@ -87,13 +87,9 @@ def _preservation(g_src, a_src, g_fused, a_fused) -> np.ndarray:
     tg, kg, dg = QABF_STRENGTH
     ta, ka, da = QABF_ORIENT
     # relative strength: min/max ratio; no edge in either image scores 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(
-            g_src == g_fused,
-            np.where(g_src == 0.0, 0.0, 1.0),
-            np.where(g_src > g_fused,
-                     np.divide(g_fused, np.where(g_src == 0.0, 1.0, g_src)),
-                     np.divide(g_src, np.where(g_fused == 0.0, 1.0, g_fused))))
+    hi = np.maximum(g_src, g_fused)
+    ratio = np.divide(np.minimum(g_src, g_fused), hi, out=np.zeros_like(hi),
+                      where=hi > 0)
     align = 1.0 - np.abs(a_src - a_fused) / (math.pi / 2)
     q_strength = tg / (1.0 + np.exp(kg * (ratio - dg)))
     q_orient = ta / (1.0 + np.exp(ka * (align - da)))

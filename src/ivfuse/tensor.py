@@ -17,11 +17,12 @@ The graph is kept apart from the values. A recorded op's output holds
 its value and a small node; the node holds the nodes of the op's inputs
 and an adjoint that captured, when the op ran, only the arrays it reads:
 conv its input and weights, and its output when the ReLU is fused; mul
-and div their operands; relu, square and abs their input; sqrt its
-result; add, sub, concat, add_tiled, narrow, reshape, sum and mean
-shapes only. A leaf is its own node. So an intermediate that the caller
-drops is freed unless some adjoint reads it, and a graph lives until the
-caller drops its loss and every output of it that it kept.
+and div their operands, but of ``x * 2.0`` and ``x / 2.0`` only the
+scalar; relu, square and abs their input; sqrt its result; add, sub,
+concat, add_tiled, narrow, reshape, sum and mean shapes only. A leaf is
+its own node. So an intermediate that the caller drops is freed unless
+some adjoint reads it, and a graph lives until the caller drops its loss
+and every output of it that it kept.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from .errors import DomainError, ShapeError
 SQRT_GRAD_EPS = 1e-12
 
 # Cap on the scratch bytes that each conv2d product (forward, input gradient,
-# weight gradient) allocates and reuses: the column buffer plus, when kernel
-# rows are summed, both product buffers. Rows of output are lowered a tile at
-# a time, so the working set stays near this size however large the image is.
+# weight gradient) works in: the column buffer plus, when kernel rows are
+# summed, the product buffer and the output rows it is added into. Rows are
+# lowered a tile at a time, so this bounds the working set at any image size.
 CONV_TILE_BYTES = 4 << 20
 
 Scalar = (int, float, np.integer, np.floating)
@@ -79,12 +80,11 @@ class Tensor:
     zero ``grad``, so a leaf that does not lie on a path to the loss
     reports exactly zero. Only leaves hold gradients; an op output's
     ``grad`` is always None. A recorded op's output points to its graph
-    node, whose ``_parents`` and ``_backward`` it shows as its own: the
-    nodes of its inputs, and the closure that :func:`backward` calls with
-    the output's adjoint. Assigning ``_backward`` replaces that closure,
-    so a wrapper can time or alter one op's backward. Outside a graph
-    (a leaf, or an output made under :func:`no_grad`) they read () and
-    None, and assigning ``_backward`` does nothing.
+    node, whose ``_backward`` it shows as its own: the closure that
+    :func:`backward` calls with the output's adjoint. Assigning
+    ``_backward`` replaces that closure, so a wrapper can time or alter one
+    op's backward. Outside a graph (a leaf, or an output made under
+    :func:`no_grad`) it reads None, and assigning it does nothing.
     """
 
     __slots__ = ("data", "grad", "_node")
@@ -98,10 +98,6 @@ class Tensor:
         self._node = (_Node(arr, _parents, _adjoint)
                       if _adjoint is not None and _grad_mode.recording
                       else None)
-
-    @property
-    def _parents(self):
-        return () if self._node is None else self._node._parents
 
     @property
     def _backward(self):
@@ -155,7 +151,8 @@ class Tensor:
 
     def __rtruediv__(self, other):
         return _binary(self, other, lambda a, b: np.divide(b, a),
-                       lambda g, a, b: -g * b / (a * a), lambda g, a, b: g / a)
+                       lambda g, a, b: -g * b / (a * a), lambda g, a, b: g / a,
+                       a_reads_a=True)
 
     def __neg__(self):
         return self * -1.0
@@ -216,12 +213,14 @@ def _unreduce(g, axis):
     return g if axis is None else np.expand_dims(g, axis)
 
 
-def _binary(a: Tensor, other, fwd, grad_a, grad_b, saves=True) -> Tensor:
+def _binary(a: Tensor, other, fwd, grad_a, grad_b, saves=True,
+            a_reads_a=False) -> Tensor:
     """Elementwise op on identical shapes. A Python or numpy scalar
     broadcasts; a Tensor or array must match ``a``'s shape exactly, so a
     rank-0 one combines only with another rank-0 one. ``grad_a`` and
     ``grad_b`` map (g, a, b) to each operand's gradient; with
-    ``saves=False`` they read only g, and the graph keeps no operand."""
+    ``saves=False`` they read only g, and the graph keeps no operand. With
+    a scalar rhs only ``grad_a`` runs; it reads ``a`` only if ``a_reads_a``."""
     scalar_rhs = isinstance(other, Scalar)
     b = other if scalar_rhs else as_tensor(other, dtype=a.dtype)
     if not scalar_rhs and a.shape != b.shape:
@@ -231,6 +230,8 @@ def _binary(a: Tensor, other, fwd, grad_a, grad_b, saves=True) -> Tensor:
     out = fwd(adata, bdata)
     if not saves:
         adata = bdata = None
+    elif scalar_rhs and not a_reads_a:
+        adata = None
 
     def adjoint(g):
         yield grad_a(g, adata, bdata)
@@ -350,7 +351,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
 def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                   ph: int, pw: int) -> np.ndarray:
     """Stride-1 conv of ``x`` zero-padded by ``ph`` and ``pw``: one GEMM per
-    :func:`_row_tiles` view, several blocks summed in two product buffers."""
+    :func:`_row_tiles` view, each tile's later blocks added into its first."""
     (B, _, H, W), (Cout, _, kh, kw) = x.shape, w.shape
     pdtype = np.result_type(x, w)
     out = np.empty((B, Cout, H + 2 * ph - kh + 1, W + 2 * pw - kw + 1),
@@ -359,16 +360,13 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     wmats = wblocks.reshape(len(wblocks), Cout, -1)
     for r0, r, views in tiles:
         dst = out[:, :, r0:r0 + r].reshape(B, Cout, -1, copy=False)
-        if len(views) == 1:
-            np.matmul(wmats[0], views[0], out=dst)
-            continue
-        if r0 == 0:         # the first block has the most rows
-            prodbuf = np.empty((2, dst.size), dtype=pdtype)
-        acc, prod = (p[:dst.size].reshape(dst.shape) for p in prodbuf)
-        np.matmul(wmats[0], views[0], out=acc)
+        np.matmul(wmats[0], views[0], out=dst)
+        if r0 == 0 and len(views) > 1:   # the first tile has the most rows
+            prodbuf = np.empty(dst.size, dtype=pdtype)
         for u in range(1, len(views)):
+            prod = prodbuf[:dst.size].reshape(dst.shape)
             np.matmul(wmats[u], views[u], out=prod)
-            np.add(acc, prod, out=dst if u == len(views) - 1 else acc)
+            dst += prod
     if b is not None:
         out += b.reshape(1, Cout, 1, 1)
     return out
@@ -383,14 +381,15 @@ def _row_tiles(x: np.ndarray, w: np.ndarray, ph: int, pw: int):
     gradient and the weight gradient all run on these tiles.
 
     A tile lowers only the ``kw`` horizontal taps of its rows and its
-    ``shifts - 1`` halo rows into one column buffer, and ``views[u]`` is
-    that buffer ``u`` rows down (MEC; Cho & Brand 2017, arXiv 1706.06873).
+    ``shifts - 1`` halo rows into the column buffer, and ``views[u]`` is
+    that tile ``u`` rows down (MEC; Cho & Brand 2017, arXiv 1706.06873).
     Summing a product costs about twice what lowering a tap does per
     channel, so when Cin*kw < 2*Cout all taps form one block, as im2col.
-    The zero padding is written into the buffer, so ``x`` is never copied
-    padded, and an unpadded 1-wide kernel's views are rows of ``x`` in
-    place. The buffer is reused for every tile, and rows are capped so that
-    it and, with several blocks, two product buffers fit CONV_TILE_BYTES.
+    The buffer holds the zero padding, so ``x`` is never copied padded, and
+    an unpadded 1-wide kernel's views are rows of ``x`` in place. It is
+    zeroed once, each tile takes a prefix of its row axis, and rows are
+    capped so that it and, with several blocks, a product buffer and the
+    output rows it is added into fit CONV_TILE_BYTES.
     """
     (B, Cin, H, W), (Cout, _, kh, kw) = x.shape, w.shape
     Ho, Wo = H + 2 * ph - kh + 1, W + 2 * pw - kw + 1
@@ -404,14 +403,13 @@ def _row_tiles(x: np.ndarray, w: np.ndarray, ph: int, pw: int):
         budget = CONV_TILE_BYTES - (shifts - 1) * col_row  # the halo rows
         rows = min(Ho, max(1, budget // (col_row + prod_row)))
     if lower:
-        colbuf = np.empty(B * k * (rows + shifts - 1) * Wo, dtype=x.dtype)
+        colbuf = np.zeros((B, Cin, kl, kw, rows + shifts - 1, Wo), x.dtype)
 
     def tiles():
         for r0 in range(0, Ho, rows):
             r = min(rows, Ho - r0)
             if lower:
-                src = colbuf[:B * k * (r + shifts - 1) * Wo].reshape(
-                    B, Cin, kl, kw, r + shifts - 1, Wo)
+                src = colbuf[..., :r + shifts - 1, :]
                 _lower_taps(x, src, r0 - ph, pw)
             else:
                 src = x[:, :, r0:r0 + r + kh - 1][:, :, None, None]
@@ -425,9 +423,12 @@ def _row_tiles(x: np.ndarray, w: np.ndarray, ph: int, pw: int):
 def _lower_taps(x: np.ndarray, tile: np.ndarray, top: int, pw: int) -> None:
     """Fill the (B, Cin, kl, kw, R, Wo) tile with taps of ``x`` zero-padded
     by ``pw`` columns a side: ``tile[:, :, i, v, s, j]`` is input row
-    ``top + i + s``, column ``j + v - pw``, and zero outside the image. No
-    padded copy of ``x`` is made; each tap copies only the rows and columns
-    inside the image and zeroes the rest of its slab.
+    ``top + i + s``, column ``j + v - pw``, and zero outside the image.
+    ``tile`` is a prefix of one buffer, zeroed once, that each tile of a
+    conv reuses with a larger ``top``. A tap writes only its block inside
+    the image and zeroes the rows below it, which an earlier tile filled.
+    The padding columns and the rows above the image are never written,
+    so they stay zero: no earlier tile wrote at those places.
     """
     H, W = x.shape[2:]
     _, _, kl, kw, R, Wo = tile.shape
@@ -441,14 +442,8 @@ def _lower_taps(x: np.ndarray, tile: np.ndarray, top: int, pw: int) -> None:
             slab = tile[:, :, i, v]
             slab[:, :, s0:s1, j0:j1] = x[:, :, y + s0:y + s1,
                                          j0 + v - pw:j1 + v - pw]
-            if s0:
-                slab[:, :, :s0] = 0
             if s1 < R:
                 slab[:, :, s1:] = 0
-            if j0:
-                slab[:, :, s0:s1, :j0] = 0
-            if j1 < Wo:
-                slab[:, :, s0:s1, j1:] = 0
 
 
 def concat_channels(parts: Sequence[Tensor]) -> Tensor:
@@ -552,7 +547,7 @@ def _topo_order(root) -> list:
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
+        for parent in () if isinstance(node, Tensor) else node._parents:
             if id(parent) not in visited:
                 stack.append((parent, False))
     return order

@@ -94,8 +94,8 @@ def test_conv2d_row_tiles_match_loop_oracle(monkeypatch, dtype, tol, B, Cin,
     # two rows per tile in the forward and the weight gradient, which share
     # tiles, and then in the input gradient (neither divides the odd row
     # counts); one output row with its kh - 1 halo rows of horizontal taps
-    # and the two product rows that sum the kernel rows; one row per tile;
-    # and the default cap (every row in one tile)
+    # and the product and output rows that sum the kernel rows; one row per
+    # tile; and the default cap (every row in one tile)
     for cap in (2 * column_row, 2 * grad_row, halo_row, 1,
                 ivfuse.tensor.CONV_TILE_BYTES):
         monkeypatch.setattr(ivfuse.tensor, "CONV_TILE_BYTES", cap)
@@ -463,7 +463,7 @@ def test_no_grad_records_no_graph():
         outs = [y, z, z.square(), z.sqrt(), z.abs(), z + 1.0, z - z, z * z,
                 z / 2.0, z.sum(axis=1), z.mean(), z.reshape((-1,))]
     for out in outs:
-        assert out._parents == ()
+        assert out._node is None
         assert out._backward is None
     # the same ops record again once the block is left
     assert _every_op(x, w)._backward is not None
@@ -487,7 +487,7 @@ def test_no_grad_nests_and_restores_after_exception():
     with pytest.raises(RuntimeError):
         with no_grad():
             raise RuntimeError("boom")
-    assert (x * 2.0)._parents == (x,)
+    assert (x * 2.0)._node._parents == (x,)
 
 
 def test_no_grad_is_per_thread():
@@ -588,6 +588,32 @@ def test_forward_holds_no_value_that_no_adjoint_reads():
     assert np.array_equal(x.grad, np.ones_like(x.data))
     assert np.array_equal(c.grad, np.full_like(c.data, 16.0))
     assert np.array_equal(s.grad, np.full_like(s.data, 64.0))
+
+
+@pytest.mark.parametrize("op, held_acts, grad_a", [
+    (lambda y: y * 2.0, 1, lambda b: 2.0 * b),
+    (lambda y: y / 2.0, 1, lambda b: 0.5 * b),
+    (lambda y: -y, 1, lambda b: -b),
+    (lambda y: y + 2.0, 1, lambda b: b),
+    (lambda y: 2.0 / y, 2, None),   # its adjoint reads y
+], ids=["mul", "div", "neg", "add", "rdiv"])
+def test_scalar_operand_ops_hold_only_what_their_adjoint_reads(op, held_acts,
+                                                               grad_a):
+    # multiplying or dividing by a Python scalar reads only the scalar in
+    # the adjoint, so the product a * b is freed once the caller drops it
+    a = Tensor(rand((512, 512), 44).astype(np.float32))
+    b = Tensor(rand((512, 512), 45).astype(np.float32))
+    nbytes = a.data.nbytes
+    tracemalloc.start()
+    try:
+        y = op(a * b)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(held / nbytes - held_acts) < 0.05, held / nbytes
+    backward(y.sum())
+    if grad_a is not None:
+        assert np.array_equal(a.grad, grad_a(b.data))
 
 
 def _every_op_kept(x, w, b, held):
