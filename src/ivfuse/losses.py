@@ -94,10 +94,10 @@ def gaussian_window_1d(size: int, sigma: float, dtype=np.float64) -> np.ndarray:
 
 
 def _window_mean(img: Tensor, win: np.ndarray) -> Tensor:
-    """Local Gaussian mean over valid windows, via two separable passes."""
+    """Local Gaussian mean over valid windows (constants), via two separable passes."""
     size = win.size
-    wv = Tensor(win.reshape(1, 1, size, 1))
-    wh = Tensor(win.reshape(1, 1, 1, size))
+    wv = as_tensor(win.reshape(1, 1, size, 1))
+    wh = as_tensor(win.reshape(1, 1, 1, size))
     return conv2d(conv2d(img, wv, padding="valid"), wh, padding="valid")
 
 

@@ -10,19 +10,20 @@ gradient checking; the code path is identical, only the dtype differs.
 Values are immutable by convention: no operation writes into its inputs,
 so tensors can be shared freely. The optimizer mutates parameter ``data``
 in place between graph builds, which is safe because every step records a
-fresh graph. Inside :func:`no_grad` ops record no graph at all, which is
-how inference runs.
+fresh graph. A constant (an :func:`as_tensor` scalar or array, or any
+tensor made inside :func:`no_grad`, as inference runs) has no gradient
+and no graph node; an op records a node only when some input is not one.
 
 The graph is kept apart from the values. A recorded op's output holds
 its value and a small node; the node holds the nodes of the op's inputs
 and an adjoint that captured, when the op ran, only the arrays it reads:
 conv its input and weights, and its output when the ReLU is fused; mul
-and div their operands, but of ``x * 2.0`` and ``x / 2.0`` only the
-scalar; relu, square and abs their input; sqrt its result; add, sub,
-concat, add_tiled, narrow, reshape, sum and mean shapes only. A leaf is
-its own node. So an intermediate that the caller drops is freed unless
-some adjoint reads it, and a graph lives until the caller drops its loss
-and every output of it that it kept.
+and div their operands, or only the right one when it is a constant;
+relu, square and abs their input; sqrt its result; add, sub, concat,
+add_tiled, narrow, reshape, sum and mean shapes only. A leaf is its own
+node. So an intermediate that the caller drops is freed unless some
+adjoint reads it, and a graph lives until the caller drops its loss and
+every output of it that it kept.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ SQRT_GRAD_EPS = 1e-12
 # lowered a tile at a time, so this bounds the working set at any image size.
 CONV_TILE_BYTES = 4 << 20
 
-Scalar = (int, float, np.integer, np.floating)
-
 
 class _GradMode(threading.local):
     recording = True   # every thread starts out recording
@@ -61,9 +60,9 @@ _grad_mode = _GradMode()
 def no_grad():
     """Build no graph inside the block (in the calling thread).
 
-    Ops return plain results with no graph node, so each intermediate is
-    freed as soon as its consumers have run. Nests, and restores the previous state on exit, also when the
-    block raises.
+    Every tensor made inside is a constant, so each intermediate is freed
+    as soon as its consumers have run. Nests, and restores the previous
+    state on exit, also when the block raises.
     """
     previous = _grad_mode.recording
     _grad_mode.recording = False
@@ -76,28 +75,28 @@ def no_grad():
 class Tensor:
     """An n-d float array plus the bookkeeping reverse mode needs.
 
-    A leaf (a tensor built from data, such as a parameter) starts with a
-    zero ``grad``, so a leaf that does not lie on a path to the loss
-    reports exactly zero. Only leaves hold gradients; an op output's
-    ``grad`` is always None. A recorded op's output points to its graph
-    node, whose ``_backward`` it shows as its own: the closure that
-    :func:`backward` calls with the output's adjoint. Assigning
-    ``_backward`` replaces that closure, so a wrapper can time or alter one
-    op's backward. Outside a graph (a leaf, or an output made under
-    :func:`no_grad`) it reads None, and assigning it does nothing.
+    A leaf (built from data outside :func:`no_grad`, such as a parameter)
+    starts with a zero ``grad``, so a leaf that does not lie on a path to
+    the loss reports exactly zero. Only leaves hold gradients; an op
+    output's and a constant's ``grad`` is None. A recorded op's output
+    points to its graph node, whose ``_backward`` it shows as its own: the
+    closure that :func:`backward` calls with the output's adjoint.
+    Assigning ``_backward`` replaces that closure, so a wrapper can time or
+    alter one op's backward. Outside a graph (a leaf or a constant) it
+    reads None, and assigning it does nothing.
     """
 
     __slots__ = ("data", "grad", "_node")
 
-    def __init__(self, data, dtype=None, _parents=(), _adjoint=None):
+    def __init__(self, data, dtype=None, _parents=None, _adjoint=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
-        self.data = arr
-        self.grad = np.zeros_like(arr) if _adjoint is None else None
-        self._node = (_Node(arr, _parents, _adjoint)
-                      if _adjoint is not None and _grad_mode.recording
-                      else None)
+        self.data, self.grad, self._node = arr, None, None
+        if _grad_mode.recording and _parents is None:   # a leaf
+            self.grad = np.zeros_like(arr)
+        elif _grad_mode.recording and not all(map(_is_constant, _parents)):
+            self._node = _Node(arr, _parents, _adjoint)
 
     @property
     def _backward(self):
@@ -123,7 +122,7 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
-    # -- elementwise arithmetic (identical shapes, or one scalar) ---------
+    # -- elementwise arithmetic (identical shapes, or a rank-0 constant) --
 
     def __add__(self, other):
         return _binary(self, other, np.add,
@@ -136,8 +135,7 @@ class Tensor:
                        lambda g, a, b: g, lambda g, a, b: -g, saves=False)
 
     def __rsub__(self, other):
-        return _binary(self, other, lambda a, b: np.subtract(b, a),
-                       lambda g, a, b: -g, lambda g, a, b: g, saves=False)
+        return as_tensor(other, self.dtype) - self
 
     def __mul__(self, other):
         return _binary(self, other, np.multiply,
@@ -150,9 +148,7 @@ class Tensor:
                        lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b))
 
     def __rtruediv__(self, other):
-        return _binary(self, other, lambda a, b: np.divide(b, a),
-                       lambda g, a, b: -g * b / (a * a), lambda g, a, b: g / a,
-                       a_reads_a=True)
+        return as_tensor(other, self.dtype) / self
 
     def __neg__(self):
         return self * -1.0
@@ -205,7 +201,12 @@ class Tensor:
 
 
 def as_tensor(x, dtype=None) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
+    """``x`` if a Tensor, else ``x`` as a constant: an op with no inputs."""
+    return x if isinstance(x, Tensor) else Tensor(x, dtype, _parents=())
+
+
+def _is_constant(t: Tensor) -> bool:
+    return t._node is None and t.grad is None
 
 
 def _unreduce(g, axis):
@@ -213,41 +214,40 @@ def _unreduce(g, axis):
     return g if axis is None else np.expand_dims(g, axis)
 
 
-def _binary(a: Tensor, other, fwd, grad_a, grad_b, saves=True,
-            a_reads_a=False) -> Tensor:
-    """Elementwise op on identical shapes. A Python or numpy scalar
-    broadcasts; a Tensor or array must match ``a``'s shape exactly, so a
-    rank-0 one combines only with another rank-0 one. ``grad_a`` and
-    ``grad_b`` map (g, a, b) to each operand's gradient; with
-    ``saves=False`` they read only g, and the graph keeps no operand. With
-    a scalar rhs only ``grad_a`` runs; it reads ``a`` only if ``a_reads_a``."""
-    scalar_rhs = isinstance(other, Scalar)
-    b = other if scalar_rhs else as_tensor(other, dtype=a.dtype)
-    if not scalar_rhs and a.shape != b.shape:
+def _binary(a: Tensor, other, fwd, grad_a, grad_b, saves=True) -> Tensor:
+    """Elementwise op on identical shapes, or with a rank-0 constant on
+    either side, which broadcasts; ``other`` goes through :func:`as_tensor`.
+    ``grad_a`` and ``grad_b`` map (g, a, b) to each operand's gradient;
+    only ``grad_b`` reads ``a``, and with ``saves=False`` both read only g,
+    so the graph keeps no operand. A constant ``b``'s gradient is never
+    asked for, so then ``a`` is not kept either."""
+    b = as_tensor(other, a.dtype)
+    if a.shape != b.shape and not any(
+            t.data.ndim == 0 and _is_constant(t) for t in (a, b)):
         raise ShapeError(
             f"elementwise operands must share a shape, got {a.shape} and {b.shape}")
-    adata, bdata = a.data, b if scalar_rhs else b.data
+    adata, bdata = a.data, b.data
     out = fwd(adata, bdata)
     if not saves:
         adata = bdata = None
-    elif scalar_rhs and not a_reads_a:
+    elif _is_constant(b):
         adata = None
 
     def adjoint(g):
         yield grad_a(g, adata, bdata)
-        yield grad_b(g, adata, bdata)   # not reached with a scalar rhs
+        yield grad_b(g, adata, bdata)
 
-    return Tensor(out, _parents=(a,) if scalar_rhs else (a, b),
-                  _adjoint=adjoint)
+    return Tensor(out, _parents=(a, b), _adjoint=adjoint)
 
 
 class _Node:
     """A recorded op: what :func:`backward` needs of it and nothing more.
 
     ``_parents`` are the nodes of the op's inputs (a leaf input is its own
-    node). ``_backward(g)`` calls the op's adjoint function on ``g``, the
-    output's adjoint; that yields one gradient per input, in input order,
-    and each is added into its parent's ``grad``. ``grad`` holds the
+    node, a constant None). ``_backward(g)`` calls the op's adjoint on ``g``,
+    the output's adjoint; that yields one gradient per input, in input
+    order, and each is added into its parent's ``grad``. Trailing constants
+    get no slot, so their gradients are never asked for. ``grad`` holds the
     output's adjoint while :func:`backward` runs, and ``shape`` and
     ``dtype`` are the output's. The output's value itself is not kept.
     """
@@ -256,10 +256,12 @@ class _Node:
 
     def __init__(self, data: np.ndarray, parents, adjoint):
         self.shape, self.dtype, self.grad = data.shape, data.dtype, None
-        self._parents = parents = tuple(
-            p if p._node is None else p._node for p in parents)
+        parents = [p._node if p.grad is None else p for p in parents]
+        while parents[-1] is None:
+            parents.pop()
+        self._parents = parents = tuple(parents)
 
-        def backward(g):
+        def backward(g):   # each gradient is freed before the next is made
             grads = iter(adjoint(g))
             for p in parents:
                 _accumulate(p, next(grads))
@@ -268,14 +270,16 @@ class _Node:
 
 
 def _accumulate(t, g) -> None:
-    """Add ``g`` into ``t.grad`` (a leaf or a node); the first write
-    allocates ``t``'s own array.
+    """Add ``g`` into ``t.grad`` (a leaf or a node; a constant's None slot
+    takes nothing); the first write allocates ``t``'s own array.
 
     ``g`` may be a slice or a view of another node's gradient, so it is
     never stored as is. Adding 0 into a fresh array casts and broadcasts
     ``g`` to ``t`` exactly as accumulating it into zeros would, signed
     zeros included.
     """
+    if t is None:
+        return
     if t.grad is None:
         t.grad = np.add(g, 0, out=np.empty(t.shape, t.dtype))
     else:
@@ -291,7 +295,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     ``x`` is (B, Cin, H, W), ``w`` is (Cout, Cin, kh, kw), ``b`` is (Cout,)
     or None. ``padding="same"`` zero-pads so the spatial size is preserved
     (odd kernels only); ``"valid"`` keeps only fully covered windows.
-    Differentiable with respect to all three arguments.
+    Differentiable with respect to all three arguments. The adjoint reads
+    ``x`` and ``w``, and makes no input gradient for a constant ``x``.
 
     ``relu=True`` gives ``conv2d(x, w, b).relu()`` bit for bit, with no
     pre-activation array: the ReLU clamps the conv's own output in place,
@@ -322,7 +327,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     else:
         raise ValueError(f"unknown padding mode {padding!r}")
 
-    xd, wd = x.data, w.data
+    xd, wd, x_const = x.data, w.data, _is_constant(x)
     out = _conv_forward(xd, wd, None if b is None else b.data, ph, pw)
     if relu:
         np.maximum(out, 0, out=out)
@@ -334,7 +339,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         # Input gradient: the conv of the output gradient, padded by the rest
         # of the kernel, with the flipped kernel and channel roles swapped.
         wflip = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        yield _conv_forward(g, wflip, None, kh - 1 - ph, kw - 1 - pw)
+        yield None if x_const else _conv_forward(g, wflip, None, kh - 1 - ph, kw - 1 - pw)
         gw = np.zeros_like(wd)
         gblocks, tiles = _row_tiles(xd, gw, ph, pw)  # views of gw
         for r0, r, views in tiles:
@@ -548,7 +553,7 @@ def _topo_order(root) -> list:
         visited.add(id(node))
         stack.append((node, True))
         for parent in () if isinstance(node, Tensor) else node._parents:
-            if id(parent) not in visited:
+            if parent is not None and id(parent) not in visited:
                 stack.append((parent, False))
     return order
 

@@ -19,7 +19,7 @@ from .errors import ConfigError, DivergenceError
 from .losses import LossConfig, composite_loss_parts
 from .network import (FeedbackConfig, ModelParams, PreFusionConfig,
                       init_params, pre_fuse, reconstruct)
-from .tensor import Tensor, backward, no_grad
+from .tensor import Tensor, as_tensor, backward, no_grad
 
 OPTIMIZERS = ("adam", "sgd")
 
@@ -96,7 +96,7 @@ class Adam:
             self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * (g * g)
             m_hat = self.m[k] / bc1
             v_hat = self.v[k] / bc2
-            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.dtype)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 class SGD:
@@ -106,7 +106,7 @@ class SGD:
 
     def step(self):
         for p in self.params.values():
-            p.data -= (self.lr * p.grad).astype(p.dtype)
+            p.data -= self.lr * p.grad
 
 
 class TrainingLog:
@@ -148,7 +148,7 @@ def reconstruction_rmse(params: ModelParams, samples: list[np.ndarray],
     total = 0.0
     count = 0
     for img in samples:
-        x = Tensor(img[np.newaxis, np.newaxis].astype(params.dtype))
+        x = as_tensor(img[np.newaxis, np.newaxis].astype(params.dtype))
         with no_grad():
             recon = reconstruct(x, params, fb)
         recon = np.clip(recon.data[0, 0], 0.0, 1.0)
@@ -190,7 +190,7 @@ def train(dataset: PairDataset, cfg: TrainConfig,
         order = rng.permutation(len(samples))
         for lo in range(0, len(order), cfg.batch_size):
             batch = [samples[i] for i in order[lo:lo + cfg.batch_size]]
-            x = Tensor(np.stack(batch)[:, np.newaxis].astype(cfg.dtype))
+            x = as_tensor(np.stack(batch)[:, np.newaxis].astype(cfg.dtype))
             out = reconstruct(x, params, cfg.feedback)
             loss, parts = composite_loss_parts(out, x, cfg.loss)
             if not np.isfinite(parts["L"]):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ivfuse.tensor
 from ivfuse.errors import ConfigError, ShapeError
 from ivfuse.losses import (LossConfig, avg_gradient, composite_loss,
                            composite_loss_parts, pixel_loss, ssim, ssim_loss)
@@ -108,6 +109,27 @@ def test_ssim_loss_gradient_matches_finite_differences():
     numeric = finite_diff_gradient(lambda t: ssim_loss(t, target), o)
     scale = max(np.abs(numeric).max(), 1e-8)
     assert np.abs(o.grad - numeric).max() / scale < 1e-4
+
+
+def test_ssim_backward_lowers_only_what_leads_to_the_output(monkeypatch):
+    # The windows and an array target are constants: backward makes no
+    # window weight gradient, and the target's two window means make no
+    # node at all. Left are the input gradients of the six convs on the
+    # output's path (mu_o, o * o and o * t, two passes each).
+    lowered = []
+    row_tiles = ivfuse.tensor._row_tiles
+
+    def counted(*args):
+        lowered.append(args[0].shape)
+        return row_tiles(*args)
+
+    monkeypatch.setattr(ivfuse.tensor, "_row_tiles", counted)
+    o = Tensor(img(8))
+    value = ssim(o, img(9))
+    lowered.clear()
+    backward(value)
+    assert len(lowered) == 6
+    assert o.grad.shape == o.shape
 
 
 # ------------------------------------------------------------ avg_gradient

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import ivfuse.tensor
 from ivfuse.errors import DomainError, ShapeError
-from ivfuse.tensor import (Tensor, add_tiled, backward, concat_channels,
-                           conv2d, finite_diff_gradient, narrow, no_grad)
+from ivfuse.tensor import (Tensor, add_tiled, as_tensor, backward,
+                           concat_channels, conv2d, finite_diff_gradient,
+                           narrow, no_grad)
 from oracles import (conv2d_input_grad_loops, conv2d_loops,
                      conv2d_weight_grad_loops)
 
@@ -339,6 +340,11 @@ def test_elementwise_shape_mismatch_rejected():
         Tensor(np.zeros((2, 2))) + Tensor(np.zeros((2, 3)))
     with pytest.raises(ShapeError):
         Tensor(np.zeros((2, 2))) * Tensor(np.zeros(4))
+    # only a constant broadcasts: a rank-0 leaf must match like any operand
+    with pytest.raises(ShapeError):
+        Tensor(np.zeros(())) + Tensor(np.zeros((2, 2)))
+    with pytest.raises(ShapeError):
+        Tensor(np.zeros((2, 2))) * Tensor(np.zeros(()))
 
 
 def test_scalar_broadcast_allowed():
@@ -346,6 +352,11 @@ def test_scalar_broadcast_allowed():
     assert np.allclose((x * 2.0).data, 2.0 * x.data)
     assert np.allclose((x + 1.5).data, x.data + 1.5)
     assert np.allclose((1.0 / (x + 3.0)).data, 1.0 / (x.data + 3.0))
+    # a rank-0 array is a constant too, on either side
+    assert np.array_equal((x * np.array(2.0)).data, 2.0 * x.data)
+    assert np.array_equal((as_tensor(np.array(1.5)) - x).data, 1.5 - x.data)
+    backward((x * np.array(2.0) - np.array(1.0)).sum())
+    assert np.array_equal(x.grad, np.full((2, 3), 2.0))
 
 
 def test_sqrt_guarded_adjoint_at_zero_is_finite():
@@ -500,6 +511,52 @@ def test_no_grad_is_per_thread():
     assert seen[0] is not None
 
 
+def test_constants_have_no_gradient_and_ops_on_them_no_node():
+    # as_tensor of an array and a tensor built under no_grad are constants:
+    # no gradient and no node, and an op whose inputs are all constants
+    # records nothing
+    c = as_tensor(rand((1, 2, 4, 4), 49))
+    with no_grad():
+        k = Tensor(rand((2, 2, 3, 3), 50))
+    assert c.grad is None and c._node is None
+    assert k.grad is None and k._node is None
+    for out in (c * 2.0, c - c, 1.0 / (c + 3.0), conv2d(c, k, relu=True),
+                concat_channels([c, c]).mean(axis=1), narrow(c, 1, 0, 1)):
+        assert out._node is None and out.grad is None
+    # next to a leaf, a constant gets no parent slot and no gradient
+    x = Tensor(rand((1, 2, 4, 4), 51))
+    y = x * c
+    assert y._node._parents == (x,)
+    backward(conv2d(y, k).sum())
+    assert c.grad is None and k.grad is None
+    assert x.grad.shape == x.shape
+
+
+def test_backward_of_a_conv_on_a_constant_input_lowers_once(monkeypatch):
+    # no input gradient is made for a constant x: backward lowers x once,
+    # for the weight gradient, and that gradient is the leaf-input one
+    lowered = []
+    row_tiles = ivfuse.tensor._row_tiles
+
+    def counted(*args):
+        lowered.append(args[0].shape)
+        return row_tiles(*args)
+
+    monkeypatch.setattr(ivfuse.tensor, "_row_tiles", counted)
+    x = rand((2, 3, 6, 6), 52)
+    grads = []
+    for make in (as_tensor, Tensor):
+        w = Tensor(rand((4, 3, 3, 3), 53))
+        b = Tensor(rand((4,), 54))
+        loss = conv2d(make(x), w, b, relu=True).sum()
+        lowered.clear()
+        backward(loss)
+        grads.append((len(lowered), w.grad, b.grad))
+    (n_constant, gw, gb), (n_leaf, gw_leaf, gb_leaf) = grads
+    assert (n_constant, n_leaf) == (1, 2)
+    assert np.array_equal(gw, gw_leaf) and np.array_equal(gb, gb_leaf)
+
+
 def test_op_output_grad_is_none_before_and_after_backward():
     x = Tensor(rand((1, 2, 4, 4), 30))
     w = Tensor(rand((2, 2, 3, 3), 31))
@@ -591,29 +648,35 @@ def test_forward_holds_no_value_that_no_adjoint_reads():
 
 
 @pytest.mark.parametrize("op, held_acts, grad_a", [
-    (lambda y: y * 2.0, 1, lambda b: 2.0 * b),
-    (lambda y: y / 2.0, 1, lambda b: 0.5 * b),
-    (lambda y: -y, 1, lambda b: -b),
-    (lambda y: y + 2.0, 1, lambda b: b),
-    (lambda y: 2.0 / y, 2, None),   # its adjoint reads y
-], ids=["mul", "div", "neg", "add", "rdiv"])
+    (lambda y, c: y * 2.0, 1, lambda b, c: 2.0 * b),
+    (lambda y, c: y / 2.0, 1, lambda b, c: 0.5 * b),
+    (lambda y, c: -y, 1, lambda b, c: -b),
+    (lambda y, c: y + 2.0, 1, lambda b, c: b),
+    (lambda y, c: 2.0 / y, 2, None),   # its adjoint reads y
+    (lambda y, c: y * c, 1, lambda b, c: c * b),
+    (lambda y, c: y / c, 1, lambda b, c: (1.0 / c) * b),
+    (lambda y, c: y - c, 1, lambda b, c: b),
+], ids=["mul", "div", "neg", "add", "rdiv", "mul_array", "div_array",
+        "sub_array"])
 def test_scalar_operand_ops_hold_only_what_their_adjoint_reads(op, held_acts,
                                                                grad_a):
-    # multiplying or dividing by a Python scalar reads only the scalar in
-    # the adjoint, so the product a * b is freed once the caller drops it
+    # a scalar or an array operand is a constant, whose gradient is never
+    # asked for: the adjoint reads only the constant, so the product a * b
+    # is freed once the caller drops it
     a = Tensor(rand((512, 512), 44).astype(np.float32))
     b = Tensor(rand((512, 512), 45).astype(np.float32))
+    c = rand((512, 512), 46, lo=0.5, hi=1.5).astype(np.float32)
     nbytes = a.data.nbytes
     tracemalloc.start()
     try:
-        y = op(a * b)
+        y = op(a * b, c)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert abs(held / nbytes - held_acts) < 0.05, held / nbytes
     backward(y.sum())
     if grad_a is not None:
-        assert np.array_equal(a.grad, grad_a(b.data))
+        assert np.array_equal(a.grad, grad_a(b.data, c))
 
 
 def _every_op_kept(x, w, b, held):
