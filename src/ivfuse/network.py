@@ -8,7 +8,10 @@ then a 1x1 fusion conv to 64), and 64 -> 64 -> 32 -> 16 -> 1 in the
 decoder, with a 1 -> 64 feedback projection. The residual skips bridge a
 16-channel tensor onto a 64-channel one by adding it to each of the four
 16-channel groups (``add_tiled``), which is parameter-free, makes no tiled
-copy, and collapses to an ordinary skip when channel counts match.
+copy, and collapses to an ordinary skip when channel counts match. The
+decoder's first conv runs on its input once; later iterations fold the
+projection into it, exactly, as a 10 -> 64 conv on the output's 3x3 taps
+and a ones channel (see ``decode``).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .tensor import Tensor, add_tiled, concat_channels, conv2d, no_grad
+from .tensor import Tensor, add_tiled, as_tensor, concat_channels, conv2d, no_grad
 
 # name -> (out_channels, in_channels, kernel_h, kernel_w, relu follows)
 LAYER_SPECS: dict[str, tuple[int, int, int, int, bool]] = {
@@ -151,8 +154,8 @@ def pre_fuse(infrared: np.ndarray, visible: np.ndarray,
 def _layer(name: str, x: Tensor, params: ModelParams) -> Tensor:
     """The conv ``name`` of LAYER_SPECS on ``x``, with the ReLU fused into
     it where the table says so. Callers pass an input that nothing else
-    reads (a concatenation, the decoder's feedback sum) inline, so that
-    under ``no_grad`` it is freed as soon as this call returns."""
+    reads (a concatenation, an activation) inline, so that under
+    ``no_grad`` it is freed as soon as this call returns."""
     return conv2d(x, params.weight(name), params.bias(name),
                   relu=LAYER_SPECS[name][4])
 
@@ -192,28 +195,53 @@ def fuse_add(phi1: Tensor, phi2: Tensor) -> Tensor:
     return phi1 + phi2
 
 
-def _decoder_pass(h: Tensor, params: ModelParams) -> Tensor:
-    """c2 to c5 on ``h``. Each layer's input is dropped once it has run, so
-    under ``no_grad`` the feedback sum is freed after ``decoder.c2``."""
-    for name in ("decoder.c2", "decoder.c3", "decoder.c4", "decoder.c5"):
-        h = _layer(name, h, params)
-    return h
+def _feedback_kernel(w2: Tensor, w6: Tensor, b6: Tensor) -> Tensor:
+    """c6 folded into c2: ``M[o, t] = sum_c w2[o, c] * w6aug[c, t]``, where
+    ``w6aug[c]`` is the 9 taps of ``w6[c, 0]`` followed by ``b6[c]``."""
+    w2d, w6aug = w2.data, np.c_[w6.data.reshape(len(b6.data), -1), b6.data]
+
+    def adjoint(g):   # optimize=True hands each product to BLAS
+        g6 = np.einsum("otuv,ocuv->ct", g, w2d, optimize=True)
+        return (np.einsum("otuv,ct->ocuv", g, w6aug, optimize=True),
+                g6[:, :-1].reshape(w6.shape), g6[:, -1])
+
+    return Tensor(np.einsum("ocuv,ct->otuv", w2d, w6aug, optimize=True),
+                  _parents=(w2, w6, b6), _adjoint=adjoint)
 
 
 def decode(y: Tensor, params: ModelParams,
            fb: FeedbackConfig = FeedbackConfig()) -> Tensor:
     """Run the decoder with feedback refinement.
 
-    Iteration 1 decodes ``y`` directly; each later iteration decodes
-    ``y + c6(previous output)``, re-injecting a 64-channel projection of
-    the 1-channel output. All iterations share the decoder weights, and
-    only the last output is returned (and supervised, during training).
+    Iteration 1 decodes ``y``; each later one decodes ``y + c6(out)``, a
+    64-channel projection of the previous output re-injected. All share
+    the decoder weights; only the last output is returned (and supervised).
+
+    c2 runs on ``y`` once, as ``A = c2(y)`` before its ReLU; ``y`` is then
+    dropped (callers pass it inline). A later c2 pre-activation,
+    ``w2 * (y + w6 * out + b6) + b2``, is ``A + M * [taps(out), 1]``: the 9
+    zero-padded 3x3 taps of ``out`` and a ones channel through
+    :func:`_feedback_kernel` (structural re-parameterisation; Ding et al.
+    2021, arXiv 2101.03697). c2 zero-pads c6's output, and the tap and ones
+    channels are zero outside the image too, so this is exact at the
+    borders. One 5x5 kernel ``w2 * w6`` on ``out`` is not: it pads c6's input.
     """
     if y.data.ndim != 4 or y.shape[1] != 64:
         raise ShapeError(f"decode expects a (B, 64, H, W) tensor, got {y.shape}")
-    out = _decoder_pass(y, params)
-    for _ in range(fb.n_iterations - 1):
-        out = _decoder_pass(y + _layer("decoder.c6", out, params), params)
+    a = conv2d(y, params.weight("decoder.c2"), params.bias("decoder.c2"))
+    del y
+    if fb.n_iterations > 1:   # else c6 takes no part in the graph
+        m = _feedback_kernel(params.weight("decoder.c2"),
+                             params.weight("decoder.c6"), params.bias("decoder.c6"))
+        # filter t < 9 picks tap t; filter 9, zero with a bias of 1, gives ones
+        taps = (as_tensor(np.eye(10, 9).reshape(10, 1, 3, 3), a.dtype),
+                as_tensor(np.eye(10)[9], a.dtype))
+    out = a.relu()
+    for i in range(fb.n_iterations):
+        if i:   # a later pass: c2 on the taps of the last output
+            out = conv2d(conv2d(out, *taps), m, add=a, relu=True)
+        for name in ("decoder.c3", "decoder.c4", "decoder.c5"):
+            out = _layer(name, out, params)
     return out
 
 

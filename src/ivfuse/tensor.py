@@ -17,13 +17,13 @@ and no graph node; an op records a node only when some input is not one.
 The graph is kept apart from the values. A recorded op's output holds
 its value and a small node; the node holds the nodes of the op's inputs
 and an adjoint that captured, when the op ran, only the arrays it reads:
-conv its input and weights, and its output when the ReLU is fused; mul
-and div their operands, or only the right one when it is a constant;
-relu, square and abs their input; sqrt its result; add, sub, concat,
-add_tiled, narrow, reshape, sum and mean shapes only. A leaf is its own
-node. So an intermediate that the caller drops is freed unless some
-adjoint reads it, and a graph lives until the caller drops its loss and
-every output of it that it kept.
+conv its weights, its input unless the weights are a constant, and its
+output when the ReLU is fused; mul and div their operands, or only the
+right one when it is a constant; relu and sqrt their result; square and
+abs their input; add, sub, concat, add_tiled, narrow, reshape, sum and
+mean shapes only. A leaf is its own node. So an intermediate that the
+caller drops is freed unless some adjoint reads it, and a graph lives
+until the caller drops its loss and every output of it that it kept.
 """
 
 from __future__ import annotations
@@ -154,10 +154,10 @@ class Tensor:
         return self * -1.0
 
     def relu(self):
-        """max(0, x); gradient passes where x > 0 and is zero at x == 0."""
-        x = self.data
-        return Tensor(np.maximum(x, 0), _parents=(self,),
-                      _adjoint=lambda g: (g * (x > 0),))
+        """max(0, x); gradient passes where x > 0 (read off the result)."""
+        out = np.maximum(self.data, 0)
+        return Tensor(out, _parents=(self,),
+                      _adjoint=lambda g: (g * (out > 0),))
 
     def square(self):
         x = self.data
@@ -289,20 +289,24 @@ def _accumulate(t, g) -> None:
 # -- structural operations -------------------------------------------------
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
-           padding: str = "same", relu: bool = False) -> Tensor:
-    """2-D cross-correlation, stride 1, optionally followed by ReLU.
+           padding: str = "same", relu: bool = False,
+           add: Tensor | None = None) -> Tensor:
+    """2-D cross-correlation, stride 1, plus ``add``, optionally with ReLU.
 
     ``x`` is (B, Cin, H, W), ``w`` is (Cout, Cin, kh, kw), ``b`` is (Cout,)
-    or None. ``padding="same"`` zero-pads so the spatial size is preserved
-    (odd kernels only); ``"valid"`` keeps only fully covered windows.
-    Differentiable with respect to all three arguments. The adjoint reads
-    ``x`` and ``w``, and makes no input gradient for a constant ``x``.
+    or None, ``add`` shaped like the output or None. ``padding="same"``
+    zero-pads so the spatial size is preserved (odd kernels only);
+    ``"valid"`` keeps only fully covered windows. Differentiable in every
+    argument. The adjoint reads ``w``, and ``x`` only for the weight
+    gradient, which a constant ``w`` does not get; a constant ``x`` gets no
+    input gradient. ``add`` goes into the conv's own output, so it costs no
+    second array, and its gradient is the output's.
 
-    ``relu=True`` gives ``conv2d(x, w, b).relu()`` bit for bit, with no
-    pre-activation array: the ReLU clamps the conv's own output in place,
-    and backward masks the gradient by ``out > 0``, which holds exactly
-    where the pre-activation was > 0, NaN included (in-place activation;
-    Rota Bulo et al. 2018, arXiv 1712.02616).
+    ``relu=True`` gives ``(conv2d(x, w, b) + add).relu()`` bit for bit, with
+    no pre-activation array: the ReLU clamps the output in place, and
+    backward masks the gradient in place by ``out > 0``, which holds
+    exactly where the pre-activation was > 0, NaN included (in-place
+    activation; Rota Bulo et al. 2018, arXiv 1712.02616).
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-d, got shape {x.shape}")
@@ -327,29 +331,37 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     else:
         raise ValueError(f"unknown padding mode {padding!r}")
 
-    xd, wd, x_const = x.data, w.data, _is_constant(x)
-    out = _conv_forward(xd, wd, None if b is None else b.data, ph, pw)
+    wd, x_const = w.data, _is_constant(x)
+    out = _conv_forward(x.data, wd, None if b is None else b.data, ph, pw)
+    if add is not None:
+        if add.shape != out.shape:
+            raise ShapeError(f"conv2d addend must be {out.shape}, got {add.shape}")
+        out += add.data
     if relu:
         np.maximum(out, 0, out=out)
     relu_out = out if relu else None   # what the fused ReLU's mask reads
+    xd = None if _is_constant(w) else x.data   # what the weight gradient reads
 
-    def adjoint(g):
+    def adjoint(g):   # g is the output's own array, so it is masked in place
         if relu_out is not None:
-            g = g * (relu_out > 0)
+            np.multiply(g, relu_out > 0, out=g)
         # Input gradient: the conv of the output gradient, padded by the rest
         # of the kernel, with the flipped kernel and channel roles swapped.
         wflip = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         yield None if x_const else _conv_forward(g, wflip, None, kh - 1 - ph, kw - 1 - pw)
-        gw = np.zeros_like(wd)
-        gblocks, tiles = _row_tiles(xd, gw, ph, pw)  # views of gw
-        for r0, r, views in tiles:
-            gt = g[:, :, r0:r0 + r].reshape(B, Cout, -1)
-            for gu, view in zip(gblocks, views):
-                gu += (gt @ view.transpose(0, 2, 1)).sum(0).reshape(gu.shape)
+        gw = np.zeros_like(wd)          # left zero for a constant w's None slot
+        if xd is not None:
+            gblocks, tiles = _row_tiles(xd, gw, ph, pw)  # views of gw
+            for r0, r, views in tiles:
+                gt = g[:, :, r0:r0 + r].reshape(B, Cout, -1)
+                for gu, view in zip(gblocks, views):
+                    gu += (gt @ view.transpose(0, 2, 1)).sum(0).reshape(gu.shape)
         yield gw
-        yield g.sum(axis=(0, 2, 3))     # not reached without a bias
+        if b is not None:
+            yield g.sum(axis=(0, 2, 3))
+        yield g                         # the addend's; not reached without one
 
-    return Tensor(out, _parents=(x, w) if b is None else (x, w, b),
+    return Tensor(out, _parents=(x, w, *(t for t in (b, add) if t is not None)),
                   _adjoint=adjoint)
 
 

@@ -1,7 +1,10 @@
 """Brute-force reference implementations used only by the test suite.
 
 Everything here is written as straight-line loops with no code shared with
-the package, so a bug in the library cannot hide in its own oracle.
+the package, so a bug in the library cannot hide in its own oracle. The
+decoder oracles at the end are the exception: they are the feedback
+decoder as the architecture states it, built from the package's conv2d and
+add, so that their gradients can be compared with ``network.decode``'s.
 """
 
 import math
@@ -207,3 +210,25 @@ def qabf_loops(a, b, f):
                 num += qg * qa * g_src
                 den += g_src
     return 0.0 if den == 0.0 else num / den
+
+
+def decoder_pass(h, params):
+    """One plain decoder pass, c2 to c5, built from the package's conv2d
+    (its gradients are what the decoder tests compare against)."""
+    from ivfuse.tensor import conv2d
+    for name, relu in (("decoder.c2", True), ("decoder.c3", True),
+                       ("decoder.c4", True), ("decoder.c5", False)):
+        h = conv2d(h, params.weight(name), params.bias(name), relu=relu)
+    return h
+
+
+def decode_unrolled(y, params, n_iterations):
+    """The feedback decoder as the architecture states it: pass 1 decodes
+    ``y``, and each later pass decodes ``y + c6(out)`` with c2 run again
+    on the 64-channel sum."""
+    from ivfuse.tensor import conv2d
+    out = decoder_pass(y, params)
+    for _ in range(n_iterations - 1):
+        c6 = conv2d(out, params.weight("decoder.c6"), params.bias("decoder.c6"))
+        out = decoder_pass(y + c6, params)
+    return out

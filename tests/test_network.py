@@ -10,7 +10,9 @@ from ivfuse.network import (LAYER_SPECS, PARAM_SHAPES, FeedbackConfig,
                             ModelParams, PreFusionConfig, decode, encode,
                             fuse_add, fuse_images, init_params, pre_fuse,
                             rdb_forward)
-from ivfuse.tensor import Tensor
+from ivfuse.network import _feedback_kernel
+from ivfuse.tensor import Tensor, backward, conv2d, finite_diff_gradient
+from oracles import decode_unrolled, decoder_pass
 
 # Architecture table: kernel size, in channels, out channels, activation.
 EXPECTED_LAYERS = {
@@ -146,9 +148,8 @@ def test_fuse_add_shape_mismatch():
 def test_decode_single_iteration_equals_plain_pass():
     params = init_params(2, dtype=np.float64)
     y = Tensor(np.random.default_rng(8).standard_normal((1, 64, 16, 16)))
-    from ivfuse.network import _decoder_pass
     assert np.array_equal(decode(y, params, FeedbackConfig(1)).data,
-                          _decoder_pass(y, params).data)
+                          decoder_pass(y, params).data)
 
 
 def test_decode_output_single_channel_same_size():
@@ -166,6 +167,78 @@ def test_decode_zero_feedback_conv_is_noop():
     one = decode(y, params, FeedbackConfig(1))
     four = decode(y, params, FeedbackConfig(4))
     assert np.array_equal(one.data, four.data)
+
+
+def _decode_and_grads(decoder, y_data, params):
+    """The output, y's gradient and every parameter gradient of a
+    weighted sum of ``decoder(y)``."""
+    y = Tensor(y_data.copy())
+    out = decoder(y)
+    r = np.random.default_rng(21).standard_normal(out.shape).astype(out.dtype)
+    backward((out * Tensor(r)).sum())
+    return ([out.data, y.grad]
+            + [params.tensors[name].grad.copy() for name in PARAM_SHAPES])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("size", [(5, 7), (12, 13)])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_decode_matches_the_unrolled_decoder(dtype, tol, batch, size, n):
+    # c2 runs once on y and c6 is folded into a 10-channel kernel; the
+    # output and all gradients must match running c2 on y + c6(out) in
+    # every pass, the borders of these small odd images included
+    params = init_params(7, dtype=dtype)
+    rng = np.random.default_rng(20)
+    for name, t in params.tensors.items():
+        if name.endswith(".bias"):
+            t.data[...] = rng.normal(0.0, 0.1, t.shape)
+    y_data = rng.standard_normal((batch, 64, *size)).astype(dtype)
+    got = _decode_and_grads(lambda y: decode(y, params, FeedbackConfig(n)),
+                            y_data, params)
+    want = _decode_and_grads(lambda y: decode_unrolled(y, params, n),
+                             y_data, params)
+    names = ["output", "y.grad", *PARAM_SHAPES]   # the encoder's read 0
+    for name, g, w in zip(names, got, want):
+        assert g.dtype == dtype, name
+        err, scale = np.abs(g - w).max(), np.abs(w).max()
+        assert err <= tol * scale, (name, err, scale)
+    assert all(np.abs(g).max() > 0 for g in got[-4:])   # c6 is reached
+
+
+def test_feedback_kernel_gradients_match_finite_differences():
+    # the kernel is linear in w2 and in (w6, b6) together
+    rng = np.random.default_rng(22)
+    w2 = Tensor(rng.standard_normal((3, 4, 3, 3)))
+    w6 = Tensor(rng.standard_normal((4, 1, 3, 3)))
+    b6 = Tensor(rng.standard_normal(4))
+    r = Tensor(rng.standard_normal((3, 10, 3, 3)))
+    args = [w2, w6, b6]
+    backward((_feedback_kernel(*args) * r).sum())
+    for i, t in enumerate(args):
+        def f(v, i=i):
+            return (_feedback_kernel(*args[:i], v, *args[i + 1:]) * r).sum()
+        np.testing.assert_allclose(t.grad, finite_diff_gradient(f, t),
+                                   rtol=1e-7, atol=1e-9)
+
+
+def test_conv2d_addend_gradients_match_finite_differences():
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.standard_normal((2, 3, 5, 4)))
+    w = Tensor(rng.standard_normal((4, 3, 3, 3)))
+    a = Tensor(rng.standard_normal((2, 4, 5, 4)))
+    r = Tensor(rng.standard_normal((2, 4, 5, 4)))
+    args = [x, w, a]
+
+    def loss(x, w, a):
+        return (conv2d(x, w, add=a, relu=True) * r).sum()
+
+    backward(loss(*args))
+    for i, t in enumerate(args):
+        def f(v, i=i):
+            return loss(*args[:i], v, *args[i + 1:])
+        np.testing.assert_allclose(t.grad, finite_diff_gradient(f, t),
+                                   rtol=1e-7, atol=1e-9)
 
 
 def test_forward_applies_relu_where_the_layer_table_says(monkeypatch):

@@ -265,6 +265,70 @@ def test_conv2d_fused_relu_matches_conv_then_relu_bitwise(dtype, case):
         assert _same_bits(fused, separate)
 
 
+@pytest.mark.parametrize("bias", ["none", "constant", "leaf"])
+@pytest.mark.parametrize("weights", ["constant", "leaf"])
+def test_conv2d_holds_its_input_only_for_a_weight_gradient(weights, bias):
+    # only the weight gradient reads the input, so with constant weights
+    # (the SSIM windows, the decoder's tap filters) the adjoint keeps the
+    # weights alone and a * b is freed once the caller drops it
+    a = Tensor(rand((1, 1, 512, 512), 44).astype(np.float32))
+    b = Tensor(rand((1, 1, 512, 512), 45).astype(np.float32))
+    wdata = rand((1, 1, 3, 3), 46).astype(np.float32)
+    w = as_tensor(wdata) if weights == "constant" else Tensor(wdata)
+    bdata = np.full(1, 0.5, np.float32)
+    bt = {"none": None, "constant": as_tensor(bdata), "leaf": Tensor(bdata)}[bias]
+    nbytes = a.data.nbytes
+    tracemalloc.start()
+    try:
+        y = conv2d(a * b, w, bt)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held_acts = 2.0 if weights == "leaf" else 1.0
+    assert abs(held / nbytes - held_acts) < 0.05, held / nbytes
+    backward(y.sum())
+    x = Tensor(a.data * b.data)
+    backward(conv2d(x, Tensor(wdata), Tensor(bdata)).sum())
+    assert np.array_equal(a.grad, x.grad * b.data)
+    if bias == "leaf":
+        assert np.array_equal(bt.grad, np.full(1, 512 * 512, np.float32))
+
+
+def test_conv2d_addend_feeding_four_consumers_gets_every_gradient():
+    # As the decoder's c2 pre-activation does, one tensor is the addend of
+    # three fused conv+add+ReLU ops and feeds a plain ReLU; one input feeds
+    # the three convs. The fused adjoint masks its gradient in place, and
+    # every gradient must match the unfused graph's.
+    rng = np.random.default_rng(49)
+    ys = rng.standard_normal((2, 3, 6, 5))
+    xs = rng.standard_normal((2, 4, 6, 5))
+    ws = [rng.standard_normal((3, c, 3, 3)) for c in (3, 4, 4, 4)]
+    b0 = rng.standard_normal(3)
+    rs = [rng.standard_normal((2, 3, 6, 5)) for _ in range(4)]
+    results = []
+    for fused in (True, False):
+        y, x, b = Tensor(ys), Tensor(xs), Tensor(b0)
+        w = [Tensor(v) for v in ws]
+        a = conv2d(y, w[0], b)
+        outs = [a.relu()] + [
+            conv2d(x, wk, add=a, relu=True) if fused
+            else (conv2d(x, wk) + a).relu() for wk in w[1:]]
+        loss = sum(((o * r).sum() for o, r in zip(outs, rs)), as_tensor(0.0))
+        backward(loss)
+        results.append([o.data for o in outs]
+                       + [y.grad, x.grad, b.grad] + [wk.grad for wk in w])
+    for fused, separate in zip(*results):
+        np.testing.assert_allclose(fused, separate, rtol=1e-12, atol=1e-14)
+    assert np.abs(results[0][5]).max() > 0   # x's gradient is not all masked
+
+
+def test_conv2d_rejects_a_misshapen_addend():
+    x = Tensor(np.zeros((1, 2, 4, 4)))
+    w = Tensor(np.zeros((3, 2, 3, 3)))
+    with pytest.raises(ShapeError, match=r"addend must be \(1, 3, 4, 4\)"):
+        conv2d(x, w, add=Tensor(np.zeros((1, 3, 4, 5))))
+
+
 # ---------------------------------------------------------------- concat
 
 def test_concat_single_part_identity():
