@@ -79,7 +79,9 @@ def read_pgm(path) -> np.ndarray:
     if not 1 <= maxval <= 65535:
         raise IngestionError(
             f"{path}: PGM maxval must be in 1..65535, got {maxval}")
-    i += 1  # single whitespace byte after maxval
+    if i < len(blob) and not blob[i:i + 1].isspace():   # a '#' comment
+        raise IngestionError(f"{path}: PGM maxval must end in one whitespace byte")
+    i += 1  # that byte
     dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
     size = width * height * dtype.itemsize
     pixels = blob[i:i + size]

@@ -42,10 +42,11 @@ from .errors import DomainError, ShapeError
 # exactly zero on flat image regions; the unguarded adjoint would be inf.
 SQRT_GRAD_EPS = 1e-12
 
-# Cap on the scratch bytes that each conv2d product (forward, input gradient,
-# weight gradient) works in: the column buffer plus, when kernel rows are
-# summed, the product buffer and the output rows it is added into. Rows are
-# lowered a tile at a time, so this bounds the working set at any image size.
+# Cap on the scratch bytes that each conv2d pass (the forward, or the backward,
+# whose two gradients share one lowering) works in: the column buffer plus,
+# when kernel rows are summed, the product buffer and the output rows it is
+# added into. Rows are lowered a tile at a time, so this bounds the working
+# set at any image size.
 CONV_TILE_BYTES = 4 << 20
 
 
@@ -297,10 +298,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     or None, ``add`` shaped like the output or None. ``padding="same"``
     zero-pads so the spatial size is preserved (odd kernels only);
     ``"valid"`` keeps only fully covered windows. Differentiable in every
-    argument. The adjoint reads ``w``, and ``x`` only for the weight
-    gradient, which a constant ``w`` does not get; a constant ``x`` gets no
-    input gradient. ``add`` goes into the conv's own output, so it costs no
-    second array, and its gradient is the output's.
+    argument. Backward lowers only the output gradient, once, and its taps
+    give both the input and the weight gradient. The adjoint reads ``w``,
+    and ``x`` only for the weight gradient, which a constant ``w`` does not
+    get; a constant ``x`` gets no input gradient. ``add`` goes into the
+    conv's own output, so it costs no second array, and its gradient is
+    the output's.
 
     ``relu=True`` gives ``(conv2d(x, w, b) + add).relu()`` bit for bit, with
     no pre-activation array: the ReLU clamps the output in place, and
@@ -345,18 +348,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     def adjoint(g):   # g is the output's own array, so it is masked in place
         if relu_out is not None:
             np.multiply(g, relu_out > 0, out=g)
-        # Input gradient: the conv of the output gradient, padded by the rest
-        # of the kernel, with the flipped kernel and channel roles swapped.
-        wflip = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        yield None if x_const else _conv_forward(g, wflip, None, kh - 1 - ph, kw - 1 - pw)
-        gw = np.zeros_like(wd)          # left zero for a constant w's None slot
-        if xd is not None:
-            gblocks, tiles = _row_tiles(xd, gw, ph, pw)  # views of gw
-            for r0, r, views in tiles:
-                gt = g[:, :, r0:r0 + r].reshape(B, Cout, -1)
-                for gu, view in zip(gblocks, views):
-                    gu += (gt @ view.transpose(0, 2, 1)).sum(0).reshape(gu.shape)
-        yield gw
+        gx = None if x_const else np.empty((B, Cin, H, W), np.result_type(g, wd))
+        gw = _conv_backward(g, wd, xd, ph, pw, gx)   # fills gx
+        yield gx
+        del gx                          # freed before the addend's copy
+        yield gw                        # None for a constant w's None slot
         if b is not None:
             yield g.sum(axis=(0, 2, 3))
         yield g                         # the addend's; not reached without one
@@ -367,35 +363,53 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                   ph: int, pw: int) -> np.ndarray:
-    """Stride-1 conv of ``x`` zero-padded by ``ph`` and ``pw``: one GEMM per
-    :func:`_row_tiles` view, each tile's later blocks added into its first."""
+    """Stride-1 conv of ``x`` zero-padded by ``ph`` and ``pw``."""
     (B, _, H, W), (Cout, _, kh, kw) = x.shape, w.shape
     pdtype = np.result_type(x, w)
     out = np.empty((B, Cout, H + 2 * ph - kh + 1, W + 2 * pw - kw + 1),
                    dtype=pdtype if b is None else np.result_type(pdtype, b))
-    wblocks, tiles = _row_tiles(x, w, ph, pw)
-    wmats = wblocks.reshape(len(wblocks), Cout, -1)
-    for r0, r, views in tiles:
-        dst = out[:, :, r0:r0 + r].reshape(B, Cout, -1, copy=False)
-        np.matmul(wmats[0], views[0], out=dst)
-        if r0 == 0 and len(views) > 1:   # the first tile has the most rows
-            prodbuf = np.empty(dst.size, dtype=pdtype)
-        for u in range(1, len(views)):
-            prod = prodbuf[:dst.size].reshape(dst.shape)
-            np.matmul(wmats[u], views[u], out=prod)
-            dst += prod
+    for _ in _row_tiles(x, w, ph, pw, out):
+        pass
     if b is not None:
         out += b.reshape(1, Cout, 1, 1)
     return out
 
 
-def _row_tiles(x: np.ndarray, w: np.ndarray, ph: int, pw: int):
-    """Lower ``x`` zero-padded by ``ph`` and ``pw`` for a stride-1 conv with
-    weights shaped like ``w``, a tile of output rows at a time. Returns
-    ``w`` viewed as (shifts, Cout, Cin, kl, kw) kernel-row blocks, and an
-    iterator of ``(r0, r, views)``: output rows r0 to r0 + r, and for block
-    ``u`` its (B, Cin*kl*kw, r*Wo) GEMM operand. The forward, the input
-    gradient and the weight gradient all run on these tiles.
+def _conv_backward(g: np.ndarray, w: np.ndarray, x: np.ndarray | None,
+                   ph: int, pw: int, gx: np.ndarray | None) -> np.ndarray | None:
+    """Both gradients of a stride-1 conv of ``x`` by ``w`` zero-padded by
+    ``ph`` and ``pw``, from its output gradient ``g``, which alone is lowered.
+
+    The input gradient, written into ``gx`` unless that is None, is the
+    conv of ``g`` padded by the rest of the kernel, with the flipped kernel
+    and channel roles swapped. Its output grid is ``x``'s, so each tile's
+    taps of ``g`` against those rows of ``x``, read in place, also give the
+    weight gradient, returned unless ``x`` is None: ``gw[o, c, a, d]`` sums
+    ``x[b, c, p]`` times tap (kh-1-a, kw-1-d) of ``g[b, o, p]`` (the
+    lowered-matrix weight gradient; Chetlur et al. 2014, arXiv 1410.0759).
+    """
+    kh, kw = w.shape[2:]
+    wflip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    gwflip = None if x is None else np.zeros(wflip.shape, w.dtype)
+    for r0, r, views in _row_tiles(g, wflip, kh - 1 - ph, kw - 1 - pw, gx):
+        if gwflip is not None:
+            xt = x[:, :, r0:r0 + r].reshape(x.shape[0], x.shape[1], -1)
+            for u, view in enumerate(views):   # kernel rows u to u + kl
+                gu = gwflip[:, :, u:u + kh - len(views) + 1]
+                gu += (xt @ view.transpose(0, 2, 1)).sum(0).reshape(gu.shape)
+    return None if gwflip is None else gwflip.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+
+
+def _row_tiles(x: np.ndarray, w: np.ndarray, ph: int, pw: int,
+               out: np.ndarray | None):
+    """Lower ``x`` zero-padded by ``ph`` and ``pw`` for a stride-1 conv by
+    ``w``, a tile of output rows at a time, and write the conv's rows into
+    ``out`` unless that is None: one GEMM per view, each tile's later
+    blocks added into its first. Yields ``(r0, r, views)`` once a tile's
+    rows are written: output rows r0 to r0 + r, and ``views[u]``, the
+    (B, Cin*kl*kw, r*Wo) GEMM operand of kernel rows u to u + kl. A forward
+    runs on the tiles of its input, and a backward on those of its output
+    gradient, which give both gradients (:func:`_conv_backward`).
 
     A tile lowers only the ``kw`` horizontal taps of its rows and its
     ``shifts - 1`` halo rows into the column buffer, and ``views[u]`` is
@@ -414,27 +428,35 @@ def _row_tiles(x: np.ndarray, w: np.ndarray, ph: int, pw: int):
     shifts, k = kh - kl + 1, Cin * kl * kw
     lower = kl * kw > 1 or ph > 0      # else each kernel row is rows of x
     col_row = B * k * Wo * x.itemsize if lower else 0
-    prod_row = 2 * B * Cout * Wo * np.result_type(x, w).itemsize * (shifts > 1)
+    pdtype = np.result_type(x, w)
+    prod_row = 2 * B * Cout * Wo * pdtype.itemsize * (shifts > 1)
     rows = Ho
     if col_row + prod_row:
         budget = CONV_TILE_BYTES - (shifts - 1) * col_row  # the halo rows
         rows = min(Ho, max(1, budget // (col_row + prod_row)))
     if lower:
         colbuf = np.zeros((B, Cin, kl, kw, rows + shifts - 1, Wo), x.dtype)
-
-    def tiles():
-        for r0 in range(0, Ho, rows):
-            r = min(rows, Ho - r0)
-            if lower:
-                src = colbuf[..., :r + shifts - 1, :]
-                _lower_taps(x, src, r0 - ph, pw)
-            else:
-                src = x[:, :, r0:r0 + r + kh - 1][:, :, None, None]
-            yield r0, r, [src[..., u:u + r, :].reshape(B, k, r * Wo, copy=False)
-                          for u in range(shifts)]
-
-    return (w.reshape(Cout, Cin, shifts, kl, kw).transpose(2, 0, 1, 3, 4),
-            tiles())
+    wmats = w.reshape(Cout, Cin, shifts, kl, kw).transpose(2, 0, 1, 3, 4)
+    wmats = wmats.reshape(shifts, Cout, k)
+    for r0 in range(0, Ho, rows):
+        r = min(rows, Ho - r0)
+        if lower:
+            src = colbuf[..., :r + shifts - 1, :]
+            _lower_taps(x, src, r0 - ph, pw)
+        else:
+            src = x[:, :, r0:r0 + r + kh - 1][:, :, None, None]
+        views = [src[..., u:u + r, :].reshape(B, k, r * Wo, copy=False)
+                 for u in range(shifts)]
+        if out is not None:
+            dst = out[:, :, r0:r0 + r].reshape(B, Cout, -1, copy=False)
+            np.matmul(wmats[0], views[0], out=dst)
+            if r0 == 0 and shifts > 1:   # the first tile has the most rows
+                prodbuf = np.empty(dst.size, dtype=pdtype)
+            for u in range(1, shifts):
+                prod = prodbuf[:dst.size].reshape(dst.shape)
+                np.matmul(wmats[u], views[u], out=prod)
+                dst += prod
+        yield r0, r, views
 
 
 def _lower_taps(x: np.ndarray, tile: np.ndarray, top: int, pw: int) -> None:

@@ -360,6 +360,8 @@ def test_fuse_pair_below_ssim_window_exit6_writes_nothing(tmp_path, capsys,
     (["fuse", "{png}", "{img}", "{out}", "--checkpoint", "{ckpt}"], 3, "{png}"),
     (["train", "--ir-dir", "{ir_dir}", "--vis-dir", "{vis_dir}", "--size",
       "16", "--steps", "1", "--out-dir", "{out_dir}"], 3, "{ir_dir}/face.png"),
+    (["fuse", "{comment}", "{img}", "{out}", "--checkpoint", "{ckpt}"], 3,
+     "{comment}"),
 ])
 def test_unreadable_file_exits_with_its_code_naming_it(tmp_path, capsys,
                                                        trained, argv, code,
@@ -368,8 +370,10 @@ def test_unreadable_file_exits_with_its_code_naming_it(tmp_path, capsys,
              "out_dir": tmp_path / "out", "missing": tmp_path / "gone.pgm",
              "dir": tmp_path / "folder.pgm", "ckpt": trained,
              "png": tmp_path / "photo.png", "ir_dir": tmp_path / "ir",
-             "vis_dir": tmp_path / "vis"}
+             "vis_dir": tmp_path / "vis", "comment": tmp_path / "comment.pgm"}
     write_pgm(where["img"], np.zeros((16, 16)))
+    # a comment right after maxval, where one whitespace byte must be
+    where["comment"].write_bytes(b"P5\n16 16\n255#c\n" + bytes(256))
     where["dir"].mkdir()
     # PNG is not read: a file is PGM by its P5 content, not by its name
     png = b"\x89PNG\r\n\x1a\n" + bytes(64)

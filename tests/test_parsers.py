@@ -63,6 +63,17 @@ def test_read_pgm_rejects_non_positive_dimensions(tmp_path, dims):
         read_pgm(path)
 
 
+def test_read_pgm_rejects_a_comment_right_after_maxval(tmp_path):
+    # the byte after maxval must be whitespace; skipping '#' unchecked read
+    # the comment "c\n" as the levels 99 and 10. '#' is the one byte that
+    # reaches this check: the header tokenizer keeps every other
+    # non-whitespace byte inside the maxval token, which then fails to parse
+    path = tmp_path / "c.pgm"
+    path.write_bytes(b"P5\n2 1\n255#c\n" + bytes([7, 9]))
+    with pytest.raises(IngestionError, match="c.pgm: .*whitespace"):
+        read_pgm(path)
+
+
 def _pgm_samples(draw, maxval):
     height, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     flat = draw(st.lists(st.integers(0, maxval), min_size=height * width,

@@ -89,14 +89,22 @@ def test_conv2d_row_tiles_match_loop_oracle(monkeypatch, dtype, tol, B, Cin,
     r = rng.standard_normal(want.shape).astype(dtype)
     want_gx = conv2d_input_grad_loops(r, w, pad)
     want_gw = conv2d_weight_grad_loops(x, r, kh, kw, pad)
-    # the input gradient lowers Cout*kh*kw columns for each of the H rows
+    a = rng.standard_normal(want.shape).astype(dtype)   # the fused conv's addend
+    pw = (kw - 1) // 2 if padding == "same" else 0
+    wflip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+
+    def transposed_conv(g):   # the input gradient, as the forward engine runs it
+        return ivfuse.tensor._conv_forward(g, wflip, None, kh - 1 - pad, kw - 1 - pw)
+
+    # the backward lowers Cout*kh*kw columns of g for each of x's H rows, and
+    # both gradients run on those tiles
     grad_row = Cout * kh * kw * B * W * x.itemsize
     halo_row = (kh * Cin * kw + 2 * Cout) * B * Wo * x.itemsize
-    # two rows per tile in the forward and the weight gradient, which share
-    # tiles, and then in the input gradient (neither divides the odd row
-    # counts); one output row with its kh - 1 halo rows of horizontal taps
-    # and the product and output rows that sum the kernel rows; one row per
-    # tile; and the default cap (every row in one tile)
+    # two rows per tile in the forward, and then in the backward (neither
+    # divides the odd row counts); one output row with its kh - 1 halo rows
+    # of horizontal taps and the product and output rows that sum the
+    # kernel rows; one row per tile; and the default cap (every row in one
+    # tile)
     for cap in (2 * column_row, 2 * grad_row, halo_row, 1,
                 ivfuse.tensor.CONV_TILE_BYTES):
         monkeypatch.setattr(ivfuse.tensor, "CONV_TILE_BYTES", cap)
@@ -113,6 +121,24 @@ def test_conv2d_row_tiles_match_loop_oracle(monkeypatch, dtype, tol, B, Cin,
         assert wt.grad.dtype == dtype
         assert wt.grad.shape == w.shape
         assert np.allclose(wt.grad, want_gw, rtol=tol, atol=tol)
+        assert np.array_equal(xt.grad, transposed_conv(r))
+        # a trainable-weight conv on a constant input: the same lowering of
+        # g without the input-gradient GEMMs, so the same weight gradient
+        wc = Tensor(w)
+        backward((conv2d(as_tensor(x), wc, Tensor(b), padding=padding) * r).sum())
+        assert np.array_equal(wc.grad, wt.grad)
+        # a fused add and ReLU: both gradients read the masked g
+        xt, wt, at = Tensor(x), Tensor(w), Tensor(a)
+        out = conv2d(xt, wt, Tensor(b), padding=padding, relu=True, add=at)
+        assert np.allclose(out.data, np.maximum(want + a, 0), rtol=tol, atol=tol)
+        backward((out * r).sum())
+        g_masked = r * (out.data > 0)
+        assert np.array_equal(xt.grad, transposed_conv(g_masked))
+        assert np.allclose(xt.grad, conv2d_input_grad_loops(g_masked, w, pad),
+                           rtol=tol, atol=tol)
+        assert np.allclose(wt.grad, conv2d_weight_grad_loops(x, g_masked, kh, kw, pad),
+                           rtol=tol, atol=tol)
+        assert np.array_equal(at.grad, g_masked)
 
 
 def test_conv2d_forward_scratch_stays_within_one_tile():
@@ -138,10 +164,10 @@ def test_conv2d_forward_scratch_stays_within_one_tile():
 
 
 def test_conv2d_backward_scratch_stays_within_one_tile():
-    # The input gradient is a forward and the weight gradient runs on the
-    # forward's row tiles, so beyond the gradient arrays a backward keeps
+    # A backward lowers the output gradient a row tile at a time and runs
+    # both gradients on each tile, so beyond the gradient arrays it keeps
     # about one tile of scratch. Lowering every tap of the whole padded
-    # input at once for the weight gradient would take 9 MiB more here.
+    # gradient at once would take 9 MiB more here.
     rng = np.random.default_rng(11)
     x = Tensor(rng.standard_normal((1, 64, 64, 64)).astype(np.float32))
     w = Tensor(rng.standard_normal((64, 64, 3, 3)).astype(np.float32))
@@ -597,8 +623,8 @@ def test_constants_have_no_gradient_and_ops_on_them_no_node():
 
 
 def test_backward_of_a_conv_on_a_constant_input_lowers_once(monkeypatch):
-    # no input gradient is made for a constant x: backward lowers x once,
-    # for the weight gradient, and that gradient is the leaf-input one
+    # backward lowers only g, once, for both gradients: a constant x skips
+    # the input-gradient GEMMs, and its weight gradient is the leaf-input one
     lowered = []
     row_tiles = ivfuse.tensor._row_tiles
 
@@ -617,7 +643,7 @@ def test_backward_of_a_conv_on_a_constant_input_lowers_once(monkeypatch):
         backward(loss)
         grads.append((len(lowered), w.grad, b.grad))
     (n_constant, gw, gb), (n_leaf, gw_leaf, gb_leaf) = grads
-    assert (n_constant, n_leaf) == (1, 2)
+    assert (n_constant, n_leaf) == (1, 1)
     assert np.array_equal(gw, gw_leaf) and np.array_equal(gb, gb_leaf)
 
 
