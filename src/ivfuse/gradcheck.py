@@ -17,7 +17,7 @@ import numpy as np
 
 from . import losses, network
 from .errors import ConfigError
-from .tensor import (Tensor, add_tiled, backward, concat_channels, conv2d,
+from .tensor import (Tensor, backward, concat_channels, conv2d,
                      finite_diff_gradient, narrow, no_grad)
 
 DEFAULT_TOLERANCE = 1e-4
@@ -76,11 +76,18 @@ def _check_conv2d(rng, h):
     r = _projection(rng, (1, 3, 5, 5))
     r1 = _projection(rng, (1, 2, 5, 5))
     rv = _projection(rng, (1, 3, 3, 3))
+    # the addends' checks draw last, so every input above stays as it was
+    w3 = Tensor(rng.standard_normal((6, 2, 3, 3)) * 0.5)
+    s = Tensor(rng.standard_normal((1, 2, 5, 5)))
+    r3 = _projection(rng, (1, 6, 5, 5))
+    a = Tensor(rng.standard_normal((1, 3, 5, 5)))
     # the fused ReLU's kink: outputs whose pre-activation a step could push
     # across 0 get no weight in the loss
     with no_grad():
         kink = np.abs(conv2d(x, w, b).data) < 10 * h
+        kink_a = np.abs(conv2d(x, w, b, add=a).data) < 10 * h
     rr = Tensor(np.where(kink, 0.0, r.data))
+    ra = Tensor(np.where(kink_a, 0.0, r.data))
     return max(_check(lambda t: (conv2d(t, w, b) * r).sum(), x, h),
                _check(lambda t: (conv2d(x, t, b) * r).sum(), w, h),
                _check(lambda t: (conv2d(x, w, t) * r).sum(), b, h),
@@ -89,7 +96,13 @@ def _check_conv2d(rng, h):
                       x, h),
                _check(lambda t: (conv2d(t, w, b, relu=True) * rr).sum(), x, h),
                _check(lambda t: (conv2d(x, t, b, relu=True) * rr).sum(), w, h),
-               _check(lambda t: (conv2d(x, w, t, relu=True) * rr).sum(), b, h))
+               _check(lambda t: (conv2d(x, w, t, relu=True) * rr).sum(), b, h),
+               _check(lambda t: (conv2d(t, w3, add=s) * r3).sum(), x, h),
+               _check(lambda t: (conv2d(x, w3, add=t) * r3).sum(), s, h),
+               _check(lambda t: (conv2d(t, w, b, relu=True, add=a) * ra).sum(),
+                      x, h),
+               _check(lambda t: (conv2d(x, w, b, relu=True, add=t) * ra).sum(),
+                      a, h))
 
 
 def _check_relu(rng, h):
@@ -109,14 +122,6 @@ def _check_concat(rng, h):
             return (concat_channels(repl) * r).sum()
         worst = max(worst, _check(f, parts[i], h))
     return worst
-
-
-def _check_add_tiled(rng, h):
-    x = Tensor(rng.standard_normal((1, 8, 3, 3)))
-    s = Tensor(rng.standard_normal((1, 2, 3, 3)))
-    r = _projection(rng, (1, 8, 3, 3))
-    return max(_check(lambda t: (add_tiled(t, s) * r).sum(), x, h),
-               _check(lambda t: (add_tiled(x, t) * r).sum(), s, h))
 
 
 def _check_narrow(rng, h):
@@ -249,7 +254,6 @@ COMPONENTS: dict[str, Callable] = {
     "conv2d": _check_conv2d,
     "relu": _check_relu,
     "concat_channels": _check_concat,
-    "add_tiled": _check_add_tiled,
     "narrow": _check_narrow,
     "elementwise": _check_elementwise,
     "sqrt_abs": _check_sqrt_abs,

@@ -7,11 +7,11 @@ Channel plan: 1 -> 16 -> 64 in the encoder (dense chain 16/32/48 -> 16,
 then a 1x1 fusion conv to 64), and 64 -> 64 -> 32 -> 16 -> 1 in the
 decoder, with a 1 -> 64 feedback projection. The residual skips bridge a
 16-channel tensor onto a 64-channel one by adding it to each of the four
-16-channel groups (``add_tiled``), which is parameter-free, makes no tiled
-copy, and collapses to an ordinary skip when channel counts match. The
-decoder's first conv runs on its input once; later iterations fold the
-projection into it, exactly, as a 10 -> 64 conv on the output's 3x3 taps
-and a ones channel (see ``decode``).
+16-channel groups of the 1x1 fusion conv's output as its addend, with no
+parameter and no tiled copy; ``encode`` adds both, which are the same
+tensor, in one addend. The decoder's first conv runs on its input once;
+later iterations fold the projection into it, exactly, as a 10 -> 64 conv
+on the output's 3x3 taps and a ones channel (see ``decode``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .tensor import Tensor, add_tiled, as_tensor, concat_channels, conv2d, no_grad
+from .tensor import Tensor, as_tensor, concat_channels, conv2d, no_grad
 
 # name -> (out_channels, in_channels, kernel_h, kernel_w, relu follows)
 LAYER_SPECS: dict[str, tuple[int, int, int, int, bool]] = {
@@ -83,9 +83,6 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams({k: Tensor(t.data.copy()) for k, t in self.tensors.items()})
-
-    def astype(self, dtype) -> "ModelParams":
-        return ModelParams({k: Tensor(t.data.astype(dtype)) for k, t in self.tensors.items()})
 
 
 def init_params(seed: int, dtype=np.float32) -> ModelParams:
@@ -151,13 +148,14 @@ def pre_fuse(infrared: np.ndarray, visible: np.ndarray,
     return iw, vw
 
 
-def _layer(name: str, x: Tensor, params: ModelParams) -> Tensor:
-    """The conv ``name`` of LAYER_SPECS on ``x``, with the ReLU fused into
-    it where the table says so. Callers pass an input that nothing else
-    reads (a concatenation, an activation) inline, so that under
-    ``no_grad`` it is freed as soon as this call returns."""
+def _layer(name: str, x: Tensor, params: ModelParams,
+           add: Tensor | None = None) -> Tensor:
+    """The conv ``name`` of LAYER_SPECS on ``x``, plus ``add``, with the
+    ReLU fused into it where the table says so. Callers pass an input that
+    nothing else reads (a concatenation, an activation) inline, so that
+    under ``no_grad`` it is freed as soon as this call returns."""
     return conv2d(x, params.weight(name), params.bias(name),
-                  relu=LAYER_SPECS[name][4])
+                  relu=LAYER_SPECS[name][4], add=add)
 
 
 def _dense_features(f0: Tensor, params: ModelParams) -> Tensor:
@@ -172,22 +170,26 @@ def _dense_features(f0: Tensor, params: ModelParams) -> Tensor:
 
 def rdb_forward(f0: Tensor, params: ModelParams) -> Tensor:
     """Residual dense block: three densely connected 3x3 convs, channel
-    concatenation to 64, a 1x1 fusion conv, and a channel-repeated local
-    skip."""
+    concatenation to 64, and a 1x1 fusion conv whose addend is the local
+    skip, ``f0`` repeated over its four 16-channel groups."""
     if f0.shape[1] != 16:
         raise ShapeError(f"rdb_forward expects 16 channels, got {f0.shape[1]}")
-    return add_tiled(
-        _layer("encoder.rdb.conv4", _dense_features(f0, params), params), f0)
+    return _layer("encoder.rdb.conv4", _dense_features(f0, params), params,
+                  add=f0)
 
 
 def encode(img: Tensor, params: ModelParams) -> Tensor:
-    """Rough 3x3 features, the dense block, and a channel-repeated global
-    skip."""
+    """Rough 3x3 features, then the dense block, whose fusion conv adds
+    the block's local skip and the encoder's global skip at once: both are
+    the rough features, so its addend is ``rough * 2``."""
     if img.data.ndim != 4 or img.shape[1] != 1:
         raise ShapeError(
             f"encode expects a (B, 1, H, W) tensor, got {img.shape}")
     rough = _layer("encoder.c1", img, params)
-    return add_tiled(rdb_forward(rough, params), rough)
+    skips = rough * 2.0
+    features = _dense_features(rough, params)
+    del rough   # under no_grad, freed before the fusion conv runs
+    return _layer("encoder.rdb.conv4", features, params, add=skips)
 
 
 def fuse_add(phi1: Tensor, phi2: Tensor) -> Tensor:

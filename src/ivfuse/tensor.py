@@ -1,11 +1,12 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Just enough operations for the fusion network and its losses: 2-D
-convolution (with an optional fused ReLU), ReLU, channel concatenation,
-axis slicing, a skip add that repeats a narrower tensor along the channel
-axis, reshaping, elementwise arithmetic, square root, and sum and mean
-over all or some axes. Tensors are float32 for training and float64 for
-gradient checking; the code path is identical, only the dtype differs.
+convolution (with a fused skip add, which may repeat a narrower tensor
+along the channel axis, and an optional fused ReLU), ReLU, channel
+concatenation, axis slicing, reshaping, elementwise arithmetic, square
+root, and sum and mean over all or some axes. Tensors are float32 for
+training and float64 for gradient checking; the code path is identical,
+only the dtype differs.
 
 Values are immutable by convention: no operation writes into its inputs,
 so tensors can be shared freely. The optimizer mutates parameter ``data``
@@ -20,10 +21,10 @@ and an adjoint that captured, when the op ran, only the arrays it reads:
 conv its weights, its input unless the weights are a constant, and its
 output when the ReLU is fused; mul and div their operands, or only the
 right one when it is a constant; relu and sqrt their result; square and
-abs their input; add, sub, concat, add_tiled, narrow, reshape, sum and
-mean shapes only. A leaf is its own node. So an intermediate that the
-caller drops is freed unless some adjoint reads it, and a graph lives
-until the caller drops its loss and every output of it that it kept.
+abs their input; add, sub, concat, narrow, reshape, sum and mean shapes
+only. A leaf is its own node. So an intermediate that the caller drops
+is freed unless some adjoint reads it, and a graph lives until the
+caller drops its loss and every output of it that it kept.
 """
 
 from __future__ import annotations
@@ -295,15 +296,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     """2-D cross-correlation, stride 1, plus ``add``, optionally with ReLU.
 
     ``x`` is (B, Cin, H, W), ``w`` is (Cout, Cin, kh, kw), ``b`` is (Cout,)
-    or None, ``add`` shaped like the output or None. ``padding="same"``
-    zero-pads so the spatial size is preserved (odd kernels only);
-    ``"valid"`` keeps only fully covered windows. Differentiable in every
-    argument. Backward lowers only the output gradient, once, and its taps
-    give both the input and the weight gradient. The adjoint reads ``w``,
-    and ``x`` only for the weight gradient, which a constant ``w`` does not
-    get; a constant ``x`` gets no input gradient. ``add`` goes into the
-    conv's own output, so it costs no second array, and its gradient is
-    the output's.
+    or None, ``add`` is (B, C, Ho, Wo) with C dividing Cout, or None.
+    ``padding="same"`` zero-pads so the spatial size is preserved (odd
+    kernels only); ``"valid"`` keeps only fully covered windows.
+    Differentiable in every argument. Backward lowers only the output
+    gradient, once, and its taps give both the input and the weight
+    gradient. The adjoint reads ``w``, and ``x`` only for the weight
+    gradient, which a constant ``w`` does not get; a constant ``x`` gets
+    no input gradient. ``add`` goes into the conv's own output, once into
+    each group of C channels, so a residual skip from C channels onto Cout
+    costs no second array and no tiled copy. Its gradient is the output's
+    summed over the groups; the adjoint keeps the group count, not ``add``.
 
     ``relu=True`` gives ``(conv2d(x, w, b) + add).relu()`` bit for bit, with
     no pre-activation array: the ReLU clamps the output in place, and
@@ -336,10 +339,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
 
     wd, x_const = w.data, _is_constant(x)
     out = _conv_forward(x.data, wd, None if b is None else b.data, ph, pw)
+    Ho, Wo = out.shape[2:]
+    reps = 0   # the addend's channel groups, all the adjoint keeps of it
     if add is not None:
-        if add.shape != out.shape:
-            raise ShapeError(f"conv2d addend must be {out.shape}, got {add.shape}")
-        out += add.data
+        C = add.shape[1] if add.data.ndim == 4 else 0
+        if not C or add.shape != (B, C, Ho, Wo) or Cout % C:
+            raise ShapeError(
+                f"conv2d addend must be {out.shape} or ({B}, C, {Ho}, {Wo}) "
+                f"with C dividing {Cout}, got {add.shape}")
+        reps = Cout // C
+        groups = out.reshape(B, reps, C, Ho, Wo)
+        groups += add.data[:, None]
     if relu:
         np.maximum(out, 0, out=out)
     relu_out = out if relu else None   # what the fused ReLU's mask reads
@@ -355,7 +365,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         yield gw                        # None for a constant w's None slot
         if b is not None:
             yield g.sum(axis=(0, 2, 3))
-        yield g                         # the addend's; not reached without one
+        if reps:                        # the addend's
+            yield g if reps == 1 else g.reshape(B, reps, -1, Ho, Wo).sum(axis=1)
 
     return Tensor(out, _parents=(x, w, *(t for t in (b, add) if t is not None)),
                   _adjoint=adjoint)
@@ -520,27 +531,6 @@ def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
         return (scatter,)
 
     return Tensor(x.data[index].copy(), _parents=(x,), _adjoint=adjoint)
-
-
-def add_tiled(x: Tensor, s: Tensor) -> Tensor:
-    """``x`` plus ``s`` repeated along the channel axis to ``x``'s width:
-    (B, reps*C, H, W) + (B, C, H, W), a parameter-free residual skip from
-    C channels onto reps*C. ``s`` is broadcast over a (B, reps, C, H, W)
-    view of ``x``, so no tiled copy of it is made."""
-    if (x.data.ndim != 4 or s.data.ndim != 4 or x.shape[0] != s.shape[0]
-            or x.shape[2:] != s.shape[2:] or x.shape[1] % s.shape[1]):
-        raise ShapeError(
-            f"add_tiled needs (B, reps*C, H, W) and (B, C, H, W), got "
-            f"{x.shape} and {s.shape}")
-    B, C, H, W = s.shape
-    reps = x.shape[1] // C
-
-    def adjoint(g):
-        yield g
-        yield g.reshape(B, reps, C, H, W).sum(axis=1)
-
-    out = np.add(x.data.reshape(B, reps, C, H, W), s.data[:, np.newaxis])
-    return Tensor(out.reshape(x.shape), _parents=(x, s), _adjoint=adjoint)
 
 
 # -- reverse pass ----------------------------------------------------------

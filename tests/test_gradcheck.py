@@ -3,7 +3,7 @@ import pytest
 from ivfuse.errors import ConfigError
 from ivfuse.gradcheck import COMPONENTS, CheckResult, run_gradient_checks
 
-OP_COMPONENTS = ["conv2d", "relu", "concat_channels", "add_tiled",
+OP_COMPONENTS = ["conv2d", "relu", "concat_channels",
                  "narrow", "elementwise", "sqrt_abs"]
 
 

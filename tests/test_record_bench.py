@@ -59,6 +59,20 @@ def test_summary_of_one_pair():
     assert p50["change_wins"] == 1
 
 
+def test_summary_flags_a_median_worse_beyond_its_bound():
+    runs = [{"parent": {"p50_s": 1.0, "rss": 100.0, "tput": 10.0, "x": 1.0},
+             "change": {"p50_s": p50, "rss": 104.0, "tput": 7.0, "x": 9.0}}
+            for p50 in (1.3, 1.3, 0.9)]
+    summary = record_bench.summarize(
+        runs, {"p50_s": "lower", "rss": "lower", "tput": "higher",
+               "x": "lower"},
+        {"p50_s": 0.25, "rss": 0.05, "tput": 0.25})
+    assert summary["p50_s"]["worse_beyond_bound"] is True    # +30% > 25%
+    assert summary["rss"]["worse_beyond_bound"] is False     # +4% < 5%
+    assert summary["tput"]["worse_beyond_bound"] is True     # -30% > 25%
+    assert summary["x"]["worse_beyond_bound"] is None        # no bound
+
+
 def _git(repo, *args):
     subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
                    cwd=repo, check=True, capture_output=True)
@@ -99,7 +113,9 @@ def test_compare_records_the_seeds_and_the_run_length_it_was_given(
     (repo / "src" / "ivfuse").mkdir(parents=True)
     (repo / "src" / "ivfuse" / "a.py").write_text("x = 1\n")
     (repo / "BENCHMARK.json").write_text(json.dumps(
-        {"end_to_end": [{"name": "p50_s", "better": "lower"}]}))
+        {"end_to_end": [{"name": "p50_s", "better": "lower", "bound": 0.25},
+                        {"name": "peak_rss_mb", "better": "lower",
+                         "bound": 0.05}]}))
     _git(repo, "init", "-q")
     _git(repo, "add", "-A")
     _git(repo, "commit", "-q", "-m", "one")
@@ -107,7 +123,9 @@ def test_compare_records_the_seeds_and_the_run_length_it_was_given(
     def run_copy(archive, workload, seed):
         if workload == "train-256":
             return {"step_s": 2.0, "peak_rss_mb": 1.0}, None
-        return {"p50_s": 1.0 if archive == b"change" else 2.0}, 20.0
+        if archive == b"change":
+            return {"p50_s": 1.0, "peak_rss_mb": 110.0}, 20.0
+        return {"p50_s": 2.0, "peak_rss_mb": 100.0}, 20.0
 
     monkeypatch.setattr(record_bench, "run_copy", run_copy)
     monkeypatch.setattr(record_bench, "archive_rev", lambda repo, rev: b"parent")
@@ -122,5 +140,9 @@ def test_compare_records_the_seeds_and_the_run_length_it_was_given(
     assert (t32["seed"], t32["seconds"]) == (5, 20.0)
     assert [r["seed"] for r in t32["runs"]] == [5, 6]
     assert t32["metrics"]["p50_s"]["change_wins"] == 2
+    assert t32["metrics"]["p50_s"]["worse_beyond_bound"] is False
+    assert t32["metrics"]["peak_rss_mb"]["worse_beyond_bound"] is True
+    assert [m["worse_beyond_bound"] for m in t256["metrics"].values()] == \
+        [None, None]   # the training step has no bound
     assert (t256["seed"], t256["seconds"]) == (None, None)
     assert [r["seed"] for r in t256["runs"]] == [None, None]

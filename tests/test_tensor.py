@@ -1,5 +1,6 @@
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import ivfuse.tensor
 from ivfuse.errors import DomainError, ShapeError
-from ivfuse.tensor import (Tensor, add_tiled, as_tensor, backward,
+from ivfuse.tensor import (Tensor, as_tensor, backward,
                            concat_channels, conv2d, finite_diff_gradient,
                            narrow, no_grad)
 from oracles import (conv2d_input_grad_loops, conv2d_loops,
@@ -355,6 +356,55 @@ def test_conv2d_rejects_a_misshapen_addend():
         conv2d(x, w, add=Tensor(np.zeros((1, 3, 4, 5))))
 
 
+def test_conv2d_grouped_addend_values_and_gradient():
+    # a 2-channel addend goes once into each of the output's 3 groups of 2
+    for dtype in (np.float32, np.float64):
+        x = Tensor(rand((2, 3, 5, 4), 14).astype(dtype))
+        w = Tensor(rand((6, 3, 3, 3), 15).astype(dtype))
+        b = Tensor(rand((6,), 16).astype(dtype))
+        s = Tensor(rand((2, 2, 5, 4), 35).astype(dtype))
+        m = rand((2, 6, 5, 4), 42).astype(dtype)
+        t = conv2d(x, w, b, add=s)
+        assert t.dtype == dtype
+        backward((t * Tensor(m)).sum())
+        assert np.array_equal(s.grad, m[:, 0:2] + m[:, 2:4] + m[:, 4:6])
+        grads = [x.grad, w.grad, b.grad]
+        conv = conv2d(x, w, b)
+        assert np.array_equal(t.data, conv.data + np.tile(s.data, (1, 3, 1, 1)))
+        backward((conv * Tensor(m)).sum())   # the conv's own gradients
+        for got, want in zip(grads, [x.grad, w.grad, b.grad]):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("add_shape", [
+    (1, 4, 4, 4),   # 4 channels do not divide the output's 6
+    (2, 2, 4, 4),
+    (1, 2, 4, 3),
+    (2, 4, 4),
+])
+def test_conv2d_rejects_an_addend_that_does_not_tile_the_output(add_shape):
+    x = Tensor(np.zeros((1, 2, 4, 4)))
+    w = Tensor(np.zeros((6, 2, 3, 3)))
+    with pytest.raises(ShapeError, match=r"addend must be \(1, 6, 4, 4\)"):
+        conv2d(x, w, add=Tensor(np.zeros(add_shape)))
+
+
+@pytest.mark.parametrize("channels", [4, 2], ids=["full", "grouped"])
+def test_conv2d_holds_no_addend_the_caller_dropped(channels):
+    # the adjoint keeps only the addend's group count, so a skip that the
+    # caller drops is freed although the graph still records the conv
+    x = Tensor(rand((1, 2, 6, 6), 50))
+    w = Tensor(rand((4, 2, 3, 3), 51))
+    s = Tensor(rand((1, channels, 6, 6), 52))
+    skip = s * 2.0   # an intermediate whose own adjoint reads only the 2
+    freed = weakref.ref(skip.data)
+    out = conv2d(x, w, add=skip)
+    del skip
+    assert freed() is None
+    backward(out.sum())
+    assert np.array_equal(s.grad, np.full(s.shape, 2.0 * 4 // channels))
+
+
 # ---------------------------------------------------------------- concat
 
 def test_concat_single_part_identity():
@@ -468,30 +518,6 @@ def test_narrow_and_gradient_scatter():
     assert np.array_equal(x.grad, want)
 
 
-def test_add_tiled_values_and_gradient():
-    for dtype in (np.float32, np.float64):
-        x = Tensor(rand((2, 6, 3, 4), 14).astype(dtype))
-        s = Tensor(rand((2, 2, 3, 4), 35).astype(dtype))
-        m = rand((2, 6, 3, 4), 42).astype(dtype)
-        t = add_tiled(x, s)
-        assert t.dtype == dtype
-        assert np.array_equal(t.data, x.data + np.tile(s.data, (1, 3, 1, 1)))
-        backward((t * Tensor(m)).sum())
-        assert np.array_equal(x.grad, m)
-        assert np.array_equal(s.grad, m[:, 0:2] + m[:, 2:4] + m[:, 4:6])
-
-
-@pytest.mark.parametrize("x_shape, s_shape", [
-    ((1, 6, 3, 3), (1, 4, 3, 3)),   # 6 channels are not a multiple of 4
-    ((1, 4, 3, 3), (2, 2, 3, 3)),
-    ((1, 4, 3, 3), (1, 2, 3, 2)),
-    ((4, 3, 3), (1, 2, 3, 3)),
-])
-def test_add_tiled_rejects_mismatched_shapes(x_shape, s_shape):
-    with pytest.raises(ShapeError, match="add_tiled"):
-        add_tiled(Tensor(np.zeros(x_shape)), Tensor(np.zeros(s_shape)))
-
-
 # -------------------------------------------------------------- backward
 
 def test_backward_sum_gives_ones():
@@ -551,7 +577,7 @@ def test_gradient_accumulates_over_consumers():
 
 def _every_op(x, w):
     y = conv2d(x, w).relu()
-    z = concat_channels([y, add_tiled(y, narrow(y, 1, 0, 1))])
+    z = concat_channels([y, conv2d(y, w, relu=True, add=narrow(y, 1, 0, 1))])
     return (z.square().sqrt().abs() * 2.0 - z / 3.0).reshape((-1,)).mean()
 
 
@@ -560,7 +586,7 @@ def test_no_grad_records_no_graph():
     w = Tensor(rand((2, 2, 3, 3), 26))
     with no_grad():
         y = conv2d(x, w).relu()
-        z = concat_channels([y, add_tiled(y, narrow(y, 1, 0, 1))])
+        z = concat_channels([y, conv2d(y, w, relu=True, add=narrow(y, 1, 0, 1))])
         outs = [y, z, z.square(), z.sqrt(), z.abs(), z + 1.0, z - z, z * z,
                 z / 2.0, z.sum(axis=1), z.mean(), z.reshape((-1,))]
     for out in outs:
@@ -716,17 +742,19 @@ def test_backward_drops_each_adjoint_once_passed_on():
 
 
 def test_forward_holds_no_value_that_no_adjoint_reads():
-    # add and add_tiled adjoints read no values, so an intermediate the
-    # caller has dropped is freed although the graph still records its op
+    # add's adjoint reads no values, nor does a conv's by constant weights
+    # read its input or its addend, so an intermediate the caller has
+    # dropped is freed although the graph still records its op
     x = Tensor(rand((1, 8, 64, 64), 41))
     c = Tensor(rand((1, 8, 64, 64), 42))
     s = Tensor(rand((1, 2, 64, 64), 43))
+    identity = as_tensor(np.eye(8).reshape(8, 8, 1, 1))
     nbytes = x.data.nbytes
     tracemalloc.start()
     try:
         y = x
         for _ in range(16):
-            y = add_tiled(y + c, s)
+            y = conv2d(y + c, identity, add=s)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -775,7 +803,7 @@ def _every_op_kept(x, w, b, held):
         held.append(t)
         return t
     y = keep(conv2d(x, w, b, relu=True))
-    tiled = keep(add_tiled(y, keep(narrow(y, 1, 0, 1))))
+    tiled = keep(conv2d(y, w, add=keep(narrow(y, 1, 0, 1))))
     z = keep(conv2d(keep(narrow(keep(concat_channels([y, tiled])), 1, 1, 3)), w))
     u = keep(keep(keep(keep(z.relu()).square()).sqrt()).abs())
     v = keep(keep(keep(u * 2.0) - keep(z / 3.0)) * keep(1.0 - keep(z * z)))
@@ -850,7 +878,8 @@ def test_forward_ops_keep_finite_inputs_finite(seed):
     w = Tensor(rng.uniform(-2, 2, size=(3, 2, 3, 3)))
     y = conv2d(x, w).relu()
     z = (y.square() + 1.0).sqrt() * 0.5 + y.abs()
-    out = concat_channels([z, y, add_tiled(y, narrow(z, 1, 0, 1))])
+    out = concat_channels([z, y, conv2d(narrow(y, 1, 0, 2), w,
+                                        add=narrow(z, 1, 0, 1))])
     assert np.all(np.isfinite(out.data))
     assert np.isfinite(out.mean().item())
 

@@ -30,11 +30,13 @@ checkout's working tree (its tracked and unignored files, archived the
 same way). The same code in two directories can differ by up to 8% in
 ``train-32`` time, and a copy per run turns that into noise that neither
 side keeps. Besides perfbench's workloads, ``train-256`` is the B=4
-256x256 training step. The end-to-end metrics of every run, and per
-metric each side's median and quartiles and the number of pairs the
-working tree won, go to ``BENCH_<change>_vs_<REV's short commit>.json``,
-named as above; a later run of other workloads on the same two trees is
-merged into that file.
+256x256 training step. The end-to-end metrics of every run go to
+``BENCH_<change>_vs_<REV's short commit>.json``, named as above, and per
+metric each side's median and quartiles, the number of pairs the working
+tree won, and ``worse_beyond_bound``: whether its median is worse than
+REV's by more than the metric's ``BENCHMARK.json`` bound, a fraction of
+REV's median (null for ``train-256``, which has no bound). A later run
+of other workloads on the same two trees is merged into that file.
 """
 
 from __future__ import annotations
@@ -229,10 +231,13 @@ def _quartiles(values: list[float]) -> list[float]:
     return [q1, q3]
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def summarize(runs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     """Per metric: each side's median and quartiles over the pairs, the
-    pairs the change won (strictly better), and whether the medians differ
-    by more than the parent's interquartile range."""
+    pairs the change won (strictly better), whether the medians differ by
+    more than the parent's interquartile range, and whether the change's
+    median is worse than the parent's by more than the metric's relative
+    bound in ``bounds`` (None for a metric without one)."""
     summary = {}
     for name, direction in better.items():
         sides = {side: [run[side][name] for run in runs] for side in
@@ -243,9 +248,12 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         stats = {side: {"median": statistics.median(v), "quartiles": _quartiles(v)}
                  for side, v in sides.items()}
         q1, q3 = stats["parent"]["quartiles"]
-        gap = abs(stats["change"]["median"] - stats["parent"]["median"])
+        diff = stats["change"]["median"] - stats["parent"]["median"]
+        bound = (bounds or {}).get(name)
         summary[name] = {"better": direction, **stats, "change_wins": wins,
-                         "pairs": len(runs), "gap_exceeds_parent_iqr": gap > q3 - q1}
+                         "pairs": len(runs), "gap_exceeds_parent_iqr": abs(diff) > q3 - q1,
+                         "worse_beyond_bound": None if bound is None else
+                         sign * diff > bound * abs(stats["parent"]["median"])}
     return summary
 
 
@@ -285,7 +293,9 @@ def compare(args) -> int:
     """The ``--against`` mode: see the module docstring."""
     root = os.path.abspath(args.root)
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
-        e2e = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        e2e = json.load(fh)["end_to_end"]
+    better = {m["name"]: m["better"] for m in e2e}
+    bounds = {m["name"]: m["bound"] for m in e2e if "bound" in m}
     workloads = [args.workload] if args.workload else [*WORKLOADS, "train-256"]
     results = {}
     lengths = {}   # the run length perfbench printed, per side
@@ -301,10 +311,10 @@ def compare(args) -> int:
             step = workload == "train-256"
             seed = None if step else args.seed
             runs = run_pairs(run, workload, args.pairs, seed)
-            better = dict.fromkeys(STEP_METRICS, "lower") if step else e2e
+            metrics = (summarize(runs, dict.fromkeys(STEP_METRICS, "lower"))
+                       if step else summarize(runs, better, bounds))
             results[workload] = {"seed": seed, "seconds": lengths["change"],
-                                 "runs": runs,
-                                 "metrics": summarize(runs, better)}
+                                 "runs": runs, "metrics": metrics}
     except RuntimeError as exc:
         print(f"record_bench: {exc}", file=sys.stderr)
         return 1
@@ -322,8 +332,9 @@ def compare(args) -> int:
                 "{:.4g} [{:.4g}, {:.4g}]".format(m[side]["median"],
                                                  *m[side]["quartiles"])
                 for side in ("parent", "change"))
+            beyond = ", worse beyond its bound" if m["worse_beyond_bound"] else ""
             print(f"{workload} {name}: parent {parent_s} -> change {change_s}"
-                  f", change won {m['change_wins']}/{m['pairs']}")
+                  f", change won {m['change_wins']}/{m['pairs']}{beyond}")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
