@@ -277,6 +277,10 @@ def run_gradient_checks(seed: int = 0, n_seeds: int = 20,
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     names = components if components is not None else list(COMPONENTS)
+    unknown = [name for name in names if name not in COMPONENTS]
+    if unknown:
+        raise ConfigError(f"unknown gradient check components {unknown}; "
+                          f"known: {', '.join(COMPONENTS)}")
     results = []
     for name in names:
         check = COMPONENTS[name]

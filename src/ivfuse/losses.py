@@ -18,11 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, as_tensor, conv2d, narrow
+from .tensor import Tensor, as_tensor, conv2d
 
 PIXEL_MODES = ("mse", "norm")
 AG_MODES = ("sharpness_match", "literal")
 SSIM_C1, SSIM_C2 = 0.01 ** 2, 0.03 ** 2   # stability constants on [0, 1]
+# dx = x[i, j+1] - x[i, j] and dy = x[i+1, j] - x[i, j] as one 2x2 conv
+_DIFFS = np.array([[[[-1.0, 1.0], [0.0, 0.0]]], [[[-1.0, 0.0], [1.0, 0.0]]]])
 
 
 @dataclass(frozen=True)
@@ -107,10 +109,12 @@ def ssim(output, target, cfg: LossConfig = LossConfig()) -> Tensor:
     The classic construction: local means, variances, and covariance under
     an 11x11 sigma-1.5 Gaussian window (valid positions only), combined as
     ((2 mu_o mu_t + C1)(2 cov + C2)) / ((mu_o^2 + mu_t^2 + C1)
-    (var_o + var_t + C2)). Returns a scalar in [-1, 1]; exactly 1 when the
-    images are identical. A (B, 1, H, W) batch pairs image b of ``output``
-    with image b of ``target`` and scores the mean of the B per-image
-    values (every image has the same number of windows).
+    (var_o + var_t + C2)), from four window means: of o, t, o*t, and
+    o^2 + t^2, as the denominator reads the variances only as a sum.
+    Returns a scalar in [-1, 1]; exactly 1 when the images are identical.
+    A (B, 1, H, W) batch pairs image b of ``output`` with image b of
+    ``target`` and scores the mean of the B per-image values (every image
+    has the same number of windows).
     """
     o, t = _as_batches(output, target, "ssim")
     H, W = o.shape[2], o.shape[3]
@@ -120,11 +124,12 @@ def ssim(output, target, cfg: LossConfig = LossConfig()) -> Tensor:
     win = gaussian_window_1d(cfg.ssim_window, cfg.ssim_sigma, dtype=o.dtype)
     mu_o = _window_mean(o, win)
     mu_t = _window_mean(t, win)
-    var_o = _window_mean(o.square(), win) - mu_o.square()
-    var_t = _window_mean(t.square(), win) - mu_t.square()
-    cov = _window_mean(o * t, win) - mu_o * mu_t
-    num = (2.0 * (mu_o * mu_t) + SSIM_C1) * (2.0 * cov + SSIM_C2)
-    den = (mu_o.square() + mu_t.square() + SSIM_C1) * (var_o + var_t + SSIM_C2)
+    mu_ot = mu_o * mu_t
+    mu_sq = mu_o.square() + mu_t.square()
+    var_sum = _window_mean(o.square() + t.square(), win) - mu_sq
+    cov = _window_mean(o * t, win) - mu_ot
+    num = (2.0 * mu_ot + SSIM_C1) * (2.0 * cov + SSIM_C2)
+    den = (mu_sq + SSIM_C1) * (var_sum + SSIM_C2)
     return (num / den).mean()
 
 
@@ -134,16 +139,14 @@ def ssim_loss(output, target, cfg: LossConfig = LossConfig()) -> Tensor:
 
 
 def _gradient_magnitude(t: Tensor) -> Tensor:
-    """Forward-difference gradient magnitude of a (B, 1, H, W) batch, on
-    the (H-1) x (W-1) region where both differences exist."""
+    """Forward-difference gradient magnitude of a (B, 1, H, W) batch on the
+    region where both differences exist, (B, H-1, W-1): the root mean
+    square of the two channels of one valid conv, dx and dy."""
     H, W = t.shape[2], t.shape[3]
     if H < 2 or W < 2:
         raise ShapeError(f"avg_gradient needs at least 2x2, got {H}x{W}")
-    top = narrow(t, 2, 0, H - 1)
-    left = narrow(t, 3, 0, W - 1)
-    dx = narrow(top, 3, 1, W) - narrow(top, 3, 0, W - 1)
-    dy = narrow(left, 2, 1, H) - narrow(left, 2, 0, H - 1)
-    return ((dx.square() + dy.square()) * 0.5).sqrt()
+    d = conv2d(t, as_tensor(_DIFFS, t.dtype), padding="valid")
+    return d.square().mean(axis=1).sqrt()
 
 
 def avg_gradient(img) -> Tensor:
@@ -159,8 +162,8 @@ def avg_gradient(img) -> Tensor:
 def _detail_term(o: Tensor, t: Tensor, cfg: LossConfig) -> Tensor:
     if cfg.ag_mode == "literal":
         return avg_gradient(o)
-    ag_t = _gradient_magnitude(t).mean(axis=(1, 2, 3))
-    ag_o = _gradient_magnitude(o).mean(axis=(1, 2, 3))
+    ag_t = _gradient_magnitude(t).mean(axis=(1, 2))
+    ag_o = _gradient_magnitude(o).mean(axis=(1, 2))
     return (ag_t - ag_o).abs().mean()
 
 

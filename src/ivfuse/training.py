@@ -15,7 +15,7 @@ import numpy as np
 
 from ._files import write_atomic
 from .dataset import PairDataset
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, ShapeError
 from .losses import LossConfig, composite_loss_parts
 from .network import (FeedbackConfig, ModelParams, PreFusionConfig,
                       init_params, pre_fuse, reconstruct)
@@ -164,13 +164,20 @@ def train(dataset: PairDataset, cfg: TrainConfig,
     """Run the reconstruction training loop.
 
     Pre-fused samples are fixed up front; every epoch shuffles them with
-    the seeded generator and walks them in batches. Raises
-    DivergenceError naming the epoch and step if the loss goes non-finite.
+    the seeded generator and walks them in batches. Raises ShapeError
+    before any step if batches would mix image sizes, and DivergenceError
+    naming the epoch and step if the loss goes non-finite.
     """
     samples = prefused_samples(dataset, cfg.pre_fusion)
     if not samples:
         raise ConfigError("training requires a nonempty train split")
-    h, w = min((s.shape for s in samples), key=min)
+    shapes = sorted({s.shape for s in samples})
+    if cfg.batch_size > 1 and len(shapes) > 1:
+        (h, w), (h2, w2) = shapes[:2]
+        raise ShapeError(
+            f"batch_size {cfg.batch_size} needs training images of one size, "
+            f"got {h}x{w} and {h2}x{w2}; use one size or batch_size 1")
+    h, w = min(shapes, key=min)
     if min(h, w) < cfg.loss.ssim_window:
         raise ConfigError(
             f"ssim_window ({cfg.loss.ssim_window}) is larger than a {h}x{w} "

@@ -52,3 +52,12 @@ def test_no_seeds_is_a_config_error(n_seeds):
 def test_negative_seed_is_a_config_error():
     with pytest.raises(ConfigError, match="seed"):
         run_gradient_checks(seed=-1, n_seeds=1, components=["relu"])
+
+
+def test_unknown_component_is_a_config_error_before_any_check(monkeypatch):
+    def no_check(rng, h):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setitem(COMPONENTS, "relu", no_check)
+    with pytest.raises(ConfigError, match=r"\['nope'\].*known: conv2d, relu"):
+        run_gradient_checks(n_seeds=1, components=["relu", "nope"])

@@ -3,8 +3,9 @@ import pytest
 
 import ivfuse.tensor
 from ivfuse.errors import ConfigError, ShapeError
-from ivfuse.losses import (LossConfig, avg_gradient, composite_loss,
-                           composite_loss_parts, pixel_loss, ssim, ssim_loss)
+from ivfuse.losses import (LossConfig, _gradient_magnitude, avg_gradient,
+                           composite_loss, composite_loss_parts, pixel_loss,
+                           ssim, ssim_loss)
 from ivfuse.tensor import Tensor, backward, finite_diff_gradient
 from oracles import avg_gradient_loops, ssim_loops
 
@@ -59,6 +60,10 @@ def test_ssim_matches_oracle_on_random_pairs():
         a = rng.uniform(0, 1, (32, 32))
         b = rng.uniform(0, 1, (32, 32))
         assert ssim(a, b).item() == pytest.approx(ssim_loops(a, b), abs=1e-6)
+    # a non-square batch scores the mean of its per-image values
+    a, b = rng.uniform(0, 1, (2, 3, 1, 14, 19))
+    want = np.mean([ssim_loops(x, y) for x, y in zip(a[:, 0], b[:, 0])])
+    assert ssim(a, b).item() == pytest.approx(want, abs=1e-6)
 
 
 def test_ssim_symmetry():
@@ -150,6 +155,15 @@ def test_avg_gradient_matches_loop_oracle():
         x = img(seed, 16)
         assert avg_gradient(x).item() == pytest.approx(
             avg_gradient_loops(x), abs=1e-9)
+    # non-square images, where dx and dy taken along the wrong axes would
+    # show, each image of a batch on its own; and the smallest image
+    batch = np.random.default_rng(5).uniform(0.05, 0.95, (3, 1, 9, 14))
+    per_image = _gradient_magnitude(Tensor(batch)).data.mean(axis=(1, 2))
+    for x, value in zip(batch[:, 0], per_image):
+        assert value == pytest.approx(avg_gradient_loops(x), abs=1e-9)
+    tiny = np.array([[0.1, 0.7], [0.4, 0.2]])
+    assert avg_gradient(tiny).item() == pytest.approx(
+        avg_gradient_loops(tiny), abs=1e-9)
 
 
 def test_avg_gradient_translation_invariant():

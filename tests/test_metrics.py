@@ -94,6 +94,16 @@ def test_qabf_matches_oracle():
     for seed in range(5):
         a, b, f = img(3 * seed), img(3 * seed + 1), img(3 * seed + 2)
         assert qabf(a, b, f) == pytest.approx(qabf_loops(a, b, f), abs=1e-6)
+    rng = np.random.default_rng(7)
+    a, b, f = rng.uniform(0, 1, (3, 12, 19))   # non-square
+    assert qabf(a, b, f) == pytest.approx(qabf_loops(a, b, f), abs=1e-6)
+    # 8-bit levels constant along each row: the horizontal Sobel response is
+    # exactly 0 inside, and must stay so for the orientation to be pi/2
+    rows = np.repeat(np.round(rng.uniform(0, 1, (2, 14, 1)) * 255) / 255, 17,
+                     axis=2)
+    f = np.round(rng.uniform(0, 1, (14, 17)) * 255) / 255
+    assert qabf(rows[0], f, rows[1]) == pytest.approx(
+        qabf_loops(rows[0], f, rows[1]), abs=1e-6)
 
 
 def test_qabf_all_zero_triple_is_zero():

@@ -107,8 +107,7 @@ def test_archives_hold_the_revision_and_the_working_tree(tmp_path):
         record_bench.archive_rev(str(repo), "no-such-rev")
 
 
-def test_compare_records_the_seeds_and_the_run_length_it_was_given(
-        tmp_path, monkeypatch):
+def _bench_repo(tmp_path):
     repo = tmp_path / "repo"
     (repo / "src" / "ivfuse").mkdir(parents=True)
     (repo / "src" / "ivfuse" / "a.py").write_text("x = 1\n")
@@ -119,6 +118,12 @@ def test_compare_records_the_seeds_and_the_run_length_it_was_given(
     _git(repo, "init", "-q")
     _git(repo, "add", "-A")
     _git(repo, "commit", "-q", "-m", "one")
+    return repo
+
+
+def test_compare_records_the_seeds_and_the_run_length_it_was_given(
+        tmp_path, monkeypatch):
+    repo = _bench_repo(tmp_path)
 
     def run_copy(archive, workload, seed):
         if workload == "train-256":
@@ -146,3 +151,52 @@ def test_compare_records_the_seeds_and_the_run_length_it_was_given(
         [None, None]   # the training step has no bound
     assert (t256["seed"], t256["seconds"]) == (None, None)
     assert [r["seed"] for r in t256["runs"]] == [None, None]
+
+
+def test_out_dir_is_made_before_the_first_run(tmp_path, monkeypatch):
+    repo = _bench_repo(tmp_path)
+    out = tmp_path / "not" / "yet"
+
+    def run(*args):
+        assert out.is_dir()   # made before the first run, not at the end
+        return {"p50_s": 1.0, "peak_rss_mb": 1.0}, 20.0
+
+    def perfbench(root, workload):
+        run()
+        return {"metrics": {}}, {}
+
+    monkeypatch.setattr(record_bench, "run_copy", run)
+    monkeypatch.setattr(record_bench, "archive_rev", lambda repo, rev: b"")
+    monkeypatch.setattr(record_bench, "archive_worktree", lambda repo: b"")
+    assert record_bench.main(["--root", str(repo), "--against", "HEAD",
+                              "--pairs", "1", "--workload", "train-32",
+                              "--out-dir", str(out)]) == 0
+    assert len(list(out.glob("BENCH_*_vs_*.json"))) == 1
+    out = tmp_path / "single"   # the one-checkout mode, where run reads it
+    monkeypatch.setattr(record_bench, "run_perfbench", perfbench)
+    monkeypatch.setattr(record_bench, "time_demo", lambda root: 1.0)
+    monkeypatch.setattr(record_bench, "time_train_step", lambda root: {})
+    monkeypatch.setattr(record_bench, "run_tier1", lambda root: {})
+    assert record_bench.main(["--root", str(repo), "--out-dir", str(out)]) == 0
+    assert len(list(out.glob("BENCH_*.json"))) == 1
+
+
+def test_a_workload_already_recorded_is_refused_before_any_run(
+        tmp_path, monkeypatch):
+    repo = _bench_repo(tmp_path)
+
+    def run_copy(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(record_bench, "run_copy", run_copy)
+    monkeypatch.setattr(record_bench, "archive_rev", lambda repo, rev: b"")
+    monkeypatch.setattr(record_bench, "archive_worktree", lambda repo: b"")
+    head = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=repo,
+                          capture_output=True, text=True).stdout.strip()
+    path = repo / f"BENCH_{head}_vs_{head}.json"
+    held = {"change": head, "parent": head, "workloads": {"train-32": {}}}
+    path.write_text(json.dumps(held))
+    for workload in (["--workload", "train-32"], []):   # [] is every workload
+        assert record_bench.main(["--root", str(repo), "--against", "HEAD",
+                                  *workload]) == 1
+    assert json.loads(path.read_text()) == held

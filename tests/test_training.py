@@ -6,8 +6,8 @@ import pytest
 import ivfuse.network
 import ivfuse.training
 from ivfuse.checkpoint import save_checkpoint
-from ivfuse.dataset import synth_corpus
-from ivfuse.errors import ConfigError, DivergenceError
+from ivfuse.dataset import ImagePair, PairDataset, synth_corpus
+from ivfuse.errors import ConfigError, DivergenceError, ShapeError
 from ivfuse.losses import LossConfig
 from ivfuse.network import FeedbackConfig, init_params
 from ivfuse.tensor import Tensor
@@ -162,6 +162,23 @@ def test_ssim_window_larger_than_images_is_config_error(monkeypatch):
     cfg = desk_config(loss=LossConfig(ssim_window=17))
     with pytest.raises(ConfigError, match="ssim_window.*16x16.*image_size"):
         train(corpus, cfg)
+
+
+def test_mixed_image_sizes_rejected_before_any_batched_step(monkeypatch):
+    pairs = [ImagePair(f"p{side}", np.full((side, side), 0.25),
+                       np.full((side, side), 0.75)) for side in (16, 20)]
+    corpus = PairDataset(pairs)
+    reconstruct = ivfuse.training.reconstruct
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(ivfuse.training, "reconstruct", no_step)
+    with pytest.raises(ShapeError, match="16x16 and 20x20"):
+        train(corpus, desk_config(batch_size=2))
+    monkeypatch.setattr(ivfuse.training, "reconstruct", reconstruct)
+    _, log = train(corpus, desk_config(batch_size=1, max_steps=4))
+    assert len(log.rows) == 4   # one image a step takes any size
 
 
 def test_early_stop_on_reconstruction_target():

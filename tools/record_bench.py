@@ -36,7 +36,9 @@ metric each side's median and quartiles, the number of pairs the working
 tree won, and ``worse_beyond_bound``: whether its median is worse than
 REV's by more than the metric's ``BENCHMARK.json`` bound, a fraction of
 REV's median (null for ``train-256``, which has no bound). A later run
-of other workloads on the same two trees is merged into that file.
+of other workloads on the same two trees is merged into that file; one
+of a workload the file already holds exits 1 before anything runs, since
+it would replace that series. ``--out-dir`` is created if missing.
 """
 
 from __future__ import annotations
@@ -297,6 +299,18 @@ def compare(args) -> int:
     better = {m["name"]: m["better"] for m in e2e}
     bounds = {m["name"]: m["bound"] for m in e2e if "bound" in m}
     workloads = [args.workload] if args.workload else [*WORKLOADS, "train-256"]
+    parent = _run(["git", "rev-parse", "--short", args.against], root).stdout.strip()
+    change = record_name(root, src_sha256(root))[len("BENCH_"):-len(".json")]
+    path = os.path.join(args.out_dir or root, f"BENCH_{change}_vs_{parent}.json")
+    record = {"change": change, "parent": parent, "workloads": {}}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            record = json.load(fh)
+    recorded = [w for w in workloads if w in record["workloads"]]
+    if recorded:   # a second series would silently replace the first
+        print(f"record_bench: {path} already holds {', '.join(recorded)}; "
+              f"move it or choose another --out-dir", file=sys.stderr)
+        return 1
     results = {}
     lengths = {}   # the run length perfbench printed, per side
 
@@ -318,13 +332,6 @@ def compare(args) -> int:
     except RuntimeError as exc:
         print(f"record_bench: {exc}", file=sys.stderr)
         return 1
-    parent = _run(["git", "rev-parse", "--short", args.against], root).stdout.strip()
-    change = record_name(root, src_sha256(root))[len("BENCH_"):-len(".json")]
-    path = os.path.join(args.out_dir or root, f"BENCH_{change}_vs_{parent}.json")
-    record = {"change": change, "parent": parent, "workloads": {}}
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            record = json.load(fh)
     for workload, result in results.items():
         record["workloads"][workload] = {"pairs": args.pairs, **result}
         for name, m in result["metrics"].items():
@@ -359,6 +366,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    if args.out_dir:   # before any run, so a bad directory loses no run
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as exc:
+            ap.error(f"--out-dir: {exc}")
     if args.against:
         return compare(args)
     root = os.path.abspath(args.root)
