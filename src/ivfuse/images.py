@@ -8,10 +8,16 @@ and written at maxval 255.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from ._files import write_atomic
 from .errors import IngestionError, ShapeError
+
+# one PGM header token: whitespace bytes and '#' comments that end in a
+# newline, then a run of bytes that are neither whitespace nor '#'
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*([^\s#]+)")
 
 
 def quantize_u8(img: np.ndarray) -> np.ndarray:
@@ -50,23 +56,10 @@ def read_pgm(path) -> np.ndarray:
     except OSError as exc:
         raise IngestionError(
             f"{path}: cannot read image ({exc.strerror})") from exc
-    tokens = []
-    i = 0
-    while len(tokens) < 4 and i < len(blob):
-        c = blob[i:i + 1]
-        if c == b"#":
-            i = blob.find(b"\n", i)
-            if i < 0:
-                break
-            i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(blob) and not blob[j:j + 1].isspace() and blob[j:j + 1] != b"#":
-                j += 1
-            tokens.append(blob[i:j])
-            i = j
+    tokens, i = [], 0
+    while len(tokens) < 4 and (m := _HEADER_TOKEN.match(blob, i)):
+        tokens.append(m[1])
+        i = m.end()
     if len(tokens) < 4 or tokens[0] != b"P5":
         raise IngestionError(f"{path}: not a binary PGM (P5) file")
     try:

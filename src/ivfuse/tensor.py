@@ -502,11 +502,11 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
     if not parts:
         raise ShapeError("concat_channels needs at least one part")
     first = parts[0].shape
-    for p in parts[1:]:
+    for p in parts:
         if p.data.ndim != 4 or p.shape[0] != first[0] or p.shape[2:] != first[2:]:
             raise ShapeError(
-                f"concat_channels parts must share batch and spatial dims, "
-                f"got {first} and {p.shape}")
+                f"concat_channels parts must be 4-d and share batch and "
+                f"spatial dims, got {first} and {p.shape}")
     bounds = list(accumulate((p.shape[1] for p in parts), initial=0))
     return Tensor(np.concatenate([p.data for p in parts], axis=1),
                   _parents=tuple(parts), _adjoint=lambda g: (
@@ -550,6 +550,9 @@ def backward(loss: Tensor) -> None:
     if loss.data.shape != ():
         raise ShapeError(
             f"backward needs a rank-0 loss, got shape {loss.data.shape}")
+    if _is_constant(loss):
+        raise ValueError("backward needs a loss with a graph, got a constant "
+                         "(built under no_grad or from arrays only)")
     root = loss if loss._node is None else loss._node
     order = _topo_order(root)
     for t in order:
@@ -592,8 +595,9 @@ def finite_diff_gradient(f: Callable[[Tensor], "Tensor | float"],
     perturbed copies, under :func:`no_grad`, which makes it a fair oracle
     for backward().
     """
-    if h <= 0:
-        raise ValueError("finite difference step must be positive")
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"finite difference step must be finite and > 0, "
+                         f"got {h}")
     base = x.data
     grad = np.zeros(base.shape, dtype=np.float64)
     flat = grad.ravel()

@@ -528,24 +528,32 @@ def test_gradcheck_quick_pass(capsys):
     assert "PASS" in out
 
 
+def _one_nan(g):
+    g = g.copy()
+    g.flat[0] = np.nan
+    return g
+
+
 def test_gradcheck_corrupted_adjoint_fails_naming_op(capsys, monkeypatch):
+    # a wrong adjoint, one NaN entry and an all-NaN gradient each fail
     original = tensor_mod.Tensor.relu
+    for corrupt in (lambda g: g * 1.01, _one_nan,
+                    lambda g: np.full_like(g, np.nan)):
+        def broken_relu(self, corrupt=corrupt):
+            out = original(self)
+            inner = out._backward
 
-    def broken_relu(self):
-        out = original(self)
-        inner = out._backward
+            def backward(g):
+                inner(corrupt(g))
 
-        def backward(g):
-            inner(g * 1.01)  # deliberately wrong adjoint
+            out._backward = backward
+            return out
 
-        out._backward = backward
-        return out
-
-    monkeypatch.setattr(tensor_mod.Tensor, "relu", broken_relu)
-    code, out, err = run_cli(capsys, "gradcheck", "--seed", "0",
-                             "--n-seeds", "1")
-    assert code == 1
-    assert "relu" in err
+        monkeypatch.setattr(tensor_mod.Tensor, "relu", broken_relu)
+        code, out, err = run_cli(capsys, "gradcheck", "--seed", "0",
+                                 "--n-seeds", "1")
+        assert code == 1
+        assert "relu" in err
 
 
 def test_gradcheck_repeatable(capsys):

@@ -81,13 +81,27 @@ def _pgm_samples(draw, maxval):
     return np.array(flat, dtype=np.int64).reshape(height, width)
 
 
+# the six bytes that bytes.isspace() and a bytes regex's \s agree on
+WHITESPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+# what may stand between two header tokens: runs of whitespace and '#'
+# comments, which run to a newline; a separator that opens with a comment
+# ends the token before it directly at its '#'
+HEADER_SEPARATORS = st.lists(st.one_of(
+    st.lists(WHITESPACE, min_size=1, max_size=3).map(b"".join),
+    st.binary(max_size=6).map(lambda c: b"#" + c.replace(b"\n", b"") + b"\n")),
+    min_size=1, max_size=3).map(b"".join)
+
+
 @st.composite
 def pgm_files(draw):
     """A valid P5 file at any maxval, and the samples it holds."""
     maxval = draw(st.one_of(st.integers(1, 255), st.integers(256, 65535)))
     levels = _pgm_samples(draw, maxval)
     dtype = np.uint8 if maxval < 256 else ">u2"
-    header = f"P5\n{levels.shape[1]} {levels.shape[0]}\n{maxval}\n".encode()
+    header = b"P5"
+    for n in (levels.shape[1], levels.shape[0], maxval):
+        header += draw(HEADER_SEPARATORS) + str(n).encode()
+    header += draw(WHITESPACE)   # exactly one byte ends maxval
     return header + levels.astype(dtype).tobytes(), levels, maxval
 
 

@@ -434,6 +434,11 @@ def test_concat_mismatched_spatial_rejected():
     b = Tensor(np.zeros((1, 2, 4, 3)))
     with pytest.raises(ShapeError):
         concat_channels([a, b])
+    # the first part is checked too, also when it is the only one
+    with pytest.raises(ShapeError, match=r"4-d.*\(2, 3, 4\)"):
+        concat_channels([Tensor(np.zeros((2, 3, 4)))])
+    with pytest.raises(ShapeError, match=r"4-d.*\(5,\)"):
+        concat_channels([Tensor(np.zeros(5))])
 
 
 @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4),
@@ -543,6 +548,26 @@ def test_backward_requires_rank0_loss():
     x = Tensor(rand((2, 2), 17))
     with pytest.raises(ShapeError):
         backward(x + x)
+
+
+def test_backward_rejects_a_loss_without_a_graph():
+    # a constant loss reaches no parameter, so backward would leave every
+    # grad as the previous step set it; it must not touch the loss either,
+    # which would turn the constant into a leaf
+    w = Tensor(rand((2, 2), 18))
+    backward((w * w).sum())
+    before = w.grad.copy()
+    k = as_tensor(3.0)
+    with no_grad():
+        frozen = (w * w).sum()
+    for loss in (k, frozen, as_tensor(np.ones(3)).sum()):
+        with pytest.raises(ValueError, match="constant.*no_grad"):
+            backward(loss)
+        assert loss.grad is None
+    assert np.array_equal(w.grad, before)
+    leaf = Tensor(2.0)   # a rank-0 leaf is its own loss, with gradient 1
+    backward(leaf)
+    assert leaf.grad == 1.0
 
 
 def test_backward_repeat_is_bitwise_identical():
@@ -866,8 +891,9 @@ def test_finite_diff_square_at_3():
 
 
 def test_finite_diff_rejects_bad_step():
-    with pytest.raises(ValueError):
-        finite_diff_gradient(lambda t: t.sum(), Tensor(np.zeros(2)), h=0.0)
+    for h in (0.0, -1e-5, np.nan, np.inf):   # a NaN step used to pass
+        with pytest.raises(ValueError, match="finite and > 0"):
+            finite_diff_gradient(lambda t: t.sum(), Tensor(np.zeros(2)), h=h)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
