@@ -5,7 +5,8 @@ tensor (``<name> <dtype> <d0,d1,...>``), a blank line, then the raw
 little-endian float32 payloads in manifest order. Loading validates the
 complete tensor set and every shape against the architecture table before
 accepting anything, so a checkpoint that parses is guaranteed to fit the
-network exactly, and it rejects any tensor holding a non-finite value.
+network exactly, and it rejects any tensor holding a non-finite value;
+saving refuses such a tensor, after the float32 cast, with a DomainError.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._files import write_atomic
-from .errors import CheckpointFormatError, CheckpointSchemaError, ShapeError
+from .errors import (CheckpointFormatError, CheckpointSchemaError,
+                     DomainError, ShapeError)
 from .network import ModelParams, check_param_shapes
 from .tensor import Tensor
 
@@ -22,14 +24,18 @@ _DTYPE_TOKEN = "f32"
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    lines = []
+    lines, payload = [], []
     for name, t in params.tensors.items():
+        with np.errstate(over="ignore"):   # float64 beyond float32's range
+            data = np.ascontiguousarray(t.data, dtype="<f4")
+        if not np.isfinite(data).all():   # load_checkpoint would refuse it
+            raise DomainError(f"{path}: {name} holds non-finite values "
+                              f"as float32")
         dims = ",".join(str(d) for d in t.shape)
         lines.append(f"{name} {_DTYPE_TOKEN} {dims}")
+        payload.append(data.tobytes())
     manifest = ("\n".join(lines) + "\n\n").encode("utf-8")
-    payload = b"".join(np.ascontiguousarray(t.data, dtype="<f4").tobytes()
-                       for t in params.tensors.values())
-    write_atomic(path, MAGIC + b"\n" + manifest + payload)
+    write_atomic(path, MAGIC + b"\n" + manifest + b"".join(payload))
 
 
 def load_checkpoint(path) -> ModelParams:

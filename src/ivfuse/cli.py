@@ -108,7 +108,7 @@ def parse_config_file(path) -> dict:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8: {exc}") from None
-    values = {}
+    values, set_on = {}, {}
     for lineno, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -119,6 +119,10 @@ def parse_config_file(path) -> dict:
         key, raw = (s.strip() for s in text.split("=", 1))
         if key not in CONFIG_SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} is "
+                              f"already set on line {set_on[key]}")
+        set_on[key] = lineno
         values[key] = _convert(key, raw)
     return values
 

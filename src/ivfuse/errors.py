@@ -21,7 +21,7 @@ class IngestionError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or non-finite weights."""
 
 
 class CheckpointFormatError(RuntimeError):

@@ -13,7 +13,7 @@ import re
 import numpy as np
 
 from ._files import write_atomic
-from .errors import IngestionError, ShapeError
+from .errors import DomainError, IngestionError, ShapeError
 
 # one PGM header token: whitespace bytes and '#' comments that end in a
 # newline, then a run of bytes that are neither whitespace nor '#'
@@ -88,9 +88,12 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_pgm(path, img: np.ndarray) -> None:
-    """Write a [0, 1] image as binary PGM (P5, maxval 255)."""
+    """Write a [0, 1] image as binary PGM (P5, maxval 255); values outside
+    [0, 1] clip, and a NaN or infinite pixel is a DomainError."""
     if img.ndim != 2:
         raise ShapeError(f"write_pgm expects a 2-d image, got shape {img.shape}")
+    if not np.isfinite(img).all():
+        raise DomainError(f"{path}: image has non-finite pixels")
     data = quantize_u8(img)
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
     write_atomic(path, header + data.tobytes())

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._files import write_atomic
 from .dataset import PairDataset
-from .errors import ConfigError, DivergenceError, ShapeError
+from .errors import ConfigError, DivergenceError, DomainError, ShapeError
 from .losses import LossConfig, composite_loss_parts
 from .network import (FeedbackConfig, ModelParams, PreFusionConfig,
                       init_params, pre_fuse, reconstruct)
@@ -133,9 +133,15 @@ class TrainingLog:
 
 def prefused_samples(dataset: PairDataset, cfg: PreFusionConfig
                      ) -> list[np.ndarray]:
-    """Both complementary blends of every training pair, in corpus order."""
+    """Both complementary blends of every training pair, in corpus order.
+    Raises DomainError naming the pair and the spectrum of an image with a
+    NaN or infinite pixel."""
     samples = []
     for pair in dataset.train_pairs():
+        for spectrum in ("infrared", "visible"):
+            if not np.isfinite(getattr(pair, spectrum)).all():
+                raise DomainError(f"training pair {pair.name!r}: {spectrum} "
+                                  f"image has non-finite pixels")
         iw, vw = pre_fuse(pair.infrared, pair.visible, cfg)
         samples.append(iw)
         samples.append(vw)
@@ -164,9 +170,11 @@ def train(dataset: PairDataset, cfg: TrainConfig,
     """Run the reconstruction training loop.
 
     Pre-fused samples are fixed up front; every epoch shuffles them with
-    the seeded generator and walks them in batches. Raises ShapeError
-    before any step if batches would mix image sizes, and DivergenceError
-    naming the epoch and step if the loss goes non-finite.
+    the seeded generator and walks them in batches. Raises DomainError
+    before any step if a training image has a non-finite pixel, ShapeError
+    if batches would mix image sizes, and DivergenceError naming the epoch
+    and step if the loss goes non-finite, or naming the first parameter
+    too if an optimizer step leaves it non-finite.
     """
     samples = prefused_samples(dataset, cfg.pre_fusion)
     if not samples:
@@ -206,6 +214,11 @@ def train(dataset: PairDataset, cfg: TrainConfig,
             backward(loss)
             del out, loss   # free this step's graph before the next forward
             opt.step()
+            bad = next((name for name, p in params.tensors.items()
+                        if not np.isfinite(p.data).all()), None)
+            if bad is not None:
+                raise DivergenceError(f"non-finite weights at epoch {epoch}, "
+                                      f"step {step}: {bad}")
             log.record(epoch, step, parts)
             step += 1
             if cfg.max_steps is not None and step >= cfg.max_steps:

@@ -10,7 +10,7 @@ from ivfuse.cli import (_convert, build_parser, main, parse_config_file,
 from ivfuse.images import read_pgm, write_pgm
 from ivfuse.losses import ssim as ssim_graph
 from ivfuse.network import init_params
-from test_network import overflowing_params
+from test_network import overflowing_params, write_nan_checkpoint
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +48,17 @@ def test_config_bad_value_type(tmp_path, capsys):
                            "--synthetic", "2")
     assert code == 2
     assert "seed" in err
+
+
+def test_config_key_set_twice_is_hard_error(tmp_path, capsys):
+    cfg_path = tmp_path / "twice.cfg"
+    cfg_path.write_text("seed = 1\n# comment\nseed = 2\n")
+    code, _, err = run_cli(capsys, "train", "--config", str(cfg_path),
+                           "--synthetic", "2", "--size", "16",
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert "'seed'" in err and ":3:" in err and "line 1" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_flags_override_config_file(tmp_path):
@@ -265,6 +276,17 @@ def test_train_divergence_exit4(tmp_path, capsys):
     assert "epoch" in err and "step" in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_weights_that_overflow_exit4_and_save_nothing(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "train", "--synthetic", "4", "--size",
+                             "16", "--ssim-window", "3", "--batch-size", "4",
+                             "--steps", "1", "--lr", "1e39",
+                             "--out-dir", str(tmp_path / "out"))
+    assert code == 4, out
+    assert "epoch 1, step 0: encoder.c1.weight" in err
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------------- fuse
 
 @pytest.fixture(scope="module")
@@ -424,10 +446,8 @@ def test_fuse_corrupt_checkpoint_exit5(tmp_path, capsys):
 
 
 def test_fuse_non_finite_checkpoint_exit5(tmp_path, capsys):
-    params = init_params(3, dtype=np.float32)
-    params.tensors["decoder.c5.bias"].data[0] = np.nan
     bad = tmp_path / "nan.hfn"
-    save_checkpoint(params, bad)
+    write_nan_checkpoint(bad, init_params(3), "decoder.c5.bias")
     a_path = tmp_path / "a.pgm"
     write_pgm(a_path, np.zeros((16, 16)))
     out = tmp_path / "f.pgm"

@@ -3,7 +3,7 @@ import pytest
 
 from ivfuse import dataset
 from ivfuse.dataset import load_dataset, split_counts, synth_corpus
-from ivfuse.errors import ConfigError, IngestionError, ShapeError
+from ivfuse.errors import ConfigError, DomainError, IngestionError, ShapeError
 from ivfuse.images import quantize_u8, read_pgm, resize_bilinear, write_pgm
 from ivfuse.metrics import entropy
 
@@ -64,6 +64,19 @@ def test_resize_constant_stays_constant():
 def test_write_pgm_rejects_bad_rank(tmp_path):
     with pytest.raises(ShapeError):
         write_pgm(tmp_path / "x.pgm", np.zeros((2, 2, 3)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_write_pgm_refuses_non_finite_pixels(tmp_path, value):
+    img = np.full((3, 4), 0.5)
+    img[1, 2] = value
+    path = tmp_path / "x.pgm"
+    with pytest.raises(DomainError, match="x.pgm"):
+        write_pgm(path, img)
+    assert list(tmp_path.iterdir()) == []
+    img[1, 2] = 7.0   # finite values outside [0, 1] still clip
+    write_pgm(path, img)
+    assert read_pgm(path)[1, 2] == 1.0
 
 
 # ------------------------------------------------------------------ split

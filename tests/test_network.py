@@ -447,13 +447,34 @@ def test_checkpoint_wrong_shape_cites_expected(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_non_finite_weight_rejected(tmp_path):
-    params = init_params(14)
-    params.tensors["decoder.c5.bias"].data[0] = np.nan
-    path = tmp_path / "model.hfn"
+def write_nan_checkpoint(path, params: ModelParams, name: str) -> None:
+    """Save ``params``, then overwrite the first value of tensor ``name``
+    in the file with NaN, which save_checkpoint itself refuses to write."""
     save_checkpoint(params, path)
+    blob = bytearray(path.read_bytes())
+    at = blob.index(b"\n\n") + 2
+    for key, t in params.tensors.items():
+        if key == name:
+            break
+        at += 4 * t.data.size
+    blob[at:at + 4] = np.float32(np.nan).astype("<f4").tobytes()
+    path.write_bytes(bytes(blob))
+
+
+def test_checkpoint_non_finite_weight_rejected(tmp_path):
+    path = tmp_path / "model.hfn"
+    write_nan_checkpoint(path, init_params(14), "decoder.c5.bias")
     with pytest.raises(CheckpointFormatError, match=r"decoder\.c5\.bias"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, 1e39])   # 1e39 overflows float32
+def test_save_checkpoint_refuses_what_load_would_refuse(tmp_path, value):
+    params = init_params(14, dtype=np.float64)
+    params.tensors["decoder.c5.bias"].data[0] = value
+    with pytest.raises(DomainError, match=r"decoder\.c5\.bias"):
+        save_checkpoint(params, tmp_path / "model.hfn")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_checkpoint_magic_constant():

@@ -1,5 +1,4 @@
-"""The paired-comparison mode of tools/record_bench.py, with a stubbed
-runner, so no benchmark runs here."""
+"""tools/record_bench.py, with stubbed runs, so no benchmark runs here."""
 
 import importlib.util
 import json
@@ -135,6 +134,7 @@ def test_compare_records_the_seeds_and_the_run_length_it_was_given(
     monkeypatch.setattr(record_bench, "run_copy", run_copy)
     monkeypatch.setattr(record_bench, "archive_rev", lambda repo, rev: b"parent")
     monkeypatch.setattr(record_bench, "archive_worktree", lambda repo: b"change")
+    monkeypatch.setattr(record_bench, "count_src_lines", len)   # no tars
     for workload in ("train-32", "train-256"):   # the second merges
         assert record_bench.main(["--root", str(repo), "--against", "HEAD",
                                   "--pairs", "2", "--workload", workload,
@@ -161,24 +161,11 @@ def test_out_dir_is_made_before_the_first_run(tmp_path, monkeypatch):
         assert out.is_dir()   # made before the first run, not at the end
         return {"p50_s": 1.0, "peak_rss_mb": 1.0}, 20.0
 
-    def perfbench(root, workload):
-        run()
-        return {"metrics": {}}, {}
-
     monkeypatch.setattr(record_bench, "run_copy", run)
-    monkeypatch.setattr(record_bench, "archive_rev", lambda repo, rev: b"")
-    monkeypatch.setattr(record_bench, "archive_worktree", lambda repo: b"")
     assert record_bench.main(["--root", str(repo), "--against", "HEAD",
                               "--pairs", "1", "--workload", "train-32",
                               "--out-dir", str(out)]) == 0
     assert len(list(out.glob("BENCH_*_vs_*.json"))) == 1
-    out = tmp_path / "single"   # the one-checkout mode, where run reads it
-    monkeypatch.setattr(record_bench, "run_perfbench", perfbench)
-    monkeypatch.setattr(record_bench, "time_demo", lambda root: 1.0)
-    monkeypatch.setattr(record_bench, "time_train_step", lambda root: {})
-    monkeypatch.setattr(record_bench, "run_tier1", lambda root: {})
-    assert record_bench.main(["--root", str(repo), "--out-dir", str(out)]) == 0
-    assert len(list(out.glob("BENCH_*.json"))) == 1
 
 
 def test_a_workload_already_recorded_is_refused_before_any_run(
@@ -194,9 +181,77 @@ def test_a_workload_already_recorded_is_refused_before_any_run(
     head = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=repo,
                           capture_output=True, text=True).stdout.strip()
     path = repo / f"BENCH_{head}_vs_{head}.json"
-    held = {"change": head, "parent": head, "workloads": {"train-32": {}}}
-    path.write_text(json.dumps(held))
-    for workload in (["--workload", "train-32"], []):   # [] is every workload
+    for held_workload, chosen in (("train-32", ["--workload", "train-32"]),
+                                  ("train-32", []),   # every default one
+                                  ("demo", ["--workload", "demo"]),
+                                  ("tier1", ["--workload", "tier1"])):
+        held = {"change": head, "parent": head,
+                "workloads": {held_workload: {}}}
+        path.write_text(json.dumps(held))
         assert record_bench.main(["--root", str(repo), "--against", "HEAD",
-                                  *workload]) == 1
-    assert json.loads(path.read_text()) == held
+                                  *chosen]) == 1
+        assert json.loads(path.read_text()) == held
+
+
+def test_against_is_required(tmp_path, monkeypatch, capsys):
+    repo = _bench_repo(tmp_path)
+    monkeypatch.setattr(record_bench, "run_copy", lambda *args: 1 / 0)
+    with pytest.raises(SystemExit) as exc:
+        record_bench.main(["--root", str(repo), "--workload", "train-32"])
+    assert exc.value.code == 2
+    assert "--against" in capsys.readouterr().err
+    assert list(repo.glob("BENCH_*")) == []
+
+
+def test_demo_and_tier1_run_in_fresh_copies_without_a_seed(
+        tmp_path, monkeypatch):
+    repo = _bench_repo(tmp_path)
+    trees = []
+
+    def runner(metrics):
+        def run(root):
+            assert os.path.isfile(os.path.join(root, "src", "ivfuse", "a.py"))
+            trees.append(root)
+            return metrics
+        return run
+
+    monkeypatch.setattr(record_bench, "time_demo",
+                        runner({"wall_s": 90.0}))
+    monkeypatch.setattr(record_bench, "run_tier1", runner(
+        {"wall_s": 80.0, "passed": 450, "failed": 0}))
+    for workload in ("demo", "tier1"):
+        assert record_bench.main(["--root", str(repo), "--against", "HEAD",
+                                  "--pairs", "2", "--workload", workload,
+                                  "--seed", "5"]) == 0
+    assert len(trees) == len(set(trees)) == 8   # a copy per run
+    assert not any(os.path.exists(tree) for tree in trees)
+    [path] = repo.glob("BENCH_*_vs_*.json")
+    workloads = json.loads(path.read_text())["workloads"]
+    for workload, metrics in (("demo", {"wall_s": "lower"}),
+                              ("tier1", {"wall_s": "lower", "passed": "higher",
+                                         "failed": "lower"})):
+        held = workloads[workload]
+        assert (held["seed"], held["seconds"]) == (None, None)
+        assert [r["seed"] for r in held["runs"]] == [None, None]
+        assert {k: m["better"] for k, m in held["metrics"].items()} == metrics
+        assert all(m["worse_beyond_bound"] is None
+                   for m in held["metrics"].values())
+    assert workloads["tier1"]["runs"][0]["change"]["passed"] == 450
+
+
+def test_src_lines_are_counted_per_side_from_the_archives(
+        tmp_path, monkeypatch):
+    repo = _bench_repo(tmp_path)   # src/ivfuse holds one line at HEAD
+    (repo / "src" / "ivfuse" / "a.py").write_text("x = 1\ny = 2\n")
+    (repo / "src" / "ivfuse" / "b.py").write_text("z = 3\n")   # untracked
+    (repo / "src" / "ivfuse" / "sub").mkdir()
+    (repo / "src" / "ivfuse" / "sub" / "c.py").write_text("not counted\n")
+    (repo / "src" / "ivfuse" / "notes.txt").write_text("not counted\n")
+    monkeypatch.setattr(record_bench, "run_copy", lambda *args: (
+        {"step_s": 1.0, "peak_rss_mb": 1.0}, None))
+    assert record_bench.main(["--root", str(repo), "--against", "HEAD",
+                              "--pairs", "1", "--workload", "train-256"]) == 0
+    [path] = repo.glob("BENCH_*_vs_*.json")
+    assert "+" in path.name   # src/ivfuse differs from HEAD
+    assert json.loads(path.read_text())["src_lines"] == {"parent": 1,
+                                                         "change": 3}

@@ -7,7 +7,7 @@ import ivfuse.network
 import ivfuse.training
 from ivfuse.checkpoint import save_checkpoint
 from ivfuse.dataset import ImagePair, PairDataset, synth_corpus
-from ivfuse.errors import ConfigError, DivergenceError, ShapeError
+from ivfuse.errors import ConfigError, DivergenceError, DomainError, ShapeError
 from ivfuse.losses import LossConfig
 from ivfuse.network import FeedbackConfig, init_params
 from ivfuse.tensor import Tensor
@@ -115,6 +115,32 @@ def test_divergence_aborts_with_location():
     cfg = desk_config(learning_rate=1e10, seed=5, max_steps=40)
     with pytest.raises(DivergenceError, match=r"epoch \d+, step \d+"):
         train(corpus, cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_weights_that_overflow_abort_with_the_tensor_named():
+    # the loss of the one step is finite; the Adam update overflows float32
+    corpus = synth_corpus(4, 16, seed=0)
+    cfg = desk_config(learning_rate=1e39, seed=0, max_steps=1,
+                      loss=LossConfig(ssim_window=3))
+    with pytest.raises(DivergenceError,
+                       match=r"epoch 1, step 0: encoder\.c1\.weight"):
+        train(corpus, cfg)
+
+
+@pytest.mark.parametrize("spectrum", ["infrared", "visible"])
+def test_a_non_finite_training_pixel_is_refused_before_any_step(
+        monkeypatch, spectrum):
+    corpus = synth_corpus(4, 16, seed=0)
+    pair = corpus.train_pairs()[1]
+    getattr(pair, spectrum)[3, 3] = np.nan
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(ivfuse.training, "reconstruct", no_step)
+    with pytest.raises(DomainError, match=f"{pair.name}.*{spectrum}"):
+        train(corpus, desk_config(loss=LossConfig(ssim_window=3)))
 
 
 def test_fusion_layer_never_invoked_during_training(monkeypatch):

@@ -1,50 +1,52 @@
-"""Record the performance of one ivfuse checkout in BENCH_<commit>.json,
-or compare it with another revision in alternating pairs.
+"""Compare the performance of an ivfuse checkout's working tree with a
+revision in alternating pairs, and record it in BENCH_<change>_vs_<REV>.json.
 
-    python3 tools/record_bench.py                      # this checkout
-    python3 tools/record_bench.py --root ../other --out-dir .
-    python3 tools/record_bench.py --against HEAD~1 --pairs 10 --workload train-32
+    python3 tools/record_bench.py --against HEAD~1 --pairs 10
+    python3 tools/record_bench.py --against HEAD --pairs 3 --workload train-256
+    python3 tools/record_bench.py --against HEAD --pairs 1 --workload tier1
 
-Runs ``perfbench/run.py`` of the measured checkout once per workload (in
-its own fresh process, from that checkout's root) and keeps the final JSON
-line of each run, then times one ``ivfuse demo`` run end to end, start-up
-included, one B=4 256x256 training step (after a warm-up step, in a fresh
-process, with that process's peak RSS), and one run of the checkout's
-Tier-1 suite (wall time, passed and failed counts). That step needs a few
-GB, so run the recorder alone on the machine. It also stores
-``src_lines``, the total line count of ``src/ivfuse/*.py``: the size
-measure of the design aim in ROADMAP.md. The record is written to
-``BENCH_<short commit>.json`` in ``--out-dir`` (default: the measured
-checkout). When ``src/ivfuse`` differs from the checkout's HEAD, the name
-becomes ``BENCH_<short commit>+<src hash>.json``: the first 8 hex digits
-of the ``src_sha256`` that perfbench prints, which identifies the code
-measured. Exits 1 when a run fails, writing nothing; failing Tier-1 tests
-are recorded, not treated as a failed run.
+Each workload runs once per side in each of N pairs, the side that runs
+first alternating from pair to pair and pair i using seed ``--seed + i``
+on both sides. Every run gets a fresh copy, in a temporary directory that
+is deleted afterwards, of REV (``git archive``) or of the checkout's
+working tree (its tracked and unignored files, archived the same way).
+The same code in two directories can differ by up to 8% in ``train-32``
+time, and a copy per run turns that into noise that neither side keeps.
 
-With ``--against REV --pairs N``, each workload runs once per side in
-each of N pairs, the side that runs first alternating from pair to pair
-and pair i using seed ``--seed + i`` on both sides (``train-256``
-takes no seed); perfbench sets the run length. Every run gets a
-fresh copy, in a temporary directory, of REV (``git archive``) or of the
-checkout's working tree (its tracked and unignored files, archived the
-same way). The same code in two directories can differ by up to 8% in
-``train-32`` time, and a copy per run turns that into noise that neither
-side keeps. Besides perfbench's workloads, ``train-256`` is the B=4
-256x256 training step. The end-to-end metrics of every run go to
-``BENCH_<change>_vs_<REV's short commit>.json``, named as above, and per
-metric each side's median and quartiles, the number of pairs the working
-tree won, and ``worse_beyond_bound``: whether its median is worse than
-REV's by more than the metric's ``BENCHMARK.json`` bound, a fraction of
-REV's median (null for ``train-256``, which has no bound). A later run
-of other workloads on the same two trees is merged into that file; one
-of a workload the file already holds exits 1 before anything runs, since
-it would replace that series. ``--out-dir`` is created if missing.
+The workloads are perfbench's three, each a run of the copy's
+``perfbench/run.py`` at perfbench's run length, and three that take no
+seed:
+- ``train-256``: one ``ivfuse.train`` job of one B=4 256x256 batch,
+  timed after a warm-up job in the same fresh process, with that
+  process's peak RSS. It needs over 1 GB, so run the recorder alone on
+  the machine;
+- ``demo``: the wall time of one ``ivfuse demo``, start-up included;
+- ``tier1``: the copy's Tier-1 suite: wall time, and passed and failed
+  counts (errors included). Failing tests are recorded, not treated as a
+  failed run.
+
+``demo`` and ``tier1`` take 60-100 s a run, so they run only when named
+with ``--workload``; by default the other four run.
+
+The record is named after the checkout's short commit, with
+``+<src hash>`` when ``src/ivfuse`` differs from HEAD (the first 8 hex
+digits of the ``src_sha256`` that perfbench prints), and REV's short
+commit. It holds every run's end-to-end metrics, ``src_lines`` per side
+(the line count of ``src/ivfuse/*.py`` in the archive the runs use: the
+size measure of the design aim in ROADMAP.md), and per metric each side's
+median and quartiles, the number of pairs the working tree won, and
+``worse_beyond_bound``: whether its median is worse than REV's by more
+than the metric's ``BENCHMARK.json`` bound, a fraction of REV's median
+(null for the workloads that are not perfbench's, which have no bound).
+A later run of other workloads on the same two trees is merged into that
+file; one of a workload the file already holds exits 1 before anything
+runs, since it would replace that series. Exits 1 when a run fails,
+writing nothing. ``--out-dir`` is created if missing.
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
 import importlib.util
 import io
 import json
@@ -59,37 +61,43 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("fuse-256", "train-32", "cli-fuse-64")
-# The Tier-1 suite, as ROADMAP.md runs it; no cache is left in the checkout.
+# The metrics of the workloads that are not perfbench's, each with the
+# direction that is better; none of them has a bound.
+STEP_METRICS = {
+    "train-256": {"step_s": "lower", "peak_rss_mb": "lower"},
+    "demo": {"wall_s": "lower"},
+    "tier1": {"wall_s": "lower", "passed": "higher", "failed": "lower"},
+}
+# The Tier-1 suite, as ROADMAP.md runs it; no cache is left in the copy.
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
-# One Adam step of reconstruct + composite loss on a B=4 256x256 batch at
-# float32, the paper's training size; prints its time after a warm-up step
-# and the process's peak RSS. Only public ivfuse API, so any checkout runs it.
+# One train() job of one B=4 256x256 batch at float32, the paper's
+# training size: 2 pairs give 4 blends. Prints the time of a job after a
+# warm-up job, and the process's peak RSS. Only public ivfuse API, so any
+# checkout runs it.
 TRAIN_STEP = """
 import json, resource, time
 import numpy as np
 import ivfuse as iv
 
+rng = np.random.default_rng(0)
+corpus = iv.PairDataset([iv.ImagePair(f"pair{i}", *rng.uniform(
+    0, 1, (2, 256, 256))) for i in range(2)])
+cfg = iv.TrainConfig(batch_size=4, epochs=1)
 params = iv.init_params(0)
-opt = iv.Adam(params.tensors, 1e-4)
-x = iv.Tensor(np.random.default_rng(0).uniform(
-    0, 1, (4, 1, 256, 256)).astype(np.float32))
 
 
-def step():
+def job():
     t0 = time.perf_counter()
-    loss, _ = iv.composite_loss_parts(iv.reconstruct(x, params), x)
-    iv.backward(loss)
-    opt.step()
+    iv.train(corpus, cfg, params)
     return time.perf_counter() - t0
 
 
-step()
-step_s = step()
+job()
+step_s = job()
 peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({"batch": 4, "size": 256, "step_s": step_s,
-                  "peak_rss_mb": peak_kib / 1024}))
+print(json.dumps({"step_s": step_s, "peak_rss_mb": peak_kib / 1024}))
 """
 
 
@@ -109,12 +117,11 @@ def _stdout_lines(proc: subprocess.CompletedProcess, what: str) -> list[str]:
 
 
 def run_perfbench(root: str, workload: str,
-                  seed: int | None = None) -> tuple[dict, dict]:
-    """The final JSON line of one run at perfbench's run length and, unless
-    given, its default seed, and the environment it printed."""
-    seed_args = [] if seed is None else ["--seed", str(seed)]
+                  seed: int) -> tuple[dict, dict]:
+    """The final JSON line of one run at perfbench's run length, and the
+    environment it printed."""
     proc = _run([sys.executable, "perfbench/run.py", "--workload", workload,
-                 *seed_args], root)
+                 "--seed", str(seed)], root)
     lines = _stdout_lines(proc, f"perfbench {workload}")
     result = json.loads(lines[-1])
     if not result["correct"] or result["failed"]:
@@ -125,22 +132,20 @@ def run_perfbench(root: str, workload: str,
     return result, run_env
 
 
-def time_demo(root: str) -> float:
-    """Wall seconds of ``python -m ivfuse demo`` (its default seed and
-    desk-scale schedule) into a scratch directory."""
+def time_demo(root: str) -> dict:
+    """``wall_s``: wall seconds of ``python -m ivfuse demo`` (its default
+    seed and desk-scale schedule) into a scratch directory."""
     with tempfile.TemporaryDirectory() as out_dir:
         t0 = time.perf_counter()
         proc = _run([sys.executable, "-m", "ivfuse", "demo", "--out-dir",
                      out_dir], root)
         elapsed = time.perf_counter() - t0
-    if proc.returncode != 0:
-        raise RuntimeError(f"ivfuse demo exited {proc.returncode}: "
-                           f"{proc.stderr.strip()[-500:]}")
-    return elapsed
+    _stdout_lines(proc, "ivfuse demo")
+    return {"wall_s": elapsed}
 
 
 def time_train_step(root: str) -> dict:
-    """Time and peak RSS of one B=4 256x256 training step (TRAIN_STEP)."""
+    """Time and peak RSS of one B=4 256x256 training job (TRAIN_STEP)."""
     proc = _run([sys.executable, "-c", TRAIN_STEP], root)
     return json.loads(_stdout_lines(proc, "training step")[-1])
 
@@ -161,13 +166,12 @@ def run_tier1(root: str) -> dict:
             "failed": counts.get("failed", 0) + counts.get("error", 0)}
 
 
-def count_src_lines(root: str) -> int:
-    """Total line count of ``src/ivfuse/*.py`` in the checkout."""
-    total = 0
-    for path in glob.glob(os.path.join(root, "src", "ivfuse", "*.py")):
-        with open(path, "rb") as fh:
-            total += fh.read().count(b"\n")
-    return total
+def count_src_lines(archive: bytes) -> int:
+    """Total line count of ``src/ivfuse/*.py`` in a tar archive."""
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        return sum(tar.extractfile(m).read().count(b"\n") for m in tar
+                   if m.isfile() and m.name.endswith(".py")
+                   and os.path.dirname(m.name) == "src/ivfuse")
 
 
 def record_name(root: str, src_sha256: str) -> str:
@@ -177,7 +181,7 @@ def record_name(root: str, src_sha256: str) -> str:
     name = git("rev-parse", "--short", "HEAD") or "nogit"
     if git("status", "--porcelain", "--", "src/ivfuse"):
         name += "+" + src_sha256[:8]
-    return f"BENCH_{name}.json"
+    return name
 
 
 def src_sha256(root: str) -> str:
@@ -187,10 +191,6 @@ def src_sha256(root: str) -> str:
     env = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(env)
     return env.src_sha256(root)
-
-
-# The metrics of the training-step pseudo-workload, all lower-is-better.
-STEP_METRICS = ("step_s", "peak_rss_mb")
 
 
 def archive_rev(repo: str, rev: str) -> bytes:
@@ -279,20 +279,44 @@ def run_copy(archive: bytes, workload: str,
              seed: int | None) -> tuple[dict, float | None]:
     """The end-to-end metrics of one run of ``workload`` in a fresh copy of
     ``archive``, which is deleted afterwards, and the run length perfbench
-    printed (None for ``train-256``, which runs no perfbench and takes no
-    seed)."""
+    printed (None for the workloads in STEP_METRICS, which run no perfbench
+    and take no seed)."""
     with tempfile.TemporaryDirectory(prefix="record_bench-") as tree:
         extract(archive, tree)
-        if workload == "train-256":
-            step = time_train_step(tree)
-            return {k: step[k] for k in STEP_METRICS}, None
+        if workload in STEP_METRICS:
+            runner = {"train-256": time_train_step, "demo": time_demo,
+                      "tier1": run_tier1}[workload]
+            return runner(tree), None
         result, run_env = run_perfbench(tree, workload, seed)
         return ({k: v["value"] for k, v in result["metrics"].items()},
                 run_env.get("seconds"))
 
 
-def compare(args) -> int:
-    """The ``--against`` mode: see the module docstring."""
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--root", default=ROOT,
+                    help="checkout whose working tree is measured "
+                    "(default: this one)")
+    ap.add_argument("--out-dir", help="where to write the record "
+                    "(default: the checkout)")
+    ap.add_argument("--against", metavar="REV", required=True,
+                    help="the revision the working tree is compared with")
+    ap.add_argument("--pairs", type=int, default=10,
+                    help="alternating pairs per workload (default 10)")
+    ap.add_argument("--workload", choices=[*WORKLOADS, *STEP_METRICS],
+                    help="the one workload to compare (default: all but "
+                    "demo and tier1)")
+    ap.add_argument("--seed", type=int, default=0,
+                    help="perfbench seed of the first pair (default 0)")
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    if args.out_dir:   # before any run, so a bad directory loses no run
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as exc:
+            ap.error(f"--out-dir: {exc}")
+
     root = os.path.abspath(args.root)
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
         e2e = json.load(fh)["end_to_end"]
@@ -300,7 +324,7 @@ def compare(args) -> int:
     bounds = {m["name"]: m["bound"] for m in e2e if "bound" in m}
     workloads = [args.workload] if args.workload else [*WORKLOADS, "train-256"]
     parent = _run(["git", "rev-parse", "--short", args.against], root).stdout.strip()
-    change = record_name(root, src_sha256(root))[len("BENCH_"):-len(".json")]
+    change = record_name(root, src_sha256(root))
     path = os.path.join(args.out_dir or root, f"BENCH_{change}_vs_{parent}.json")
     record = {"change": change, "parent": parent, "workloads": {}}
     if os.path.exists(path):
@@ -321,12 +345,16 @@ def compare(args) -> int:
     try:
         archives = {"parent": archive_rev(root, args.against),
                     "change": archive_worktree(root)}
+        record["src_lines"] = {side: count_src_lines(archive)
+                               for side, archive in archives.items()}
+        print("src_lines: parent {parent} -> change {change}".format(
+            **record["src_lines"]))
         for workload in workloads:
-            step = workload == "train-256"
+            step = workload in STEP_METRICS
             seed = None if step else args.seed
             runs = run_pairs(run, workload, args.pairs, seed)
-            metrics = (summarize(runs, dict.fromkeys(STEP_METRICS, "lower"))
-                       if step else summarize(runs, better, bounds))
+            metrics = (summarize(runs, STEP_METRICS[workload]) if step
+                       else summarize(runs, better, bounds))
             results[workload] = {"seed": seed, "seconds": lengths["change"],
                                  "runs": runs, "metrics": metrics}
     except RuntimeError as exc:
@@ -342,61 +370,6 @@ def compare(args) -> int:
             beyond = ", worse beyond its bound" if m["worse_beyond_bound"] else ""
             print(f"{workload} {name}: parent {parent_s} -> change {change_s}"
                   f", change won {m['change_wins']}/{m['pairs']}{beyond}")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {path}")
-    return 0
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--root", default=ROOT,
-                    help="checkout to measure (default: this one)")
-    ap.add_argument("--out-dir", help="where to write the record "
-                    "(default: the measured checkout)")
-    ap.add_argument("--against", metavar="REV",
-                    help="compare the checkout's working tree with REV")
-    ap.add_argument("--pairs", type=int, default=10,
-                    help="alternating pairs per workload (default 10)")
-    ap.add_argument("--workload", choices=[*WORKLOADS, "train-256"],
-                    help="the one workload to compare (default: all)")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="perfbench seed of the first pair (default 0)")
-    args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
-    if args.out_dir:   # before any run, so a bad directory loses no run
-        try:
-            os.makedirs(args.out_dir, exist_ok=True)
-        except OSError as exc:
-            ap.error(f"--out-dir: {exc}")
-    if args.against:
-        return compare(args)
-    root = os.path.abspath(args.root)
-
-    record = {"workloads": {}, "src_lines": count_src_lines(root)}
-    print(f"src_lines={record['src_lines']}")
-    try:
-        for workload in WORKLOADS:
-            result, run_env = run_perfbench(root, workload)
-            record.setdefault("env", run_env)
-            record["workloads"][workload] = result
-            print(f"{workload}: " + " ".join(
-                f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()))
-        record["demo_wall_s"] = time_demo(root)
-        print(f"demo_wall_s={record['demo_wall_s']:.2f}")
-        record["train_256"] = time_train_step(root)
-        print("train_256: " + " ".join(
-            f"{k}={v:.4g}" for k, v in record["train_256"].items()))
-        record["tier1"] = run_tier1(root)
-        print("tier1: " + " ".join(
-            f"{k}={v:.4g}" for k, v in record["tier1"].items()))
-    except RuntimeError as exc:
-        print(f"record_bench: {exc}", file=sys.stderr)
-        return 1
-    path = os.path.join(args.out_dir or root,
-                        record_name(root, record["env"].get("src_sha256", "")))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
