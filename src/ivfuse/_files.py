@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import secrets
 
 
 def write_atomic(path, data: bytes) -> None:
@@ -15,7 +14,7 @@ def write_atomic(path, data: bytes) -> None:
     """
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path),
-                       f".{os.path.basename(path)}.{secrets.token_hex(8)}.tmp")
+                       f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
             fh.write(data)

@@ -9,9 +9,15 @@ decoder, with a 1 -> 64 feedback projection. The residual skips bridge a
 16-channel tensor onto a 64-channel one by adding it to each of the four
 16-channel groups of the 1x1 fusion conv's output as its addend, with no
 parameter and no tiled copy; ``encode`` adds both, which are the same
-tensor, in one addend. The decoder's first conv runs on its input once;
-later iterations fold the projection into it, exactly, as a 10 -> 64 conv
-on the output's 3x3 taps and a ones channel (see ``decode``).
+tensor, in one addend. The encoder's first four convs write their outputs
+into channel slices of one (B, 64, H, W) buffer, so the dense block's
+concatenations are views of it and none is copied. ``fuse_images`` adds
+the two images' buffers and runs the 1x1 fusion conv once on the sum: by
+linearity that is ``fuse_add(encode(a), encode(b))``, exact in real
+arithmetic and at rounding level in floats. The decoder's first conv runs
+on its input once; later iterations fold the projection into it, exactly,
+as a 10 -> 64 conv on the output's 3x3 taps and a ones channel (see
+``decode``).
 """
 
 from __future__ import annotations
@@ -149,23 +155,41 @@ def pre_fuse(infrared: np.ndarray, visible: np.ndarray,
 
 
 def _layer(name: str, x: Tensor, params: ModelParams,
-           add: Tensor | None = None) -> Tensor:
+           add: Tensor | None = None, out: np.ndarray | None = None) -> Tensor:
     """The conv ``name`` of LAYER_SPECS on ``x``, plus ``add``, with the
-    ReLU fused into it where the table says so. Callers pass an input that
-    nothing else reads (a concatenation, an activation) inline, so that
-    under ``no_grad`` it is freed as soon as this call returns."""
+    ReLU fused into it where the table says so, written into ``out`` if
+    given. Callers pass an input that nothing else reads (an activation)
+    inline, so that under ``no_grad`` it is freed as soon as this call
+    returns."""
     return conv2d(x, params.weight(name), params.bias(name),
-                  relu=LAYER_SPECS[name][4], add=add)
+                  relu=LAYER_SPECS[name][4], add=add, out=out)
 
 
-def _dense_features(f0: Tensor, params: ModelParams) -> Tensor:
-    """The dense chain's 64-channel concatenation [f0, d1, d2, d3]. ``d1``
-    to ``d3`` are locals here, so they are freed when this returns, while
-    the concatenation holds copies of them."""
-    d1 = _layer("encoder.rdb.conv1", f0, params)
-    d2 = _layer("encoder.rdb.conv2", concat_channels([f0, d1]), params)
-    d3 = _layer("encoder.rdb.conv3", concat_channels([f0, d1, d2]), params)
-    return concat_channels([f0, d1, d2, d3])
+def _dense_features(x: Tensor, params: ModelParams,
+                    stem: bool) -> tuple[Tensor, Tensor]:
+    """``f0`` and the dense chain's 64-channel concatenation
+    [f0, d1, d2, d3], where ``f0`` is encoder.c1 on ``x`` if ``stem``, else
+    ``x`` copied in.
+
+    All four live in one (B, 64, H, W) buffer: each conv writes its 16
+    channels into the next slice and reads the slices before it, which
+    :func:`concat_channels` hands over as a view, so no concatenation is
+    copied (Pleiss et al. 2017, arXiv 1707.06990). The values are those of
+    concatenating copies, bit for bit, and so is the graph with ``stem``;
+    without it, the copy of ``x`` is one identity node."""
+    B, _, H, W = x.shape
+    buf = np.empty((B, 64, H, W), np.result_type(x.dtype, params.dtype))
+    if stem:
+        parts = [_layer("encoder.c1", x, params, out=buf[:, :16])]
+    else:
+        buf[:, :16] = x.data
+        parts = [Tensor(buf[:, :16], _parents=(x,), _adjoint=lambda g: (g,))]
+    features = parts[0]
+    for name in ("encoder.rdb.conv1", "encoder.rdb.conv2", "encoder.rdb.conv3"):
+        c = features.shape[1]
+        parts.append(_layer(name, features, params, out=buf[:, c:c + 16]))
+        features = concat_channels(parts)
+    return parts[0], features
 
 
 def rdb_forward(f0: Tensor, params: ModelParams) -> Tensor:
@@ -174,22 +198,21 @@ def rdb_forward(f0: Tensor, params: ModelParams) -> Tensor:
     skip, ``f0`` repeated over its four 16-channel groups."""
     if f0.shape[1] != 16:
         raise ShapeError(f"rdb_forward expects 16 channels, got {f0.shape[1]}")
-    return _layer("encoder.rdb.conv4", _dense_features(f0, params), params,
-                  add=f0)
+    f0, features = _dense_features(f0, params, stem=False)
+    return _layer("encoder.rdb.conv4", features, params, add=f0)
 
 
 def encode(img: Tensor, params: ModelParams) -> Tensor:
     """Rough 3x3 features, then the dense block, whose fusion conv adds
     the block's local skip and the encoder's global skip at once: both are
-    the rough features, so its addend is ``rough * 2``."""
+    the rough features, so its addend is ``rough * 2``. The rough features
+    and the dense chain share one buffer (see :func:`_dense_features`);
+    outputs and gradients are bit for bit those of concatenating copies."""
     if img.data.ndim != 4 or img.shape[1] != 1:
         raise ShapeError(
             f"encode expects a (B, 1, H, W) tensor, got {img.shape}")
-    rough = _layer("encoder.c1", img, params)
-    skips = rough * 2.0
-    features = _dense_features(rough, params)
-    del rough   # under no_grad, freed before the fusion conv runs
-    return _layer("encoder.rdb.conv4", features, params, add=skips)
+    rough, features = _dense_features(img, params, stem=True)
+    return _layer("encoder.rdb.conv4", features, params, add=rough * 2.0)
 
 
 def fuse_add(phi1: Tensor, phi2: Tensor) -> Tensor:
@@ -253,6 +276,24 @@ def reconstruct(img: Tensor, params: ModelParams,
     return decode(encode(img, params), params, fb)
 
 
+def _fused_encoding(a: Tensor, b: Tensor, params: ModelParams) -> Tensor:
+    """``fuse_add(encode(a), encode(b))`` with one fusion conv: conv4 is
+    1x1 with no ReLU, so the sum of its two outputs is conv4 on the summed
+    dense features, with bias ``2 * b4`` and addend ``2 * (rough_a +
+    rough_b)``. Exact in real arithmetic, so it moves the result at
+    rounding level; both sums commute, so swapping ``a`` and ``b`` changes
+    no bit. Only for :func:`fuse_images`, which runs it under ``no_grad``."""
+    (rough_a, fa), (rough_b, fb) = (_dense_features(t, params, stem=True)
+                                    for t in (a, b))
+    skips = (rough_a + rough_b) * 2.0   # before the sum: rough_a is in fa
+    # In place, which no tensor of a graph may see: legal only because this
+    # runs under no_grad and owns both buffers, which nothing else reads.
+    fa.data += fb.data
+    del rough_a, rough_b, fb   # b's buffer is freed before the conv runs
+    name = "encoder.rdb.conv4"
+    return conv2d(fa, params.weight(name), params.bias(name) * 2.0, add=skips)
+
+
 def fuse_images(infrared: np.ndarray, visible: np.ndarray,
                 params: ModelParams,
                 fb: FeedbackConfig = FeedbackConfig(),
@@ -264,7 +305,12 @@ def fuse_images(infrared: np.ndarray, visible: np.ndarray,
     device, but passing ``pre_fusion`` re-enables it here for ablation.
     Addition fusion plus tied weights make the result independent of the
     argument order, bit for bit. Runs under ``no_grad``: no graph is kept,
-    so memory stays at a few layers' activations. Pixels outside [0, 1],
+    so memory stays at a few layers' activations. The encoder's 1x1
+    fusion conv runs once, on the sum of the two dense buffers (see
+    :func:`_fused_encoding`). That is ``fuse_add(encode(a), encode(b))``
+    up to rounding: before clipping, the two differ by at most 4e-6 in
+    float32 and 1e-14 in float64 times the decoded image's largest
+    magnitude, or times 1 if that is smaller. Pixels outside [0, 1],
     NaN included, are rejected with a DomainError, and so is a decoded
     image that is not finite (weights that overflow), before clipping
     could hide it.
@@ -284,8 +330,7 @@ def fuse_images(infrared: np.ndarray, visible: np.ndarray,
     with no_grad(), np.errstate(over="ignore", invalid="ignore"):
         ta, tb = (Tensor(v[np.newaxis, np.newaxis].astype(params.dtype))
                   for v in (a, b))
-        fused = decode(fuse_add(encode(ta, params), encode(tb, params)),
-                       params, fb).data[0, 0]
+        fused = decode(_fused_encoding(ta, tb, params), params, fb).data[0, 0]
     if not np.isfinite(fused).all():
         raise DomainError("fuse_images: the decoded image is not finite")
     return np.clip(fused, 0.0, 1.0)

@@ -9,11 +9,15 @@ training and float64 for gradient checking; the code path is identical,
 only the dtype differs.
 
 Values are immutable by convention: no operation writes into its inputs,
-so tensors can be shared freely. The optimizer mutates parameter ``data``
-in place between graph builds, which is safe because every step records a
-fresh graph. A constant (an :func:`as_tensor` scalar or array, or any
-tensor made inside :func:`no_grad`, as inference runs) has no gradient
-and no graph node; an op records a node only when some input is not one.
+so tensors can be shared freely. A conv may write its output into a slice
+of a caller's array (``out``), and a concatenation of adjacent slices of
+one array is a view of it, so a dense block builds its concatenations in
+one buffer: each slice is written once, before any tensor reads it. The
+optimizer mutates parameter ``data`` in place between graph builds, which
+is safe because every step records a fresh graph. A constant (an
+:func:`as_tensor` scalar or array, or any tensor made inside
+:func:`no_grad`, as inference runs) has no gradient and no graph node; an
+op records a node only when some input is not one.
 
 The graph is kept apart from the values. A recorded op's output holds
 its value and a small node; the node holds the nodes of the op's inputs
@@ -292,7 +296,7 @@ def _accumulate(t, g) -> None:
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
            padding: str = "same", relu: bool = False,
-           add: Tensor | None = None) -> Tensor:
+           add: Tensor | None = None, out: np.ndarray | None = None) -> Tensor:
     """2-D cross-correlation, stride 1, plus ``add``, optionally with ReLU.
 
     ``x`` is (B, Cin, H, W), ``w`` is (Cout, Cin, kh, kw), ``b`` is (Cout,)
@@ -313,6 +317,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     backward masks the gradient in place by ``out > 0``, which holds
     exactly where the pre-activation was > 0, NaN included (in-place
     activation; Rota Bulo et al. 2018, arXiv 1712.02616).
+
+    ``out``, if given, is an array of the output's shape and dtype, such as
+    a channel slice of a larger buffer; the result is written into it, and
+    it is the returned tensor's value. The arithmetic is the same.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-d, got shape {x.shape}")
@@ -338,7 +346,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         raise ValueError(f"unknown padding mode {padding!r}")
 
     wd, x_const = w.data, _is_constant(x)
-    out = _conv_forward(x.data, wd, None if b is None else b.data, ph, pw)
+    out = _conv_forward(x.data, wd, None if b is None else b.data, ph, pw, out)
     Ho, Wo = out.shape[2:]
     reps = 0   # the addend's channel groups, all the adjoint keeps of it
     if add is not None:
@@ -348,7 +356,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
                 f"conv2d addend must be {out.shape} or ({B}, C, {Ho}, {Wo}) "
                 f"with C dividing {Cout}, got {add.shape}")
         reps = Cout // C
-        groups = out.reshape(B, reps, C, Ho, Wo)
+        groups = out.reshape(B, reps, C, Ho, Wo, copy=False)
         groups += add.data[:, None]
     if relu:
         np.maximum(out, 0, out=out)
@@ -373,12 +381,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
-                  ph: int, pw: int) -> np.ndarray:
-    """Stride-1 conv of ``x`` zero-padded by ``ph`` and ``pw``."""
+                  ph: int, pw: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Stride-1 conv of ``x`` zero-padded by ``ph`` and ``pw``, written
+    into ``out``, or into a new array if that is None."""
     (B, _, H, W), (Cout, _, kh, kw) = x.shape, w.shape
     pdtype = np.result_type(x, w)
-    out = np.empty((B, Cout, H + 2 * ph - kh + 1, W + 2 * pw - kw + 1),
-                   dtype=pdtype if b is None else np.result_type(pdtype, b))
+    shape = (B, Cout, H + 2 * ph - kh + 1, W + 2 * pw - kw + 1)
+    dtype = pdtype if b is None else np.result_type(pdtype, b)
+    if out is None:
+        out = np.empty(shape, dtype)
+    elif out.shape != shape or out.dtype != dtype:
+        raise ShapeError(f"conv2d out must be a {dtype} array of shape "
+                         f"{shape}, got {out.dtype} {out.shape}")
     for _ in _row_tiles(x, w, ph, pw, out):
         pass
     if b is not None:
@@ -497,7 +511,12 @@ def _lower_taps(x: np.ndarray, tile: np.ndarray, top: int, pw: int) -> None:
 
 
 def concat_channels(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate (B, C_i, H, W) tensors along the channel axis."""
+    """Concatenate (B, C_i, H, W) tensors along the channel axis.
+
+    Parts that are adjacent channel slices of one array, in order, are not
+    copied: the result is the slice of that array they make up, a view
+    (the shared-buffer concatenation of Pleiss et al. 2017, arXiv
+    1707.06990). Any other parts are copied into a new array."""
     parts = list(parts)
     if not parts:
         raise ShapeError("concat_channels needs at least one part")
@@ -508,9 +527,38 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
                 f"concat_channels parts must be 4-d and share batch and "
                 f"spatial dims, got {first} and {p.shape}")
     bounds = list(accumulate((p.shape[1] for p in parts), initial=0))
-    return Tensor(np.concatenate([p.data for p in parts], axis=1),
-                  _parents=tuple(parts), _adjoint=lambda g: (
-                      g[:, c0:c1] for c0, c1 in zip(bounds, bounds[1:])))
+    data = _channel_view([p.data for p in parts], bounds)
+    if data is None:
+        data = np.concatenate([p.data for p in parts], axis=1)
+    return Tensor(data, _parents=tuple(parts), _adjoint=lambda g: (
+        g[:, c0:c1] for c0, c1 in zip(bounds, bounds[1:])))
+
+
+def _channel_view(arrays: list[np.ndarray], bounds: list[int]
+                  ) -> np.ndarray | None:
+    """``base[:, c0:c0 + bounds[-1]]`` if ``arrays`` are the slices
+    ``base[:, c0 + bounds[i]:c0 + bounds[i + 1]]`` of their common base,
+    else None. Each must have the base's dtype, strides, batch and spatial
+    dims, and start where the one before ends; then every element of it is
+    the base's element at the same address."""
+    base = arrays[0].base
+    if not isinstance(base, np.ndarray) or base.ndim != 4 or not base.strides[1]:
+        return None
+    step, origin = base.strides[1], _address(base)
+    c0, rem = divmod(_address(arrays[0]) - origin, step)
+    if rem or c0 < 0 or c0 + bounds[-1] > base.shape[1]:
+        return None
+    for a, c in zip(arrays, bounds):
+        if (a.base is not base or a.dtype != base.dtype
+                or a.strides != base.strides
+                or a.shape[:1] + a.shape[2:] != base.shape[:1] + base.shape[2:]
+                or _address(a) != origin + (c0 + c) * step):
+            return None
+    return base[:, c0:c0 + bounds[-1]]
+
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
 
 
 def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:

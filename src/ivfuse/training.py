@@ -213,7 +213,8 @@ def train(dataset: PairDataset, cfg: TrainConfig,
                     f"non-finite loss at epoch {epoch}, step {step}")
             backward(loss)
             del out, loss   # free this step's graph before the next forward
-            opt.step()
+            with np.errstate(over="ignore", invalid="ignore"):
+                opt.step()   # a diverging step is named below, not warned
             bad = next((name for name, p in params.tensors.items()
                         if not np.isfinite(p.data).all()), None)
             if bad is not None:

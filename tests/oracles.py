@@ -2,9 +2,10 @@
 
 Everything here is written as straight-line loops with no code shared with
 the package, so a bug in the library cannot hide in its own oracle. The
-decoder oracles at the end are the exception: they are the feedback
-decoder as the architecture states it, built from the package's conv2d and
-add, so that their gradients can be compared with ``network.decode``'s.
+network oracles at the end are the exception: they are the feedback
+decoder and the encoder as the architecture states them, built from the
+package's conv2d, add and concatenation, so that their gradients can be
+compared with ``network.decode``'s and ``network.encode``'s.
 """
 
 import math
@@ -232,3 +233,21 @@ def decode_unrolled(y, params, n_iterations):
         c6 = conv2d(out, params.weight("decoder.c6"), params.bias("decoder.c6"))
         out = decoder_pass(y + c6, params)
     return out
+
+
+def encode_concat(img, params):
+    """The encoder with a fresh array per dense conv and a copied
+    concatenation per read: rough features, the dense chain, and the 1x1
+    fusion conv with the local and global skips as its addend."""
+    from ivfuse.tensor import concat_channels, conv2d
+
+    def layer(name, x, relu=True, add=None):
+        return conv2d(x, params.weight(name), params.bias(name), relu=relu,
+                      add=add)
+
+    rough = layer("encoder.c1", img)
+    d1 = layer("encoder.rdb.conv1", rough)
+    d2 = layer("encoder.rdb.conv2", concat_channels([rough, d1]))
+    d3 = layer("encoder.rdb.conv3", concat_channels([rough, d1, d2]))
+    return layer("encoder.rdb.conv4", concat_channels([rough, d1, d2, d3]),
+                 relu=False, add=rough * 2.0)

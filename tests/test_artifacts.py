@@ -2,10 +2,13 @@
 the previous file as it was and no temporary file behind."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ivfuse
 from ivfuse.checkpoint import save_checkpoint
 from ivfuse.images import write_pgm
 from ivfuse.metrics import MetricReport, MetricRow
@@ -100,3 +103,19 @@ def test_write_replaces_previous_file(tmp_path, writer, names):
     assert second != first
     assert second == [p.read_bytes() for p in fresh]
     assert sorted(os.listdir(tmp_path)) == sorted(names + ["fresh"])
+
+
+def test_cli_import_loads_no_hashing_modules():
+    # write_atomic names its temporary file from os.urandom, the source
+    # secrets.token_hex reads, without the import subtree of secrets that
+    # every CLI process would load
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ivfuse.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, ivfuse.cli; print(sorted({'secrets', 'hmac', "
+            "'hashlib', '_hashlib', 'base64'} & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -276,7 +276,6 @@ def test_train_divergence_exit4(tmp_path, capsys):
     assert "epoch" in err and "step" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_weights_that_overflow_exit4_and_save_nothing(tmp_path, capsys):
     code, out, err = run_cli(capsys, "train", "--synthetic", "4", "--size",
                              "16", "--ssim-window", "3", "--batch-size", "4",

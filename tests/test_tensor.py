@@ -429,6 +429,52 @@ def test_concat_gradient_is_ones_on_every_part():
         assert np.allclose(p.grad, numeric, atol=1e-7)
 
 
+def test_concat_of_adjacent_slices_is_a_view_with_the_copys_gradients():
+    base = rand((2, 9, 3, 4), 11)
+    bounds = [(1, 3), (3, 4), (4, 8)]
+    views = [Tensor(base[:, c0:c1]) for c0, c1 in bounds]
+    copies = [Tensor(base[:, c0:c1].copy()) for c0, c1 in bounds]
+    r = rand((2, 7, 3, 4), 12)
+    shared, copied = concat_channels(views), concat_channels(copies)
+    assert np.shares_memory(shared.data, base)
+    assert not np.shares_memory(copied.data, base)
+    assert np.array_equal(shared.data, copied.data)
+    backward((shared * r).sum())
+    backward((copied * r).sum())
+    for v, c in zip(views, copies):
+        assert np.array_equal(v.grad, c.grad)
+
+
+@pytest.mark.parametrize("case", ["reversed", "other array", "gap",
+                                  "batch slice", "strided"])
+def test_concat_copies_parts_that_do_not_tile_one_slice(case):
+    base, other = rand((2, 8, 3, 3), 13), rand((2, 8, 3, 3), 14)
+    parts = {"reversed": [base[:, 2:4], base[:, 0:2]],
+             "other array": [base[:, 0:2], other[:, 2:4]],
+             "gap": [base[:, 0:2], base[:, 3:5]],
+             "batch slice": [base[:1, 0:2], base[:1, 2:4]],
+             "strided": [base[:, 0:2, ::2], base[:, 2:4, ::2]]}[case]
+    out = concat_channels([Tensor(p) for p in parts])
+    assert not np.shares_memory(out.data, base)
+    assert np.array_equal(out.data, np.concatenate(parts, axis=1))
+
+
+def test_conv2d_writes_into_a_given_slice():
+    x, w, b = rand((2, 3, 5, 4), 15), rand((4, 3, 3, 3), 16), rand(4, 17)
+    buf = np.zeros((2, 9, 5, 4))
+    out = conv2d(Tensor(x), Tensor(w), Tensor(b), relu=True,
+                 add=Tensor(rand((2, 2, 5, 4), 18)), out=buf[:, 3:7])
+    assert np.shares_memory(out.data, buf)
+    assert not buf[:, :3].any() and not buf[:, 7:].any()
+    assert np.array_equal(buf[:, 3:7], conv2d(
+        Tensor(x), Tensor(w), Tensor(b), relu=True,
+        add=Tensor(rand((2, 2, 5, 4), 18))).data)
+    with pytest.raises(ShapeError, match="out must be"):
+        conv2d(Tensor(x), Tensor(w), out=buf[:, :3])
+    with pytest.raises(ShapeError, match="out must be"):
+        conv2d(Tensor(x), Tensor(w), out=buf[:, :4].astype(np.float32))
+
+
 def test_concat_mismatched_spatial_rejected():
     a = Tensor(np.zeros((1, 2, 3, 3)))
     b = Tensor(np.zeros((1, 2, 4, 3)))

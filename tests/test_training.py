@@ -117,9 +117,10 @@ def test_divergence_aborts_with_location():
         train(corpus, cfg)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_weights_that_overflow_abort_with_the_tensor_named():
-    # the loss of the one step is finite; the Adam update overflows float32
+    # the loss of the one step is finite; the Adam update overflows float32,
+    # which must end in the error, not in numpy's RuntimeWarning (the suite
+    # turns that into an error)
     corpus = synth_corpus(4, 16, seed=0)
     cfg = desk_config(learning_rate=1e39, seed=0, max_steps=1,
                       loss=LossConfig(ssim_window=3))
