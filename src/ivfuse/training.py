@@ -3,13 +3,19 @@
 Each registered pair is blended into two complementary pre-fused images;
 the encoder and decoder (never the fusion layer) learn to reconstruct
 each of them under the composite loss. Adam with the documented defaults
-does the stepping; plain SGD is selectable for ablation. Single-threaded
-runs are bit-for-bit reproducible from (seed, config, corpus).
+does the stepping; plain SGD is selectable for ablation.
+
+A batch runs as one chunk per OpenBLAS thread (see :func:`train`), so a
+run is bit-for-bit reproducible from (seed, config, corpus) and the
+OpenBLAS thread count. With one thread it is the whole-batch step itself;
+with more, it agrees with that step up to rounding.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -164,13 +170,105 @@ def reconstruction_rmse(params: ModelParams, samples: list[np.ndarray],
     return float(np.sqrt(total / count))
 
 
+def _loss_and_backward(x: np.ndarray, params: ModelParams,
+                       cfg: TrainConfig) -> dict[str, float]:
+    """Reconstruct the batch ``x`` with ``params``, score it, and, when the
+    loss is finite, set every ``params`` gradient by backward. Returns the
+    logged parts; the graph is freed on return."""
+    xt = as_tensor(x)
+    out = reconstruct(xt, params, cfg.feedback)
+    loss, parts = composite_loss_parts(out, xt, cfg.loss)
+    if np.isfinite(parts["L"]):   # else train() raises, before any step
+        backward(loss)
+    return parts
+
+
+def _chunk_gradients(x: np.ndarray, params: ModelParams, cfg: TrainConfig
+                     ) -> tuple[dict[str, np.ndarray], dict[str, float]]:
+    """One chunk's gradients and logged parts, from leaves of its own that
+    share the parameter arrays. Only arrays and floats are returned, so the
+    chunk's graph is freed when this returns."""
+    leaves = ModelParams({name: Tensor(p.data)
+                          for name, p in params.tensors.items()})
+    parts = _loss_and_backward(x, leaves, cfg)
+    return {name: t.grad for name, t in leaves.tensors.items()}, parts
+
+
+def _chunk_bounds(n: int, k: int) -> list[int]:
+    """Bounds of ``k`` chunks of ``n`` images, as equal as they can be,
+    the first ones the larger."""
+    q, r = divmod(n, k)
+    return list(accumulate([q + 1] * r + [q] * (k - r), initial=0))
+
+
+def _batch_step(x: np.ndarray, params: ModelParams, cfg: TrainConfig,
+                workers: int) -> dict[str, float]:
+    """Set every ``params`` gradient to the batch's, and return the logged
+    parts of the batch ``x``, in ``min(B, workers)`` chunks.
+
+    One chunk is the whole batch on ``params`` itself. Otherwise the
+    caller runs chunk 0 and one thread each runs the others, with OpenBLAS
+    held to one thread until all have been joined; every loss term is a
+    per-image mean over equal pixel and window counts, so up to rounding
+    the batch's gradient and parts are the chunks' weighted by size, here
+    summed in chunk order. A chunk's exception is raised here once all
+    are joined.
+    """
+    B = len(x)
+    bounds = _chunk_bounds(B, min(B, workers))
+    if len(bounds) == 2:
+        return _loss_and_backward(x, params, cfg)
+    from . import _blas   # not at import, which every CLI verb pays
+    chunks = [x[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    results: list = [None] * len(chunks)
+    errstate = np.geterr()   # numpy's error state is not inherited
+
+    def work(c):
+        try:
+            with np.errstate(**errstate):
+                results[c] = _chunk_gradients(chunks[c], params, cfg)
+        except BaseException as exc:   # raised in the caller after the join
+            results[c] = exc
+
+    threads = []
+    with _blas.single_thread():
+        try:
+            for c in range(1, len(chunks)):
+                t = threading.Thread(target=work, args=(c,))
+                t.start()
+                threads.append(t)
+            results[0] = _chunk_gradients(chunks[0], params, cfg)
+        finally:
+            for t in threads:
+                t.join()
+    for r in results:
+        if isinstance(r, BaseException):
+            raise r
+    weights = [(hi - lo) / B for lo, hi in zip(bounds, bounds[1:])]
+    for name, p in params.tensors.items():
+        p.grad = weights[0] * results[0][0][name]
+        for wc, (grads, _) in zip(weights[1:], results[1:]):
+            p.grad += wc * grads[name]
+    return {key: sum(wc * parts[key] for wc, (_, parts) in zip(weights, results))
+            for key in results[0][1]}
+
+
 def train(dataset: PairDataset, cfg: TrainConfig,
           params: ModelParams | None = None
           ) -> tuple[ModelParams, TrainingLog]:
     """Run the reconstruction training loop.
 
     Pre-fused samples are fixed up front; every epoch shuffles them with
-    the seeded generator and walks them in batches. Raises DomainError
+    the seeded generator and walks them in batches. A batch of B images
+    runs as k = min(B, w) chunks of consecutive images, as equal in size
+    as they can be, where w is the OpenBLAS thread count when this is
+    called (1 if numpy's OpenBLAS is not found): the caller runs one chunk
+    and k - 1 threads the others, with OpenBLAS held to one thread, and
+    one optimizer step takes the chunks' gradients weighted by size. With
+    k = 1 (one thread, or one image a batch) the step is the whole batch's
+    graph on ``params`` itself; with more, results are bit-for-bit
+    reproducible for a fixed w and agree with the k = 1 step up to
+    rounding. Raises DomainError
     before any step if a training image has a non-finite pixel, ShapeError
     if batches would mix image sizes, and DivergenceError naming the epoch
     and step if the loss goes non-finite, or naming the first parameter
@@ -198,6 +296,8 @@ def train(dataset: PairDataset, cfg: TrainConfig,
     else:
         opt = SGD(params.tensors, cfg.learning_rate)
 
+    from . import _blas   # not at import, which every CLI verb pays
+    workers = _blas.threads() or 1
     rng = np.random.default_rng(cfg.seed)
     log = TrainingLog()
     step = 0
@@ -205,14 +305,11 @@ def train(dataset: PairDataset, cfg: TrainConfig,
         order = rng.permutation(len(samples))
         for lo in range(0, len(order), cfg.batch_size):
             batch = [samples[i] for i in order[lo:lo + cfg.batch_size]]
-            x = as_tensor(np.stack(batch)[:, np.newaxis].astype(cfg.dtype))
-            out = reconstruct(x, params, cfg.feedback)
-            loss, parts = composite_loss_parts(out, x, cfg.loss)
+            x = np.stack(batch)[:, np.newaxis].astype(cfg.dtype)
+            parts = _batch_step(x, params, cfg, workers)
             if not np.isfinite(parts["L"]):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, step {step}")
-            backward(loss)
-            del out, loss   # free this step's graph before the next forward
             with np.errstate(over="ignore", invalid="ignore"):
                 opt.step()   # a diverging step is named below, not warned
             bad = next((name for name, p in params.tensors.items()

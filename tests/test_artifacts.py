@@ -105,17 +105,31 @@ def test_write_replaces_previous_file(tmp_path, writer, names):
     assert sorted(os.listdir(tmp_path)) == sorted(names + ["fresh"])
 
 
-def test_cli_import_loads_no_hashing_modules():
-    # write_atomic names its temporary file from os.urandom, the source
-    # secrets.token_hex reads, without the import subtree of secrets that
-    # every CLI process would load
+def _loaded_by_cli_import(modules: set[str]) -> str:
+    """Which of ``modules`` a fresh ``import ivfuse.cli`` loads, printed."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ivfuse.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, ivfuse.cli; print(sorted({'secrets', 'hmac', "
-            "'hashlib', '_hashlib', 'base64'} & sys.modules.keys()))")
+    code = (f"import sys, ivfuse.cli; "
+            f"print(sorted({sorted(modules)!r} & sys.modules.keys()))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_no_hashing_modules():
+    # write_atomic names its temporary file from os.urandom, the source
+    # secrets.token_hex reads, without the import subtree of secrets that
+    # every CLI process would load
+    assert _loaded_by_cli_import(
+        {"secrets", "hmac", "hashlib", "_hashlib", "base64"}) == "[]"
+
+
+def test_cli_import_loads_no_thread_pool_logging_or_blas_lookup():
+    # training runs its batch chunks on plain threads, and finds OpenBLAS
+    # on its first call; concurrent.futures (which imports logging) or
+    # the lookup module would add to every CLI process's start-up
+    assert _loaded_by_cli_import(
+        {"concurrent.futures", "logging", "ivfuse._blas"}) == "[]"

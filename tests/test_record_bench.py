@@ -126,10 +126,10 @@ def test_compare_records_the_seeds_and_the_run_length_it_was_given(
 
     def run_copy(archive, workload, seed):
         if workload == "train-256":
-            return {"step_s": 2.0, "peak_rss_mb": 1.0}, None
+            return {"step_s": 2.0, "peak_rss_mb": 1.0}, {}
         if archive == b"change":
-            return {"p50_s": 1.0, "peak_rss_mb": 110.0}, 20.0
-        return {"p50_s": 2.0, "peak_rss_mb": 100.0}, 20.0
+            return {"p50_s": 1.0, "peak_rss_mb": 110.0}, {"seconds": 20.0}
+        return {"p50_s": 2.0, "peak_rss_mb": 100.0}, {"seconds": 20.0}
 
     monkeypatch.setattr(record_bench, "run_copy", run_copy)
     monkeypatch.setattr(record_bench, "archive_rev", lambda repo, rev: b"parent")
@@ -153,13 +153,39 @@ def test_compare_records_the_seeds_and_the_run_length_it_was_given(
     assert [r["seed"] for r in t256["runs"]] == [None, None]
 
 
+def test_each_sides_blas_threads_and_cores_are_recorded(tmp_path, monkeypatch):
+    repo = _bench_repo(tmp_path)
+    printed = {b"parent": {"seconds": 20.0, "blas_threads": 2, "nproc": 2,
+                           "numpy": "2.4.6"},
+               b"change": {"seconds": 20.0, "blas_threads": 1, "nproc": 2}}
+
+    def run_copy(archive, workload, seed):
+        if workload == "train-256":
+            return {"step_s": 2.0, "peak_rss_mb": 1.0}, {}
+        return {"p50_s": 1.0, "peak_rss_mb": 1.0}, printed[archive]
+
+    monkeypatch.setattr(record_bench, "run_copy", run_copy)
+    monkeypatch.setattr(record_bench, "archive_rev", lambda repo, rev: b"parent")
+    monkeypatch.setattr(record_bench, "archive_worktree", lambda repo: b"change")
+    monkeypatch.setattr(record_bench, "count_src_lines", len)
+    for workload in ("train-32", "train-256"):
+        assert record_bench.main(["--root", str(repo), "--against", "HEAD",
+                                  "--pairs", "2", "--workload", workload]) == 0
+    [path] = repo.glob("BENCH_*_vs_*.json")
+    workloads = json.loads(path.read_text())["workloads"]
+    assert workloads["train-32"]["threads"] == {
+        "parent": {"blas_threads": 2, "nproc": 2},
+        "change": {"blas_threads": 1, "nproc": 2}}
+    assert "threads" not in workloads["train-256"]   # runs no perfbench
+
+
 def test_out_dir_is_made_before_the_first_run(tmp_path, monkeypatch):
     repo = _bench_repo(tmp_path)
     out = tmp_path / "not" / "yet"
 
     def run(*args):
         assert out.is_dir()   # made before the first run, not at the end
-        return {"p50_s": 1.0, "peak_rss_mb": 1.0}, 20.0
+        return {"p50_s": 1.0, "peak_rss_mb": 1.0}, {"seconds": 20.0}
 
     monkeypatch.setattr(record_bench, "run_copy", run)
     assert record_bench.main(["--root", str(repo), "--against", "HEAD",
@@ -248,7 +274,7 @@ def test_src_lines_are_counted_per_side_from_the_archives(
     (repo / "src" / "ivfuse" / "sub" / "c.py").write_text("not counted\n")
     (repo / "src" / "ivfuse" / "notes.txt").write_text("not counted\n")
     monkeypatch.setattr(record_bench, "run_copy", lambda *args: (
-        {"step_s": 1.0, "peak_rss_mb": 1.0}, None))
+        {"step_s": 1.0, "peak_rss_mb": 1.0}, {}))
     assert record_bench.main(["--root", str(repo), "--against", "HEAD",
                               "--pairs", "1", "--workload", "train-256"]) == 0
     [path] = repo.glob("BENCH_*_vs_*.json")

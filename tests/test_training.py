@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import ivfuse.network
 import ivfuse.training
+from ivfuse import _blas
 from ivfuse.checkpoint import save_checkpoint
 from ivfuse.dataset import ImagePair, PairDataset, synth_corpus
 from ivfuse.errors import ConfigError, DivergenceError, DomainError, ShapeError
@@ -12,7 +14,8 @@ from ivfuse.losses import LossConfig
 from ivfuse.network import FeedbackConfig, init_params
 from ivfuse.tensor import Tensor
 from ivfuse.training import (Adam, SGD, TrainConfig, TrainingLog,
-                             prefused_samples, reconstruction_rmse, train)
+                             _chunk_bounds, prefused_samples,
+                             reconstruction_rmse, train)
 
 
 def desk_config(**kw):
@@ -20,6 +23,22 @@ def desk_config(**kw):
                 seed=1, max_steps=4)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def use_workers(monkeypatch, workers):
+    """Make train() split each batch as if OpenBLAS ran ``workers`` threads."""
+    monkeypatch.setattr(_blas, "threads", lambda: workers)
+
+
+def spy_reconstruct(monkeypatch, each):
+    """Call ``each(img, params)`` before every training reconstruct."""
+    reconstruct = ivfuse.training.reconstruct
+
+    def spy(img, params, fb):
+        each(img, params)
+        return reconstruct(img, params, fb)
+
+    monkeypatch.setattr(ivfuse.training, "reconstruct", spy)
 
 
 def test_adam_step_matches_hand_computation():
@@ -79,17 +98,165 @@ def test_one_epoch_changes_every_parameter_tensor():
                                   init.tensors[name].data), name
 
 
-def test_training_is_deterministic_bitwise(tmp_path):
+def _run_bytes(path, corpus, cfg):
+    params, log = train(corpus, cfg)
+    save_checkpoint(params, path)
+    return path.read_bytes(), log.lines()
+
+
+def test_training_is_deterministic_bitwise(tmp_path, monkeypatch):
+    # for one thread count, and for two: the chunked step, whatever the
+    # machine's core count
+    corpus = synth_corpus(2, 16, seed=4)
+    for workers in (1, 2):
+        use_workers(monkeypatch, workers)
+        outs = [_run_bytes(tmp_path / f"w{workers}run{run}.hfn", corpus,
+                           desk_config(seed=4, max_steps=6))
+                for run in range(2)]
+        assert outs[0][0] == outs[1][0], workers
+        assert outs[0][1] == outs[1][1], workers
+
+
+def test_one_image_batches_keep_their_bytes_at_any_thread_count(
+        tmp_path, monkeypatch):
     corpus = synth_corpus(2, 16, seed=4)
     outs = []
-    for run in range(2):
-        cfg = desk_config(seed=4, max_steps=6)
-        params, log = train(corpus, cfg)
-        path = tmp_path / f"run{run}.hfn"
-        save_checkpoint(params, path)
-        outs.append((path.read_bytes(), log.lines()))
-    assert outs[0][0] == outs[1][0]
-    assert outs[0][1] == outs[1][1]
+    for workers in (1, 2):
+        use_workers(monkeypatch, workers)
+        outs.append(_run_bytes(tmp_path / f"w{workers}.hfn", corpus,
+                               desk_config(seed=4, batch_size=1, max_steps=3)))
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("n, k, bounds", [
+    (4, 2, [0, 2, 4]), (3, 2, [0, 2, 3]), (5, 3, [0, 2, 4, 5]),
+    (4, 3, [0, 2, 3, 4]), (4, 4, [0, 1, 2, 3, 4]), (7, 1, [0, 7])])
+def test_chunks_are_as_equal_as_they_can_be_the_first_the_larger(n, k, bounds):
+    assert _chunk_bounds(n, k) == bounds
+
+
+def _first_step(monkeypatch, workers, batch_size, dtype):
+    """Every parameter gradient, the logged row and the chunk sizes of one
+    step, which leaves the weights as they were (SGD at learning rate 0)."""
+    use_workers(monkeypatch, workers)
+    sizes = []
+    spy_reconstruct(monkeypatch, lambda img, p: sizes.append(img.shape[0]))
+    corpus = synth_corpus(3, 16, seed=13)   # 2 training pairs: 4 blends
+    cfg = desk_config(seed=13, batch_size=batch_size, max_steps=1,
+                      optimizer="sgd", learning_rate=0.0, dtype=dtype)
+    params, log = train(corpus, cfg)
+    grads = {n: t.grad for n, t in params.tensors.items()}
+    return grads, log.rows[0][2:], sorted(sizes, reverse=True)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-4), (np.float64, 1e-12)])
+@pytest.mark.parametrize("batch_size, workers", [(4, 2), (3, 2), (4, 3)])
+def test_chunked_step_agrees_with_the_whole_batch(monkeypatch, dtype, tol,
+                                                  batch_size, workers):
+    # B=4 as 2+2, B=3 as 2+1, B=4 as 2+1+1; each gradient against its
+    # tensor's largest entry, each logged part against its own size
+    whole, whole_parts, sizes = _first_step(monkeypatch, 1, batch_size, dtype)
+    chunked, chunked_parts, chunk_sizes = _first_step(monkeypatch, workers,
+                                                      batch_size, dtype)
+    assert sizes == [batch_size]
+    assert chunk_sizes == list(np.diff(_chunk_bounds(batch_size, workers)))
+    for name, g in whole.items():
+        assert chunked[name].dtype == dtype, name
+        assert np.abs(chunked[name] - g).max() <= tol * np.abs(g).max(), name
+    assert np.allclose(chunked_parts, whole_parts, rtol=tol, atol=0)
+
+
+def test_a_one_thread_step_builds_its_graph_on_params(monkeypatch):
+    corpus = synth_corpus(2, 16, seed=14)
+    seen = []
+    spy_reconstruct(monkeypatch, lambda img, p: seen.append(p))
+    for workers in (1, 2):
+        use_workers(monkeypatch, workers)
+        seen.clear()
+        params = init_params(14)
+        train(corpus, desk_config(seed=14, max_steps=1), params)
+        if workers == 1:
+            assert len(seen) == 1 and seen[0] is params
+            continue
+        # one set of leaves per chunk, on the parameter arrays themselves
+        assert len(seen) == 2 and all(p is not params for p in seen)
+        for leaves in seen:
+            for name, t in leaves.tensors.items():
+                assert t is not params.tensors[name]
+                assert t.data is params.tensors[name].data, name
+
+
+def test_chunks_run_under_the_callers_numpy_error_state(monkeypatch):
+    use_workers(monkeypatch, 2)
+    seen = []
+    spy_reconstruct(monkeypatch, lambda img, p: seen.append(np.geterr()))
+    with np.errstate(divide="ignore"):
+        want = np.geterr()
+        train(synth_corpus(2, 16, seed=15), desk_config(seed=15, max_steps=1))
+    assert seen == [want, want]
+
+
+class ChunkFailure(Exception):
+    pass
+
+
+@pytest.fixture
+def blas_and_threads(monkeypatch):
+    """A reader of the OpenBLAS thread count and the live thread count,
+    with OpenBLAS set to two threads for the test (so that a count left
+    at one shows) and train() splitting batches as for two."""
+    read = _blas.threads   # the real reader, not the one patched below
+    fns = _blas._functions()
+    before = read()
+    if fns is not None:
+        fns[1](2)
+    use_workers(monkeypatch, 2)
+    yield lambda: (read(), threading.active_count())
+    if fns is not None:
+        fns[1](before)
+
+
+def test_train_restores_the_blas_threads_and_joins_its_threads(
+        monkeypatch, blas_and_threads):
+    before = blas_and_threads()
+    inside = []
+    spy_reconstruct(monkeypatch,
+                    lambda img, p: inside.append(blas_and_threads()[0]))
+    corpus = synth_corpus(2, 16, seed=16)
+    _, log = train(corpus, desk_config(seed=16, max_steps=2))
+    assert len(log.rows) == 2 and len(inside) == 4   # two chunks a step
+    if before[0] is not None:   # OpenBLAS is held to one thread per chunk
+        assert before[0] == 2 and inside == [1] * 4
+    assert blas_and_threads() == before
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_diverging_chunked_run_restores_the_blas_threads(blas_and_threads):
+    before = blas_and_threads()
+    corpus = synth_corpus(2, 16, seed=5)
+    cfg = desk_config(learning_rate=1e10, seed=5, max_steps=40)
+    with pytest.raises(DivergenceError, match=r"epoch \d+, step \d+"):
+        train(corpus, cfg)
+    assert blas_and_threads() == before
+
+
+def test_an_error_in_a_chunk_reaches_the_caller_unchanged(
+        monkeypatch, blas_and_threads):
+    before = blas_and_threads()
+    caller = threading.current_thread()
+    raised = []
+
+    def fail_off_the_caller(img, params):
+        if threading.current_thread() is not caller:
+            raised.append(ChunkFailure("chunk 1 failed"))
+            raise raised[-1]
+
+    spy_reconstruct(monkeypatch, fail_off_the_caller)
+    corpus = synth_corpus(2, 16, seed=17)
+    with pytest.raises(ChunkFailure, match="chunk 1 failed") as info:
+        train(corpus, desk_config(seed=17, max_steps=2))
+    assert len(raised) == 1 and info.value is raised[0]
+    assert blas_and_threads() == before
 
 
 def test_a_step_frees_the_previous_steps_graph():

@@ -33,7 +33,10 @@ The record is named after the checkout's short commit, with
 digits of the ``src_sha256`` that perfbench prints), and REV's short
 commit. It holds every run's end-to-end metrics, ``src_lines`` per side
 (the line count of ``src/ivfuse/*.py`` in the archive the runs use: the
-size measure of the design aim in ROADMAP.md), and per metric each side's
+size measure of the design aim in ROADMAP.md), for each perfbench
+workload the ``blas_threads`` and ``nproc`` that each side's last run
+printed (``train()`` runs one batch chunk per BLAS thread, so this says
+how many ran), and per metric each side's
 median and quartiles, the number of pairs the working tree won, and
 ``worse_beyond_bound``: whether its median is worse than REV's by more
 than the metric's ``BENCHMARK.json`` bound, a fraction of REV's median
@@ -276,20 +279,20 @@ def run_pairs(run, workload: str, pairs: int, seed: int | None) -> list[dict]:
 
 
 def run_copy(archive: bytes, workload: str,
-             seed: int | None) -> tuple[dict, float | None]:
+             seed: int | None) -> tuple[dict, dict]:
     """The end-to-end metrics of one run of ``workload`` in a fresh copy of
-    ``archive``, which is deleted afterwards, and the run length perfbench
-    printed (None for the workloads in STEP_METRICS, which run no perfbench
-    and take no seed)."""
+    ``archive``, which is deleted afterwards, and the environment perfbench
+    printed (empty for the workloads in STEP_METRICS, which run no
+    perfbench and take no seed)."""
     with tempfile.TemporaryDirectory(prefix="record_bench-") as tree:
         extract(archive, tree)
         if workload in STEP_METRICS:
             runner = {"train-256": time_train_step, "demo": time_demo,
                       "tier1": run_tier1}[workload]
-            return runner(tree), None
+            return runner(tree), {}
         result, run_env = run_perfbench(tree, workload, seed)
         return ({k: v["value"] for k, v in result["metrics"].items()},
-                run_env.get("seconds"))
+                run_env)
 
 
 def main(argv=None) -> int:
@@ -336,10 +339,10 @@ def main(argv=None) -> int:
               f"move it or choose another --out-dir", file=sys.stderr)
         return 1
     results = {}
-    lengths = {}   # the run length perfbench printed, per side
+    envs = {}   # the environment perfbench printed, per side
 
     def run(side, workload, seed):
-        metrics, lengths[side] = run_copy(archives[side], workload, seed)
+        metrics, envs[side] = run_copy(archives[side], workload, seed)
         return metrics
 
     try:
@@ -355,8 +358,13 @@ def main(argv=None) -> int:
             runs = run_pairs(run, workload, args.pairs, seed)
             metrics = (summarize(runs, STEP_METRICS[workload]) if step
                        else summarize(runs, better, bounds))
-            results[workload] = {"seed": seed, "seconds": lengths["change"],
+            results[workload] = {"seed": seed,
+                                 "seconds": envs["change"].get("seconds"),
                                  "runs": runs, "metrics": metrics}
+            if not step:   # how many BLAS threads, and so training chunks, ran
+                results[workload]["threads"] = {
+                    side: {k: env.get(k) for k in ("blas_threads", "nproc")}
+                    for side, env in envs.items()}
     except RuntimeError as exc:
         print(f"record_bench: {exc}", file=sys.stderr)
         return 1
