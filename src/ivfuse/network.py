@@ -22,12 +22,14 @@ as a 10 -> 64 conv on the output's 3x3 taps and a ones channel (see
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .tensor import Tensor, as_tensor, concat_channels, conv2d, no_grad
+from .tensor import (Tensor, as_tensor, concat_channels, conv2d, full_row_tiles,
+                     no_grad, row_bands)
 
 # name -> (out_channels, in_channels, kernel_h, kernel_w, relu follows)
 LAYER_SPECS: dict[str, tuple[int, int, int, int, bool]] = {
@@ -294,6 +296,28 @@ def _fused_encoding(a: Tensor, b: Tensor, params: ModelParams) -> Tensor:
     return conv2d(fa, params.weight(name), params.bias(name) * 2.0, add=skips)
 
 
+@contextmanager
+def _fusion_bands(shape: tuple[int, int], params: ModelParams):
+    """Run the block, a fusion of ``shape`` images, with each large conv
+    in w row bands at once (:func:`row_bands`) and OpenBLAS held to one
+    thread throughout, where w is the OpenBLAS thread count, if
+    decoder.c2 at ``shape`` fills at least w full row tiles; else as it
+    is. A fusion below two tiles (about 80x80) starts no thread and does
+    not look OpenBLAS up; one inside ``_blas.single_thread()`` reads w = 1."""
+    c2 = PARAM_SHAPES["decoder.c2.weight"]
+    tiles = full_row_tiles((1, c2[1]) + shape, params.dtype, c2)
+    if tiles < 2:
+        yield
+        return
+    from . import _blas   # not at import, which every CLI verb pays
+    w = _blas.threads() or 1
+    if not 2 <= w <= tiles:
+        yield
+        return
+    with _blas.single_thread(), row_bands(w):
+        yield
+
+
 def fuse_images(infrared: np.ndarray, visible: np.ndarray,
                 params: ModelParams,
                 fb: FeedbackConfig = FeedbackConfig(),
@@ -314,6 +338,12 @@ def fuse_images(infrared: np.ndarray, visible: np.ndarray,
     NaN included, are rejected with a DomainError, and so is a decoded
     image that is not finite (weights that overflow), before clipping
     could hide it.
+
+    From about 80x80 on, with w OpenBLAS threads, a fusion holds OpenBLAS
+    to one thread and computes each conv that fills w whole row tiles in
+    w bands of rows at once, its bias, addend and ReLU included (see
+    :func:`_fusion_bands`); the bytes are those of the serial path, at any
+    thread count.
     """
     if infrared.ndim != 2 or visible.ndim != 2:
         raise ShapeError("fuse_images expects 2-d grayscale images")
@@ -327,7 +357,8 @@ def fuse_images(infrared: np.ndarray, visible: np.ndarray,
     a, b = infrared, visible
     if pre_fusion is not None:
         a, b = pre_fuse(infrared, visible, pre_fusion)
-    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
+    with no_grad(), np.errstate(over="ignore", invalid="ignore"), \
+            _fusion_bands(infrared.shape, params):
         ta, tb = (Tensor(v[np.newaxis, np.newaxis].astype(params.dtype))
                   for v in (a, b))
         fused = decode(_fused_encoding(ta, tb, params), params, fb).data[0, 0]

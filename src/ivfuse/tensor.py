@@ -36,7 +36,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,6 +53,12 @@ SQRT_GRAD_EPS = 1e-12
 # added into. Rows are lowered a tile at a time, so this bounds the working
 # set at any image size.
 CONV_TILE_BYTES = 4 << 20
+
+# OpenBLAS's small-matrix GEMM kernels (SkylakeX; products of up to about
+# 1e6 multiply-adds) sum a product's last N mod 16 columns unlike its
+# others, so a column's bytes would depend on the product's width N. Each
+# conv GEMM runs on a multiple of this many columns (see _product).
+GEMM_LANES = 16
 
 
 class _GradMode(threading.local):
@@ -76,6 +82,30 @@ def no_grad():
         yield
     finally:
         _grad_mode.recording = previous
+
+
+class _Bands(threading.local):
+    count = 1   # every thread starts out running each conv as one band
+
+
+_bands = _Bands()
+
+
+@contextmanager
+def row_bands(n: int):
+    """Inside the block (in the calling thread), run each conv forward
+    whose output fills at least ``n`` full row tiles as ``n`` bands of rows
+    at once, on ``n`` threads (see :func:`_conv_forward`); the result is
+    the same, bit for bit. Meant for a block that holds OpenBLAS to one
+    thread. Nests, and restores the previous count on exit, also when the
+    block raises.
+    """
+    previous = _bands.count
+    _bands.count = n
+    try:
+        yield
+    finally:
+        _bands.count = previous
 
 
 class Tensor:
@@ -321,6 +351,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     ``out``, if given, is an array of the output's shape and dtype, such as
     a channel slice of a larger buffer; the result is written into it, and
     it is the returned tensor's value. The arithmetic is the same.
+
+    The forward computes its output rows in row tiles (:func:`_row_tiles`),
+    in one band of rows or, under :func:`row_bands`, in several at once;
+    bias, addend and ReLU go into each band's rows once its tiles are
+    written, while they are fresh. The bytes are the same either way.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-d, got shape {x.shape}")
@@ -346,20 +381,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         raise ValueError(f"unknown padding mode {padding!r}")
 
     wd, x_const = w.data, _is_constant(x)
-    out = _conv_forward(x.data, wd, None if b is None else b.data, ph, pw, out)
-    Ho, Wo = out.shape[2:]
+    Ho, Wo = H + 2 * ph - kh + 1, W + 2 * pw - kw + 1
     reps = 0   # the addend's channel groups, all the adjoint keeps of it
     if add is not None:
         C = add.shape[1] if add.data.ndim == 4 else 0
         if not C or add.shape != (B, C, Ho, Wo) or Cout % C:
             raise ShapeError(
-                f"conv2d addend must be {out.shape} or ({B}, C, {Ho}, {Wo}) "
-                f"with C dividing {Cout}, got {add.shape}")
+                f"conv2d addend must be {(B, Cout, Ho, Wo)} or ({B}, C, {Ho}, "
+                f"{Wo}) with C dividing {Cout}, got {add.shape}")
         reps = Cout // C
-        groups = out.reshape(B, reps, C, Ho, Wo, copy=False)
-        groups += add.data[:, None]
-    if relu:
-        np.maximum(out, 0, out=out)
+    out = _conv_forward(x.data, wd, None if b is None else b.data, ph, pw, out,
+                        None if add is None else add.data, relu)
     relu_out = out if relu else None   # what the fused ReLU's mask reads
     xd = None if _is_constant(w) else x.data   # what the weight gradient reads
 
@@ -381,23 +413,85 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
-                  ph: int, pw: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Stride-1 conv of ``x`` zero-padded by ``ph`` and ``pw``, written
-    into ``out``, or into a new array if that is None."""
-    (B, _, H, W), (Cout, _, kh, kw) = x.shape, w.shape
-    pdtype = np.result_type(x, w)
-    shape = (B, Cout, H + 2 * ph - kh + 1, W + 2 * pw - kw + 1)
-    dtype = pdtype if b is None else np.result_type(pdtype, b)
+                  ph: int, pw: int, out: np.ndarray | None = None,
+                  add: np.ndarray | None = None, relu: bool = False
+                  ) -> np.ndarray:
+    """Stride-1 conv of ``x`` zero-padded by ``ph`` and ``pw``, plus ``b``
+    and ``add`` (once into each group of its C channels), clamped at 0 if
+    ``relu``, written into ``out``, or into a new array if that is None.
+
+    The output rows are computed in n contiguous bands, where n is the
+    :func:`row_bands` count if the output fills that many whole row tiles
+    (:func:`full_row_tiles`), else 1. Each band runs its row tiles and
+    then the bias, addend and ReLU on its own rows; the caller runs band 0
+    and one thread each runs the others (:func:`_run_bands`). A band tiles
+    with ``CONV_TILE_BYTES // n``, and every band's scratch is allocated
+    here, so a split conv works in one CONV_TILE_BYTES as a serial one
+    does. No element's bytes depend on the tiling (see :func:`_row_tiles`),
+    so the result does not depend on n.
+    """
+    B, Cout = x.shape[0], w.shape[0]
+    lay = _layout(x, w, ph, pw)
+    shape = (B, Cout, lay.Ho, lay.Wo)
+    dtype = lay.pdtype if b is None else np.result_type(lay.pdtype, b)
     if out is None:
         out = np.empty(shape, dtype)
     elif out.shape != shape or out.dtype != dtype:
         raise ShapeError(f"conv2d out must be a {dtype} array of shape "
                          f"{shape}, got {out.dtype} {out.shape}")
-    for _ in _row_tiles(x, w, ph, pw, out):
-        pass
-    if b is not None:
-        out += b.reshape(1, Cout, 1, 1)
+    n = _bands.count
+    if n > 1 and _full_tiles(lay) < n:
+        n = 1
+    bounds = [lay.Ho * i // n for i in range(n + 1)]
+    scratch = [_tile_scratch(x, lay, CONV_TILE_BYTES // n, hi - lo)
+               for lo, hi in zip(bounds, bounds[1:])]
+
+    def band(i):
+        lo, hi = bounds[i], bounds[i + 1]
+        for _ in _row_tiles(x, w, ph, pw, out, lo, hi, scratch[i]):
+            pass
+        rows = out[:, :, lo:hi]
+        if b is not None:
+            rows += b.reshape(1, Cout, 1, 1)
+        if add is not None:
+            C = add.shape[1]
+            groups = rows.reshape(B, Cout // C, C, hi - lo, lay.Wo, copy=False)
+            groups += add[:, None, :, lo:hi]
+        if relu:
+            np.maximum(rows, 0, out=rows)
+
+    _run_bands(band, n)
     return out
+
+
+def _run_bands(band: Callable[[int], None], n: int) -> None:
+    """``band(0)`` in the caller and ``band(i)``, i = 1 .. n - 1, in one new
+    thread each, under the caller's numpy error state (which a thread does
+    not inherit). All are joined before this returns or raises; the
+    caller's exception goes first, then the first band's in band order."""
+    errors: list = [None] * n
+    errstate = np.geterr()
+
+    def work(i):
+        try:
+            with np.errstate(**errstate):
+                band(i)
+        except BaseException as exc:   # raised in the caller after the join
+            errors[i] = exc
+
+    threads = []
+    try:
+        for i in range(1, n):
+            t = threading.Thread(target=work, args=(i,))
+            t.start()
+            threads.append(t)
+        band(0)
+    finally:
+        for t in threads:
+            t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def _conv_backward(g: np.ndarray, w: np.ndarray, x: np.ndarray | None,
@@ -416,7 +510,10 @@ def _conv_backward(g: np.ndarray, w: np.ndarray, x: np.ndarray | None,
     kh, kw = w.shape[2:]
     wflip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     gwflip = None if x is None else np.zeros(wflip.shape, w.dtype)
-    for r0, r, views in _row_tiles(g, wflip, kh - 1 - ph, kw - 1 - pw, gx):
+    ph, pw = kh - 1 - ph, kw - 1 - pw
+    lay = _layout(g, wflip, ph, pw)
+    scratch = _tile_scratch(g, lay, CONV_TILE_BYTES, lay.Ho)
+    for r0, r, views in _row_tiles(g, wflip, ph, pw, gx, 0, lay.Ho, scratch):
         if gwflip is not None:
             xt = x[:, :, r0:r0 + r].reshape(x.shape[0], x.shape[1], -1)
             for u, view in enumerate(views):   # kernel rows u to u + kl
@@ -425,16 +522,134 @@ def _conv_backward(g: np.ndarray, w: np.ndarray, x: np.ndarray | None,
     return None if gwflip is None else gwflip.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
 
 
+class _Layout(NamedTuple):
+    """How :func:`_row_tiles` lowers a stride-1 conv with an (Ho, Wo)
+    output and a ``kw``-wide kernel: ``shifts`` GEMM blocks of ``kl``
+    kernel rows each, whose operands have ``k`` rows, taps copied into a
+    column buffer if ``lower``, and ``m`` weight rows, Cout or, for
+    Cout = 1, 2, whose products are ``pdtype``. One output row takes
+    ``col_row`` bytes of column buffer and ``prod_row`` of product buffer
+    and the output row it is added into; a tile's extra rows take ``halo``
+    bytes of column buffer."""
+    Ho: int
+    Wo: int
+    kw: int
+    kl: int
+    shifts: int
+    k: int
+    m: int
+    lower: bool
+    pdtype: np.dtype
+    col_row: int
+    prod_row: int
+    halo: int
+
+
+def _layout(x: np.ndarray, w: np.ndarray, ph: int, pw: int) -> _Layout:
+    """The :class:`_Layout` of a stride-1 conv of ``x``, zero-padded by
+    ``ph`` and ``pw``, by ``w``. Reads only shapes and dtypes."""
+    (B, Cin, H, W), (Cout, _, kh, kw) = x.shape, w.shape
+    Wo = W + 2 * pw - kw + 1
+    kl = kh if Cin * kw < 2 * Cout else 1
+    shifts, k, m = kh - kl + 1, Cin * kl * kw, max(Cout, 2)
+    lower = kl * kw > 1 or ph > 0      # else each kernel row is rows of x
+    col_row = B * k * Wo * x.itemsize if lower else 0
+    pdtype = np.result_type(x, w)
+    prod = shifts > 1 or m > Cout      # a product buffer, and its output rows
+    prod_row = B * (m + Cout) * Wo * pdtype.itemsize * prod
+    return _Layout(H + 2 * ph - kh + 1, Wo, kw, kl, shifts, k, m, lower, pdtype,
+                   col_row, prod_row, (shifts - 1) * col_row)
+
+
+def _tile_rows(lay: _Layout, budget: int) -> int:
+    """Output rows per tile so that a tile's scratch fits ``budget``
+    bytes, at least 1; all of them for a conv that needs no scratch."""
+    row = lay.col_row + lay.prod_row
+    return max(1, (budget - lay.halo) // row) if row else lay.Ho
+
+
+def _full_tiles(lay: _Layout) -> int:
+    """The whole CONV_TILE_BYTES tiles that the output rows fill; a conv
+    that needs no scratch counts each row as one."""
+    if not lay.col_row + lay.prod_row:
+        return lay.Ho
+    return lay.Ho // _tile_rows(lay, CONV_TILE_BYTES)
+
+
+def full_row_tiles(x_shape: tuple[int, int, int, int], dtype,
+                   w_shape: tuple[int, int, int, int]) -> int:
+    """How many whole row tiles of CONV_TILE_BYTES the output of a "same"
+    conv of a ``dtype`` input of ``x_shape`` by ``dtype`` weights of
+    ``w_shape`` fills; a conv that needs no scratch counts each row as
+    one. Under :func:`row_bands` a forward splits into n bands only when
+    this is at least n."""
+    x = np.broadcast_to(np.zeros((), dtype), x_shape)   # shapes only
+    w = np.broadcast_to(np.zeros((), dtype), w_shape)
+    return _full_tiles(_layout(x, w, (w_shape[2] - 1) // 2, (w_shape[3] - 1) // 2))
+
+
+class _Scratch(NamedTuple):
+    """What :func:`_row_tiles` works in: its conv's layout, output rows
+    per tile, the zeroed column buffer of a tile's lowered taps (None when
+    ``x``'s rows are read in place), the flat product buffer (None when
+    each tile is one GEMM into the output rows), and the GEMM_LANES-wide
+    operand and product of :func:`_product` (None when no tile needs
+    them)."""
+    lay: _Layout
+    rows: int
+    colbuf: np.ndarray | None
+    prodbuf: np.ndarray | None
+    pad: tuple[np.ndarray, np.ndarray] | None
+
+
+def _tile_scratch(x: np.ndarray, lay: _Layout, budget: int,
+                  rows: int) -> _Scratch:
+    """The :class:`_Scratch` of tiles that fit ``budget`` bytes, on at most
+    ``rows`` output rows of a conv of ``x`` laid out as ``lay``."""
+    B, Cin = x.shape[:2]
+    rows = min(rows, _tile_rows(lay, budget))
+    colbuf = prodbuf = pad = None
+    if lay.lower:
+        colbuf = np.zeros((B, Cin, lay.kl, lay.kw, rows + lay.shifts - 1,
+                           lay.Wo), x.dtype)
+    if lay.prod_row:
+        prodbuf = np.empty(B * lay.m * rows * lay.Wo, lay.pdtype)
+    if lay.Wo % GEMM_LANES:
+        pad = (np.empty((B, lay.k, GEMM_LANES), x.dtype),
+               np.empty((B, lay.m, GEMM_LANES), lay.pdtype))
+    return _Scratch(lay, rows, colbuf, prodbuf, pad)
+
+
+def _product(wmat: np.ndarray, view: np.ndarray, out: np.ndarray, pad) -> None:
+    """``out = wmat @ view`` (batched over the leading axis), each column
+    in a GEMM whose width is a multiple of GEMM_LANES: the whole lanes in
+    place, and the rest through ``pad``, a GEMM_LANES-wide operand and
+    product, the operand's unused columns zeroed."""
+    n = view.shape[-1]
+    body = n - n % GEMM_LANES
+    if body:
+        np.matmul(wmat, view[..., :body], out=out[..., :body])
+    if body < n:
+        cols, prod = pad
+        cols[..., :n - body] = view[..., body:]
+        cols[..., n - body:] = 0
+        np.matmul(wmat, cols, out=prod)
+        out[..., body:] = prod[:, :out.shape[1], :n - body]
+
+
 def _row_tiles(x: np.ndarray, w: np.ndarray, ph: int, pw: int,
-               out: np.ndarray | None):
+               out: np.ndarray | None, lo: int, hi: int, scratch: _Scratch):
     """Lower ``x`` zero-padded by ``ph`` and ``pw`` for a stride-1 conv by
-    ``w``, a tile of output rows at a time, and write the conv's rows into
-    ``out`` unless that is None: one GEMM per view, each tile's later
-    blocks added into its first. Yields ``(r0, r, views)`` once a tile's
-    rows are written: output rows r0 to r0 + r, and ``views[u]``, the
-    (B, Cin*kl*kw, r*Wo) GEMM operand of kernel rows u to u + kl. A forward
-    runs on the tiles of its input, and a backward on those of its output
-    gradient, which give both gradients (:func:`_conv_backward`).
+    ``w``, a tile of output rows at a time from row ``lo`` to ``hi``, and
+    write the conv's rows into ``out`` unless that is None: one GEMM per
+    view, each tile's later blocks added into its first, in the caller's
+    ``scratch`` (:func:`_tile_scratch`). No row of ``out`` outside [lo,
+    hi) is written, and bias, addend and ReLU are the caller's to add.
+    Yields ``(r0, r, views)`` once a tile's rows are written: output rows
+    r0 to r0 + r, and ``views[u]``, the (B, Cin*kl*kw, r*Wo) GEMM operand
+    of kernel rows u to u + kl. A forward runs on the tiles of its input,
+    and a backward on those of its output gradient, which give both
+    gradients (:func:`_conv_backward`).
 
     A tile lowers only the ``kw`` horizontal taps of its rows and its
     ``shifts - 1`` halo rows into the column buffer, and ``views[u]`` is
@@ -443,29 +658,26 @@ def _row_tiles(x: np.ndarray, w: np.ndarray, ph: int, pw: int,
     channel, so when Cin*kw < 2*Cout all taps form one block, as im2col.
     The buffer holds the zero padding, so ``x`` is never copied padded, and
     an unpadded 1-wide kernel's views are rows of ``x`` in place. It is
-    zeroed once, each tile takes a prefix of its row axis, and rows are
-    capped so that it and, with several blocks, a product buffer and the
-    output rows it is added into fit CONV_TILE_BYTES.
+    zeroed once, and each tile takes a prefix of its row axis.
+
+    An output element's bytes do not depend on the tiling, so neither on
+    CONV_TILE_BYTES nor on the rows a caller gives, nor on OpenBLAS's
+    thread count: every GEMM runs on whole GEMM_LANES columns
+    (:func:`_product`), and a Cout = 1 conv multiplies by its weights with
+    a zero second row and keeps the first, since numpy hands a one-row
+    product to gemv, whose sums change with the product's width and with
+    the thread count.
     """
-    (B, Cin, H, W), (Cout, _, kh, kw) = x.shape, w.shape
-    Ho, Wo = H + 2 * ph - kh + 1, W + 2 * pw - kw + 1
-    kl = kh if Cin * kw < 2 * Cout else 1
-    shifts, k = kh - kl + 1, Cin * kl * kw
-    lower = kl * kw > 1 or ph > 0      # else each kernel row is rows of x
-    col_row = B * k * Wo * x.itemsize if lower else 0
-    pdtype = np.result_type(x, w)
-    prod_row = 2 * B * Cout * Wo * pdtype.itemsize * (shifts > 1)
-    rows = Ho
-    if col_row + prod_row:
-        budget = CONV_TILE_BYTES - (shifts - 1) * col_row  # the halo rows
-        rows = min(Ho, max(1, budget // (col_row + prod_row)))
-    if lower:
-        colbuf = np.zeros((B, Cin, kl, kw, rows + shifts - 1, Wo), x.dtype)
-    wmats = w.reshape(Cout, Cin, shifts, kl, kw).transpose(2, 0, 1, 3, 4)
+    (B, Cin, _, _), (Cout, _, kh, kw) = x.shape, w.shape
+    lay, rows, colbuf, prodbuf, pad = scratch
+    shifts, k, m, Wo = lay.shifts, lay.k, lay.m, lay.Wo
+    wmats = w.reshape(Cout, Cin, shifts, lay.kl, kw).transpose(2, 0, 1, 3, 4)
     wmats = wmats.reshape(shifts, Cout, k)
-    for r0 in range(0, Ho, rows):
-        r = min(rows, Ho - r0)
-        if lower:
+    if m > Cout:
+        wmats = np.concatenate([wmats, np.zeros((shifts, m - Cout, k), w.dtype)], 1)
+    for r0 in range(lo, hi, rows):
+        r = min(rows, hi - r0)
+        if lay.lower:
             src = colbuf[..., :r + shifts - 1, :]
             _lower_taps(x, src, r0 - ph, pw)
         else:
@@ -474,13 +686,17 @@ def _row_tiles(x: np.ndarray, w: np.ndarray, ph: int, pw: int,
                  for u in range(shifts)]
         if out is not None:
             dst = out[:, :, r0:r0 + r].reshape(B, Cout, -1, copy=False)
-            np.matmul(wmats[0], views[0], out=dst)
-            if r0 == 0 and shifts > 1:   # the first tile has the most rows
-                prodbuf = np.empty(dst.size, dtype=pdtype)
-            for u in range(1, shifts):
-                prod = prodbuf[:dst.size].reshape(dst.shape)
-                np.matmul(wmats[u], views[u], out=prod)
-                dst += prod
+            if prodbuf is not None:
+                prod = prodbuf[:B * m * r * Wo].reshape(B, m, -1)
+            for u in range(shifts):
+                if u == 0 and m == Cout:   # the first block's rows are the output's
+                    _product(wmats[0], views[0], dst, pad)
+                    continue
+                _product(wmats[u], views[u], prod, pad)
+                if u:
+                    dst += prod[:, :Cout]
+                else:
+                    dst[...] = prod[:, :Cout]
         yield r0, r, views
 
 

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import ivfuse
+import ivfuse.tensor
+from ivfuse import _blas
 from ivfuse.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from ivfuse.errors import (CheckpointFormatError, CheckpointSchemaError,
                            ConfigError, DomainError, ShapeError)
@@ -405,6 +412,189 @@ def test_fuse_images_float32_tracks_float64():
     f64 = fuse_images(ir, vis, wide)
     assert 0.0 < f64.min() and f64.max() < 1.0
     assert np.abs(f32 - f64).max() <= 2e-6
+
+
+def test_fusion_bytes_do_not_depend_on_the_blas_thread_count(set_blas_threads):
+    # c5 is scaled so that no fused pixel clips, which would hide a change
+    params = init_params(0)
+    params.weight("decoder.c5").data *= np.float32(0.12)
+    params.bias("decoder.c5").data += np.float32(0.3)
+    ir, vis = rand_image(21, side=256), rand_image(22, side=256)
+    fused = []
+    for threads in (1, 2):
+        set_blas_threads(threads)
+        fused.append(fuse_images(ir, vis, params))
+    assert np.array_equal(*fused)
+
+
+# ------------------------------------------------------ fusion row bands
+
+def spy_bands(monkeypatch, each=None):
+    """Record the band count of every conv forward, and call ``each(n)``
+    before it runs, in the thread that calls the conv."""
+    counts = []
+    run_bands = ivfuse.tensor._run_bands
+
+    def spy(band, n):
+        counts.append(n)
+        if each is not None:
+            each(n)
+        return run_bands(band, n)
+
+    monkeypatch.setattr(ivfuse.tensor, "_run_bands", spy)
+    return counts
+
+
+@pytest.fixture
+def blas_and_threads(set_blas_threads):
+    """A reader of the OpenBLAS thread count and the live thread count,
+    with OpenBLAS set to two threads for the test."""
+    set_blas_threads(2)
+    return lambda: (_blas.threads(), threading.active_count())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(37, 23), (64, 64)])
+@pytest.mark.parametrize("n_iterations", [1, 4])
+@pytest.mark.parametrize("pre_fusion", [None, PreFusionConfig(0.7)])
+def test_fusion_in_row_bands_keeps_the_serial_bytes(monkeypatch, dtype, shape,
+                                                   n_iterations, pre_fusion):
+    # a tile cap that splits both sizes; c5 is scaled so that no pixel clips
+    monkeypatch.setattr(ivfuse.tensor, "CONV_TILE_BYTES", 1 << 19)
+    params = init_params(7, dtype=dtype)
+    params.weight("decoder.c5").data *= dtype(0.12)
+    params.bias("decoder.c5").data += dtype(0.3)
+    rng = np.random.default_rng(shape[1])
+    ir, vis = rng.uniform(0, 1, (2,) + shape)
+    fused = []
+    for workers in (1, 2):
+        monkeypatch.setattr(_blas, "threads", lambda: workers)
+        counts = spy_bands(monkeypatch)
+        fused.append(fuse_images(ir, vis, params, FeedbackConfig(n_iterations),
+                                 pre_fusion))
+        assert max(counts) == workers
+    assert 0 < fused[0].min() and fused[0].max() < 1
+    assert np.array_equal(*fused)
+
+
+def test_a_fusion_in_row_bands_holds_openblas_once_and_joins_its_threads(
+        monkeypatch, blas_and_threads):
+    before = blas_and_threads()
+    seen = []
+    counts = spy_bands(monkeypatch, lambda n: seen.append(blas_and_threads()[0]))
+    fuse_images(rand_image(23, side=128), rand_image(24, side=128),
+                init_params(0), FeedbackConfig(2))
+    assert before[0] == 2 and 2 in counts
+    assert set(seen) == {1}   # every conv, split or not, runs at one thread
+    assert blas_and_threads() == before
+
+
+def test_fusion_bands_work_within_one_tile_of_scratch(monkeypatch):
+    # every band's column and product buffers come from the caller, each
+    # sized for CONV_TILE_BYTES // n, so a split conv keeps about the one
+    # tile of scratch that a serial one does; the bound is the serial test's
+    counts = spy_bands(monkeypatch)
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.standard_normal((1, 64, 128, 128)).astype(np.float32))
+    w = Tensor(rng.standard_normal((64, 64, 3, 3)).astype(np.float32))
+    with no_grad(), ivfuse.tensor.row_bands(2):
+        tracemalloc.start()
+        try:
+            out = conv2d(x, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert counts == [2]
+    scratch = peak - out.data.nbytes
+    assert scratch <= ivfuse.tensor.CONV_TILE_BYTES + (1 << 20), scratch
+
+
+class BandFailure(Exception):
+    pass
+
+
+def test_an_error_in_a_band_reaches_the_caller_unchanged(
+        monkeypatch, blas_and_threads):
+    before = blas_and_threads()
+    caller = threading.current_thread()
+    raised = []
+    row_tiles = ivfuse.tensor._row_tiles
+
+    def fail_off_the_caller(*args):
+        if threading.current_thread() is not caller:
+            raised.append(BandFailure("band 1 failed"))
+            raise raised[-1]
+        return row_tiles(*args)
+
+    monkeypatch.setattr(ivfuse.tensor, "_row_tiles", fail_off_the_caller)
+    with pytest.raises(BandFailure, match="band 1 failed") as info:
+        fuse_images(rand_image(25, side=128), rand_image(26, side=128),
+                    init_params(0), FeedbackConfig(1))
+    assert len(raised) == 1 and info.value is raised[0]
+    assert blas_and_threads() == before
+
+
+@pytest.mark.parametrize("signed", [True, False])
+def test_an_overflowing_fusion_in_row_bands_warns_in_no_band(
+        monkeypatch, blas_and_threads, signed):
+    # a band thread starts with numpy's default error state, which warns
+    # on overflow; the suite's pytest settings turn a RuntimeWarning into an
+    # error, which the band would raise here in place of the DomainError
+    before = blas_and_threads()
+    counts = spy_bands(monkeypatch)
+    with pytest.raises(DomainError, match="not finite"):
+        fuse_images(rand_image(27, side=128), rand_image(28, side=128),
+                    overflowing_params(signed), FeedbackConfig(1))
+    assert 2 in counts
+    assert blas_and_threads() == before
+
+
+def test_a_small_fusion_starts_no_thread_and_leaves_openblas_alone(
+        monkeypatch, blas_and_threads):
+    before = blas_and_threads()
+    started = []
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda t: started.append(t))
+    monkeypatch.setattr(_blas, "single_thread", None)   # fails if called
+    counts = spy_bands(monkeypatch)
+    fuse_images(rand_image(29, side=64), rand_image(30, side=64),
+                init_params(0), FeedbackConfig(4))
+    assert set(counts) == {1} and started == []
+    assert blas_and_threads() == before
+
+
+def test_a_small_fusion_does_not_import_the_openblas_lookup():
+    code = ("import sys, numpy as np, ivfuse\n"
+            "a = np.random.default_rng(0).uniform(0, 1, (2, 64, 64))\n"
+            "ivfuse.fuse_images(a[0], a[1], ivfuse.init_params(0))\n"
+            "print('ivfuse._blas' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ivfuse.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_a_large_fusion_runs_its_convs_in_w_bands(monkeypatch, blas_and_threads):
+    counts = spy_bands(monkeypatch)
+    fuse_images(rand_image(31, side=256), rand_image(32, side=256),
+                init_params(0))
+    # at 256x256 every conv fills two whole tiles (rdb.conv1-3 twice, conv4,
+    # c2, the folded feedback conv three times, and c3-c5 four times each)
+    # but encoder.c1, twice, and the feedback taps conv, three times
+    assert (counts.count(2), counts.count(1)) == (23, 5)
+
+
+def test_a_fusion_inside_a_one_thread_block_takes_the_serial_path(
+        monkeypatch, blas_and_threads):
+    before = blas_and_threads()
+    counts = spy_bands(monkeypatch)
+    with _blas.single_thread():
+        fuse_images(rand_image(33, side=256), rand_image(34, side=256),
+                    init_params(0), FeedbackConfig(1))
+    assert set(counts) == {1}
+    assert blas_and_threads() == before
 
 
 def test_fuse_images_optional_pre_fusion_changes_result():

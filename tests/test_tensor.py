@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import ivfuse.tensor
 from ivfuse.errors import DomainError, ShapeError
+from ivfuse.network import LAYER_SPECS
 from ivfuse.tensor import (Tensor, as_tensor, backward,
                            concat_channels, conv2d, finite_diff_gradient,
                            narrow, no_grad)
@@ -183,6 +185,61 @@ def test_conv2d_backward_scratch_stays_within_one_tile():
         tracemalloc.stop()
     bound = ivfuse.tensor.CONV_TILE_BYTES + 4 * out.data.nbytes + (1 << 20)
     assert peak <= bound, (peak, bound)
+
+
+# every conv a fusion or a training step runs, as (Cout, Cin, kh, kw): the
+# layers, the feedback taps conv and its input gradient's transposed conv
+NETWORK_CONVS = sorted({spec[:4] for spec in LAYER_SPECS.values()}
+                       | {(10, 1, 3, 3), (1, 10, 3, 3)})
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("size", [(160, 160), (37, 23)])
+@pytest.mark.parametrize("shape", NETWORK_CONVS)
+def test_conv2d_rows_do_not_depend_on_the_tile_cap_or_blas_threads(
+        monkeypatch, set_blas_threads, shape, size, dtype):
+    # OpenBLAS's gemv, which numpy calls for a one-row product, sums a
+    # Cout=1 conv's rows differently with the product's width and thread
+    # count (from 160x160 up, by up to 1.1e-5 in float32), and its small
+    # GEMM kernels sum the last N mod 16 columns of an N-wide product unlike
+    # the others (at 37x23, a tile of one row differs from one of all rows)
+    rng = np.random.default_rng(sum(shape))
+    x = Tensor(rng.standard_normal((1, shape[1]) + size).astype(dtype))
+    w = Tensor(rng.standard_normal(shape).astype(dtype))
+    outs = []
+    for threads in (1, 2):
+        set_blas_threads(threads)
+        for cap in (1, 1 << 20, 4 << 20, 1 << 40):
+            monkeypatch.setattr(ivfuse.tensor, "CONV_TILE_BYTES", cap)
+            with no_grad():
+                outs.append(conv2d(x, w).data)
+    for out in outs[1:]:
+        assert np.array_equal(out, outs[0])
+
+
+def test_row_bands_past_the_core_count_keep_the_serial_bytes(monkeypatch):
+    # five bands on two cores, each switching threads often, write disjoint
+    # rows of one output with their own scratch: a band that wrote outside
+    # its rows, or shared a buffer, would change bytes here
+    monkeypatch.setattr(ivfuse.tensor, "CONV_TILE_BYTES", 1 << 16)
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.standard_normal((1, 16, 45, 37)).astype(np.float32))
+    w = Tensor(rng.standard_normal((16, 16, 3, 3)).astype(np.float32))
+    b = Tensor(rng.standard_normal(16).astype(np.float32))
+    add = Tensor(rng.standard_normal((1, 8, 45, 37)).astype(np.float32))
+    live = threading.active_count()
+    with no_grad():
+        want = conv2d(x, w, b, relu=True, add=add).data
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                with ivfuse.tensor.row_bands(5):
+                    got = conv2d(x, w, b, relu=True, add=add).data
+                assert np.array_equal(got, want)
+        finally:
+            sys.setswitchinterval(interval)
+    assert threading.active_count() == live
 
 
 def test_conv2d_1x1_forward_makes_no_copies():
