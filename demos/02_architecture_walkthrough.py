@@ -10,8 +10,8 @@ Channel plan: encoder 1 -> 16 -> 64 (dense chain 16/32/48 -> 16, then a
 import numpy as np
 
 from ivfuse.network import (FeedbackConfig, decode, encode, fuse_add,
-                            fuse_images, init_params, rdb_forward)
-from ivfuse.tensor import Tensor
+                            fuse_images, init_params)
+from ivfuse.tensor import Tensor, conv2d
 
 rng = np.random.default_rng(1)
 params = init_params(seed=1, dtype=np.float64)
@@ -39,15 +39,17 @@ one_fb = decode(fused_features, params, FeedbackConfig(1))
 print("zeroed feedback conv is a no-op (bitwise):",
       np.array_equal(no_fb.data, one_fb.data))
 
-# Reduction 3: zeroing the dense block leaves only the tiled skip.
+# Reduction 3: zeroing the dense block leaves only the skips, local and
+# global: twice the rough features, tiled over the four channel groups.
 zeroed = init_params(seed=2, dtype=np.float64)
 for name, t in zeroed.tensors.items():
     if "rdb" in name:
         t.data[...] = 0.0
-f0 = Tensor(rng.standard_normal((1, 16, 8, 8)))
-print("zeroed dense block reduces to the tiled skip (bitwise):",
-      np.array_equal(rdb_forward(f0, zeroed).data,
-                     np.tile(f0.data, (1, 4, 1, 1))))
+rough = conv2d(img, zeroed.weight("encoder.c1"), zeroed.bias("encoder.c1"),
+               relu=True)
+print("zeroed dense block reduces to the tiled skips (bitwise):",
+      np.array_equal(encode(img, zeroed).data,
+                     np.tile(2 * rough.data, (1, 4, 1, 1))))
 
 # Tied weights + addition fusion make the whole pipeline symmetric.
 params = init_params(seed=3)

@@ -12,13 +12,13 @@ from .errors import (CheckpointFormatError, CheckpointSchemaError,
                      ConfigError, DivergenceError, DomainError,
                      IngestionError, ShapeError)
 from .gradcheck import run_gradient_checks
-from .losses import (LossConfig, avg_gradient, composite_loss,
-                     composite_loss_parts, pixel_loss, ssim, ssim_loss)
+from .losses import (LossConfig, avg_gradient, composite_loss_parts,
+                     pixel_loss, ssim, ssim_loss)
 from .metrics import (MetricReport, MetricRow, entropy, evaluate_corpus,
                       measure_triple, psnr, qabf, ssim_metric)
 from .network import (FeedbackConfig, ModelParams, PreFusionConfig, decode,
                       encode, fuse_add, fuse_images, init_params, pre_fuse,
-                      rdb_forward, reconstruct)
+                      reconstruct)
 from .tensor import (Tensor, backward, concat_channels, conv2d,
                      finite_diff_gradient, narrow)
 from .training import Adam, SGD, TrainConfig, TrainingLog, train

@@ -189,7 +189,8 @@ def _composite_checker(mode):
         cfg = losses.LossConfig(ag_mode=mode)
         o = Tensor(_image(rng))
         target = _image(rng)
-        yield _check(lambda t: losses.composite_loss(t, target, cfg), o, h)
+        yield _check(lambda t: losses.composite_loss_parts(t, target, cfg)[0],
+                     o, h)
     return check
 
 
@@ -213,8 +214,8 @@ def _check_pipeline(rng, h, coords_per_tensor=2):
     def forward() -> Tensor:
         fused = network.fuse_add(network.encode(a, params),
                                  network.encode(b, params))
-        return losses.composite_loss(network.decode(fused, params, fb),
-                                     target, cfg)
+        return losses.composite_loss_parts(network.decode(fused, params, fb),
+                                           target, cfg)[0]
 
     def value() -> float:
         with no_grad():

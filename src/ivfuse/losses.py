@@ -167,15 +167,10 @@ def _detail_term(o: Tensor, t: Tensor, cfg: LossConfig) -> Tensor:
     return (ag_t - ag_o).abs().mean()
 
 
-def composite_loss(output, target, cfg: LossConfig = LossConfig()) -> Tensor:
-    """ssim_weight * ssim_loss + pixel_loss + ag_weight * detail term."""
-    total, _ = composite_loss_parts(output, target, cfg)
-    return total
-
-
 def composite_loss_parts(output, target, cfg: LossConfig = LossConfig()
                          ) -> tuple[Tensor, dict[str, float]]:
-    """Composite loss plus the detached per-component values.
+    """Composite loss, ssim_weight * ssim_loss + pixel_loss + ag_weight *
+    detail term, plus the detached per-component values.
 
     Accepts one (H, W) image or a (B, 1, H, W) batch. A batch contributes
     the mean of its per-image losses, and each logged part is the mean of

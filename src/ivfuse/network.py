@@ -167,41 +167,24 @@ def _layer(name: str, x: Tensor, params: ModelParams,
                   relu=LAYER_SPECS[name][4], add=add, out=out)
 
 
-def _dense_features(x: Tensor, params: ModelParams,
-                    stem: bool) -> tuple[Tensor, Tensor]:
-    """``f0`` and the dense chain's 64-channel concatenation
-    [f0, d1, d2, d3], where ``f0`` is encoder.c1 on ``x`` if ``stem``, else
-    ``x`` copied in.
+def _dense_features(x: Tensor, params: ModelParams) -> tuple[Tensor, Tensor]:
+    """``f0``, encoder.c1 on ``x``, and the dense chain's 64-channel
+    concatenation [f0, d1, d2, d3].
 
     All four live in one (B, 64, H, W) buffer: each conv writes its 16
     channels into the next slice and reads the slices before it, which
     :func:`concat_channels` hands over as a view, so no concatenation is
-    copied (Pleiss et al. 2017, arXiv 1707.06990). The values are those of
-    concatenating copies, bit for bit, and so is the graph with ``stem``;
-    without it, the copy of ``x`` is one identity node."""
+    copied (Pleiss et al. 2017, arXiv 1707.06990). The values and the
+    graph are those of concatenating copies, bit for bit."""
     B, _, H, W = x.shape
     buf = np.empty((B, 64, H, W), np.result_type(x.dtype, params.dtype))
-    if stem:
-        parts = [_layer("encoder.c1", x, params, out=buf[:, :16])]
-    else:
-        buf[:, :16] = x.data
-        parts = [Tensor(buf[:, :16], _parents=(x,), _adjoint=lambda g: (g,))]
+    parts = [_layer("encoder.c1", x, params, out=buf[:, :16])]
     features = parts[0]
     for name in ("encoder.rdb.conv1", "encoder.rdb.conv2", "encoder.rdb.conv3"):
         c = features.shape[1]
         parts.append(_layer(name, features, params, out=buf[:, c:c + 16]))
         features = concat_channels(parts)
     return parts[0], features
-
-
-def rdb_forward(f0: Tensor, params: ModelParams) -> Tensor:
-    """Residual dense block: three densely connected 3x3 convs, channel
-    concatenation to 64, and a 1x1 fusion conv whose addend is the local
-    skip, ``f0`` repeated over its four 16-channel groups."""
-    if f0.shape[1] != 16:
-        raise ShapeError(f"rdb_forward expects 16 channels, got {f0.shape[1]}")
-    f0, features = _dense_features(f0, params, stem=False)
-    return _layer("encoder.rdb.conv4", features, params, add=f0)
 
 
 def encode(img: Tensor, params: ModelParams) -> Tensor:
@@ -213,7 +196,7 @@ def encode(img: Tensor, params: ModelParams) -> Tensor:
     if img.data.ndim != 4 or img.shape[1] != 1:
         raise ShapeError(
             f"encode expects a (B, 1, H, W) tensor, got {img.shape}")
-    rough, features = _dense_features(img, params, stem=True)
+    rough, features = _dense_features(img, params)
     return _layer("encoder.rdb.conv4", features, params, add=rough * 2.0)
 
 
@@ -285,8 +268,7 @@ def _fused_encoding(a: Tensor, b: Tensor, params: ModelParams) -> Tensor:
     rough_b)``. Exact in real arithmetic, so it moves the result at
     rounding level; both sums commute, so swapping ``a`` and ``b`` changes
     no bit. Only for :func:`fuse_images`, which runs it under ``no_grad``."""
-    (rough_a, fa), (rough_b, fb) = (_dense_features(t, params, stem=True)
-                                    for t in (a, b))
+    (rough_a, fa), (rough_b, fb) = (_dense_features(t, params) for t in (a, b))
     skips = (rough_a + rough_b) * 2.0   # before the sum: rough_a is in fa
     # In place, which no tensor of a graph may see: legal only because this
     # runs under no_grad and owns both buffers, which nothing else reads.

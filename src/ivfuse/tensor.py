@@ -420,11 +420,11 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     and ``add`` (once into each group of its C channels), clamped at 0 if
     ``relu``, written into ``out``, or into a new array if that is None.
 
-    The output rows are computed in n contiguous bands, where n is the
-    :func:`row_bands` count if the output fills that many whole row tiles
-    (:func:`full_row_tiles`), else 1. Each band runs its row tiles and
-    then the bias, addend and ReLU on its own rows; the caller runs band 0
-    and one thread each runs the others (:func:`_run_bands`). A band tiles
+    The output rows are computed in n contiguous bands, bounded by
+    :func:`split`, where n is the :func:`row_bands` count if the output
+    fills that many whole row tiles (:func:`full_row_tiles`), else 1. Each
+    band runs its row tiles and then the bias, addend and ReLU on its own
+    rows, as one part of :func:`run_parts`. A band tiles
     with ``CONV_TILE_BYTES // n``, and every band's scratch is allocated
     here, so a split conv works in one CONV_TILE_BYTES as a serial one
     does. No element's bytes depend on the tiling (see :func:`_row_tiles`),
@@ -442,7 +442,7 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     n = _bands.count
     if n > 1 and _full_tiles(lay) < n:
         n = 1
-    bounds = [lay.Ho * i // n for i in range(n + 1)]
+    bounds = split(lay.Ho, n)
     scratch = [_tile_scratch(x, lay, CONV_TILE_BYTES // n, hi - lo)
                for lo, hi in zip(bounds, bounds[1:])]
 
@@ -460,22 +460,30 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
         if relu:
             np.maximum(rows, 0, out=rows)
 
-    _run_bands(band, n)
+    run_parts(band, n)
     return out
 
 
-def _run_bands(band: Callable[[int], None], n: int) -> None:
-    """``band(0)`` in the caller and ``band(i)``, i = 1 .. n - 1, in one new
+def split(n: int, k: int) -> list[int]:
+    """Bounds of ``k`` contiguous parts of ``range(n)``, as equal as they
+    can be, the first ones the larger."""
+    q, r = divmod(n, k)
+    return list(accumulate([q + 1] * r + [q] * (k - r), initial=0))
+
+
+def run_parts(part: Callable[[int], None], n: int) -> None:
+    """``part(0)`` in the caller and ``part(i)``, i = 1 .. n - 1, in one new
     thread each, under the caller's numpy error state (which a thread does
     not inherit). All are joined before this returns or raises; the
-    caller's exception goes first, then the first band's in band order."""
+    caller's exception goes first, then the first part's in part order.
+    Every thread this package starts is started here."""
     errors: list = [None] * n
     errstate = np.geterr()
 
     def work(i):
         try:
             with np.errstate(**errstate):
-                band(i)
+                part(i)
         except BaseException as exc:   # raised in the caller after the join
             errors[i] = exc
 
@@ -485,7 +493,7 @@ def _run_bands(band: Callable[[int], None], n: int) -> None:
             t = threading.Thread(target=work, args=(i,))
             t.start()
             threads.append(t)
-        band(0)
+        part(0)
     finally:
         for t in threads:
             t.join()

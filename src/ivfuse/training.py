@@ -13,9 +13,8 @@ with more, it agrees with that step up to rounding.
 
 from __future__ import annotations
 
-import threading
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .errors import ConfigError, DivergenceError, DomainError, ShapeError
 from .losses import LossConfig, composite_loss_parts
 from .network import (FeedbackConfig, ModelParams, PreFusionConfig,
                       init_params, pre_fuse, reconstruct)
-from .tensor import Tensor, as_tensor, backward, no_grad
+from .tensor import Tensor, as_tensor, backward, no_grad, run_parts, split
 
 OPTIMIZERS = ("adam", "sgd")
 
@@ -170,80 +169,45 @@ def reconstruction_rmse(params: ModelParams, samples: list[np.ndarray],
     return float(np.sqrt(total / count))
 
 
-def _loss_and_backward(x: np.ndarray, params: ModelParams,
-                       cfg: TrainConfig) -> dict[str, float]:
-    """Reconstruct the batch ``x`` with ``params``, score it, and, when the
-    loss is finite, set every ``params`` gradient by backward. Returns the
-    logged parts; the graph is freed on return."""
+def _chunk_gradients(x: np.ndarray, params: ModelParams, cfg: TrainConfig
+                     ) -> tuple[dict[str, np.ndarray], dict[str, float]]:
+    """Reconstruct the chunk ``x`` on leaves of its own that share the
+    ``params`` arrays, score it, and return every leaf's gradient (by
+    backward, when the loss is finite) and the logged parts. Only arrays
+    and floats are returned, so the chunk's graph is freed on return."""
+    leaves = ModelParams({name: Tensor(p.data)
+                          for name, p in params.tensors.items()})
     xt = as_tensor(x)
-    out = reconstruct(xt, params, cfg.feedback)
+    out = reconstruct(xt, leaves, cfg.feedback)
     loss, parts = composite_loss_parts(out, xt, cfg.loss)
     if np.isfinite(parts["L"]):   # else train() raises, before any step
         backward(loss)
-    return parts
-
-
-def _chunk_gradients(x: np.ndarray, params: ModelParams, cfg: TrainConfig
-                     ) -> tuple[dict[str, np.ndarray], dict[str, float]]:
-    """One chunk's gradients and logged parts, from leaves of its own that
-    share the parameter arrays. Only arrays and floats are returned, so the
-    chunk's graph is freed when this returns."""
-    leaves = ModelParams({name: Tensor(p.data)
-                          for name, p in params.tensors.items()})
-    parts = _loss_and_backward(x, leaves, cfg)
     return {name: t.grad for name, t in leaves.tensors.items()}, parts
-
-
-def _chunk_bounds(n: int, k: int) -> list[int]:
-    """Bounds of ``k`` chunks of ``n`` images, as equal as they can be,
-    the first ones the larger."""
-    q, r = divmod(n, k)
-    return list(accumulate([q + 1] * r + [q] * (k - r), initial=0))
 
 
 def _batch_step(x: np.ndarray, params: ModelParams, cfg: TrainConfig,
                 workers: int) -> dict[str, float]:
     """Set every ``params`` gradient to the batch's, and return the logged
-    parts of the batch ``x``, in ``min(B, workers)`` chunks.
+    parts of the batch ``x``, in ``min(B, workers)`` chunks bounded by
+    :func:`split`, each one part of :func:`run_parts`.
 
-    One chunk is the whole batch on ``params`` itself. Otherwise the
-    caller runs chunk 0 and one thread each runs the others, with OpenBLAS
-    held to one thread until all have been joined; every loss term is a
-    per-image mean over equal pixel and window counts, so up to rounding
-    the batch's gradient and parts are the chunks' weighted by size, here
-    summed in chunk order. A chunk's exception is raised here once all
-    are joined.
+    More than one chunk runs with OpenBLAS held to one thread until all
+    have been joined. Every loss term is a per-image mean over equal pixel
+    and window counts, so up to rounding the batch's gradient and parts
+    are the chunks' weighted by size, here summed in chunk order. One
+    chunk (one thread, or B = 1) is the whole batch, at weight 1.0, which
+    changes no bit.
     """
     B = len(x)
-    bounds = _chunk_bounds(B, min(B, workers))
-    if len(bounds) == 2:
-        return _loss_and_backward(x, params, cfg)
+    bounds = split(B, min(B, workers))
+    results: list = [None] * (len(bounds) - 1)
+
+    def chunk(c):
+        results[c] = _chunk_gradients(x[bounds[c]:bounds[c + 1]], params, cfg)
+
     from . import _blas   # not at import, which every CLI verb pays
-    chunks = [x[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    results: list = [None] * len(chunks)
-    errstate = np.geterr()   # numpy's error state is not inherited
-
-    def work(c):
-        try:
-            with np.errstate(**errstate):
-                results[c] = _chunk_gradients(chunks[c], params, cfg)
-        except BaseException as exc:   # raised in the caller after the join
-            results[c] = exc
-
-    threads = []
-    with _blas.single_thread():
-        try:
-            for c in range(1, len(chunks)):
-                t = threading.Thread(target=work, args=(c,))
-                t.start()
-                threads.append(t)
-            results[0] = _chunk_gradients(chunks[0], params, cfg)
-        finally:
-            for t in threads:
-                t.join()
-    for r in results:
-        if isinstance(r, BaseException):
-            raise r
+    with _blas.single_thread() if len(results) > 1 else nullcontext():
+        run_parts(chunk, len(results))
     weights = [(hi - lo) / B for lo, hi in zip(bounds, bounds[1:])]
     for name, p in params.tensors.items():
         p.grad = weights[0] * results[0][0][name]
@@ -260,19 +224,20 @@ def train(dataset: PairDataset, cfg: TrainConfig,
 
     Pre-fused samples are fixed up front; every epoch shuffles them with
     the seeded generator and walks them in batches. A batch of B images
-    runs as k = min(B, w) chunks of consecutive images, as equal in size
-    as they can be, where w is the OpenBLAS thread count when this is
-    called (1 if numpy's OpenBLAS is not found): the caller runs one chunk
-    and k - 1 threads the others, with OpenBLAS held to one thread, and
-    one optimizer step takes the chunks' gradients weighted by size. With
-    k = 1 (one thread, or one image a batch) the step is the whole batch's
-    graph on ``params`` itself; with more, results are bit-for-bit
-    reproducible for a fixed w and agree with the k = 1 step up to
-    rounding. Raises DomainError
-    before any step if a training image has a non-finite pixel, ShapeError
-    if batches would mix image sizes, and DivergenceError naming the epoch
-    and step if the loss goes non-finite, or naming the first parameter
-    too if an optimizer step leaves it non-finite.
+    runs as k = min(B, w) chunks of consecutive images bounded by
+    :func:`~ivfuse.tensor.split`, where w is the OpenBLAS thread count
+    when this is called (1 if numpy's OpenBLAS is not found): each chunk
+    is one part of :func:`~ivfuse.tensor.run_parts`, with OpenBLAS held to
+    one thread when k > 1, and one optimizer step takes the chunks'
+    gradients weighted by size. Every step, k = 1 included, takes this one
+    path; with k = 1 (one thread, or one image a batch) it is the whole
+    batch's graph, and with more, results are bit-for-bit reproducible for
+    a fixed w and agree with the k = 1 step up to rounding. Raises
+    DomainError before any step if a training image has a non-finite
+    pixel, ShapeError if batches would mix image sizes, and
+    DivergenceError naming the epoch and step if the loss goes non-finite,
+    or naming the first parameter too if an optimizer step leaves it
+    non-finite.
     """
     samples = prefused_samples(dataset, cfg.pre_fusion)
     if not samples:

@@ -95,7 +95,8 @@ def test_architecture_conformance(tmp_path):
 
 def test_structural_reductions():
     """n_iterations=1 is the plain decoder; zero feedback conv is a no-op;
-    zero dense convs reduce to the tiled skip; a1=1 pre-fusion is identity."""
+    zero dense convs reduce encode to the tiled skips; a1=1 pre-fusion is
+    identity."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(0)
 
@@ -113,9 +114,11 @@ def test_structural_reductions():
     for name, t in zeroed.tensors.items():
         if "rdb" in name:
             t.data[...] = 0.0
-    f0 = Tensor(rng.standard_normal((1, 16, 8, 8)))
-    assert np.array_equal(iv.rdb_forward(f0, zeroed).data,
-                          np.tile(f0.data, (1, 4, 1, 1)))
+    img = Tensor(rng.uniform(0, 1, (1, 1, 8, 8)))
+    rough = iv.conv2d(img, zeroed.weight("encoder.c1"),
+                      zeroed.bias("encoder.c1"), relu=True)
+    assert np.array_equal(iv.encode(img, zeroed).data,
+                          np.tile(2 * rough.data, (1, 4, 1, 1)))
 
     ir = rng.uniform(0, 1, (12, 12))
     vis = rng.uniform(0, 1, (12, 12))

@@ -4,8 +4,8 @@ import pytest
 import ivfuse.tensor
 from ivfuse.errors import ConfigError, ShapeError
 from ivfuse.losses import (LossConfig, _gradient_magnitude, avg_gradient,
-                           composite_loss, composite_loss_parts, pixel_loss,
-                           ssim, ssim_loss)
+                           composite_loss_parts, pixel_loss, ssim,
+                           ssim_loss)
 from ivfuse.tensor import Tensor, backward, finite_diff_gradient
 from oracles import avg_gradient_loops, ssim_loops
 
@@ -192,15 +192,16 @@ def test_composite_zero_iff_equal_in_sharpness_mode():
     x = img(10)
     for lam, gam in ((100.0, 0.1), (7.0, 3.0)):
         cfg = LossConfig(ssim_weight=lam, ag_weight=gam)
-        assert abs(composite_loss(x, x.copy(), cfg).item()) < 1e-9
+        assert abs(composite_loss_parts(x, x.copy(), cfg)[0].item()) < 1e-9
     y = img(11)
-    assert composite_loss(x, y).item() > 0.0
+    assert composite_loss_parts(x, y)[0].item() > 0.0
 
 
 def test_composite_reduces_to_pixel_loss():
     cfg = LossConfig(ssim_weight=0.0, ag_weight=0.0)
     o, i = img(12), img(13)
-    assert composite_loss(o, i, cfg).item() == pixel_loss(o, i).item()
+    assert (composite_loss_parts(o, i, cfg)[0].item()
+            == pixel_loss(o, i).item())
 
 
 def test_composite_components_nonnegative():
@@ -219,8 +220,9 @@ def test_composite_gradient_matches_finite_differences(mode):
     cfg = LossConfig(ag_mode=mode)
     o = Tensor(img(16))
     target = img(17)
-    backward(composite_loss(o, target, cfg))
-    numeric = finite_diff_gradient(lambda t: composite_loss(t, target, cfg), o)
+    backward(composite_loss_parts(o, target, cfg)[0])
+    numeric = finite_diff_gradient(
+        lambda t: composite_loss_parts(t, target, cfg)[0], o)
     scale = max(np.abs(numeric).max(), 1e-8)
     assert np.abs(o.grad - numeric).max() / scale < 1e-4
 
@@ -229,7 +231,8 @@ def test_composite_literal_mode_uses_output_gradient_only():
     cfg = LossConfig(ssim_weight=0.0, ag_weight=1.0, ag_mode="literal")
     o, i = img(18), img(19)
     want = pixel_loss(o, i).item() + avg_gradient(o).item()
-    assert composite_loss(o, i, cfg).item() == pytest.approx(want, rel=1e-12)
+    got = composite_loss_parts(o, i, cfg)[0].item()
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_composite_batch_averages_per_image_losses():
@@ -237,14 +240,15 @@ def test_composite_batch_averages_per_image_losses():
     o = rng.uniform(0, 1, (3, 1, 16, 16))
     t = rng.uniform(0, 1, (3, 1, 16, 16))
     cfg = LossConfig()
-    batch = composite_loss(o, t, cfg).item()
-    singles = [composite_loss(o[b, 0], t[b, 0], cfg).item() for b in range(3)]
+    batch = composite_loss_parts(o, t, cfg)[0].item()
+    singles = [composite_loss_parts(o[b, 0], t[b, 0], cfg)[0].item()
+               for b in range(3)]
     assert batch == pytest.approx(np.mean(singles), rel=1e-9)
 
 
 def test_composite_shape_mismatch():
     with pytest.raises(ShapeError):
-        composite_loss(np.zeros((16, 16)), np.zeros((16, 17)))
+        composite_loss_parts(np.zeros((16, 16)), np.zeros((16, 17)))
 
 
 @pytest.mark.parametrize("pixel_mode", ["mse", "norm"])
@@ -255,8 +259,9 @@ def test_composite_batch_gradient_matches_finite_differences(ag_mode,
     rng = np.random.default_rng(21)
     o = Tensor(rng.uniform(0.05, 0.95, (2, 1, 12, 12)))
     target = rng.uniform(0.05, 0.95, (2, 1, 12, 12))
-    backward(composite_loss(o, target, cfg))
-    numeric = finite_diff_gradient(lambda t: composite_loss(t, target, cfg), o)
+    backward(composite_loss_parts(o, target, cfg)[0])
+    numeric = finite_diff_gradient(
+        lambda t: composite_loss_parts(t, target, cfg)[0], o)
     scale = max(np.abs(numeric).max(), 1e-8)
     assert np.abs(o.grad - numeric).max() / scale < 1e-4
 

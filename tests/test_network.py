@@ -15,8 +15,7 @@ from ivfuse.errors import (CheckpointFormatError, CheckpointSchemaError,
                            ConfigError, DomainError, ShapeError)
 from ivfuse.network import (LAYER_SPECS, PARAM_SHAPES, FeedbackConfig,
                             ModelParams, PreFusionConfig, decode, encode,
-                            fuse_add, fuse_images, init_params, pre_fuse,
-                            rdb_forward)
+                            fuse_add, fuse_images, init_params, pre_fuse)
 from ivfuse.network import _feedback_kernel
 import ivfuse.network
 from ivfuse.tensor import (Tensor, backward, conv2d, finite_diff_gradient,
@@ -96,23 +95,19 @@ def test_pre_fusion_config_validates_range():
 
 # ----------------------------------------------------------- rdb, encode
 
-def test_rdb_output_64_channels_spatial_preserved():
-    params = init_params(0, dtype=np.float64)
-    f0 = Tensor(np.random.default_rng(4).standard_normal((2, 16, 16, 16)))
-    out = rdb_forward(f0, params)
-    assert out.shape == (2, 64, 16, 16)
-
-
-def test_rdb_zero_network_reduces_to_tiled_skip():
-    params = zero_params()
-    f0 = Tensor(np.random.default_rng(5).standard_normal((1, 16, 8, 8)))
-    out = rdb_forward(f0, params)
-    assert np.array_equal(out.data, np.tile(f0.data, (1, 4, 1, 1)))
-
-
-def test_rdb_rejects_wrong_channel_count():
-    with pytest.raises(ShapeError):
-        rdb_forward(Tensor(np.zeros((1, 8, 4, 4))), init_params(0))
+def test_encode_with_a_zeroed_dense_block_reduces_to_the_tiled_skips():
+    # with every rdb weight and bias zero, the fusion conv adds only its
+    # addend, the local and the global skip: twice the rough features,
+    # tiled over its four 16-channel groups
+    params = init_params(5, dtype=np.float64)
+    for name, t in params.tensors.items():
+        if "rdb" in name:
+            t.data[...] = 0.0
+    img = Tensor(rand_image(5, side=8)[None, None])
+    rough = conv2d(img, params.weight("encoder.c1"), params.bias("encoder.c1"),
+                   relu=True)
+    assert np.array_equal(encode(img, params).data,
+                          np.tile(2 * rough.data, (1, 4, 1, 1)))
 
 
 def test_encode_shape_and_tied_weights():
@@ -433,15 +428,15 @@ def spy_bands(monkeypatch, each=None):
     """Record the band count of every conv forward, and call ``each(n)``
     before it runs, in the thread that calls the conv."""
     counts = []
-    run_bands = ivfuse.tensor._run_bands
+    run_parts = ivfuse.tensor.run_parts
 
     def spy(band, n):
         counts.append(n)
         if each is not None:
             each(n)
-        return run_bands(band, n)
+        return run_parts(band, n)
 
-    monkeypatch.setattr(ivfuse.tensor, "_run_bands", spy)
+    monkeypatch.setattr(ivfuse.tensor, "run_parts", spy)
     return counts
 
 

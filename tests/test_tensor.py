@@ -1,3 +1,6 @@
+import ast
+import glob
+import os
 import sys
 import threading
 import tracemalloc
@@ -13,7 +16,7 @@ from ivfuse.errors import DomainError, ShapeError
 from ivfuse.network import LAYER_SPECS
 from ivfuse.tensor import (Tensor, as_tensor, backward,
                            concat_channels, conv2d, finite_diff_gradient,
-                           narrow, no_grad)
+                           narrow, no_grad, split)
 from oracles import (conv2d_input_grad_loops, conv2d_loops,
                      conv2d_weight_grad_loops)
 
@@ -145,15 +148,15 @@ def test_conv2d_row_tiles_match_loop_oracle(monkeypatch, dtype, tol, B, Cin,
 
 
 def test_conv2d_forward_scratch_stays_within_one_tile():
-    # Beyond its output and the padded input, a forward keeps one column
-    # buffer of at most CONV_TILE_BYTES and one product buffer; a fresh
-    # tile per row block would hold two column tiles at once.
+    # Beyond its output, a forward keeps one column buffer of at most
+    # CONV_TILE_BYTES, which holds the zero padding, and one product
+    # buffer; a fresh tile per row block would hold two column tiles at
+    # once, and a padded copy of the input 1.06 MiB more.
     rng = np.random.default_rng(9)
     x = Tensor(rng.standard_normal((1, 64, 64, 64)).astype(np.float32))
     w = Tensor(rng.standard_normal((64, 64, 3, 3)).astype(np.float32))
     b = Tensor(np.zeros(64, dtype=np.float32))
     out_bytes = x.data.nbytes
-    padded_bytes = 64 * 66 * 66 * 4
     with no_grad():
         tracemalloc.start()
         try:
@@ -162,7 +165,7 @@ def test_conv2d_forward_scratch_stays_within_one_tile():
         finally:
             tracemalloc.stop()
     assert out.data.nbytes == out_bytes
-    scratch = peak - out_bytes - padded_bytes
+    scratch = peak - out_bytes
     assert scratch <= ivfuse.tensor.CONV_TILE_BYTES + (1 << 20), scratch
 
 
@@ -215,6 +218,45 @@ def test_conv2d_rows_do_not_depend_on_the_tile_cap_or_blas_threads(
                 outs.append(conv2d(x, w).data)
     for out in outs[1:]:
         assert np.array_equal(out, outs[0])
+
+
+@pytest.mark.parametrize("n, k, bounds", [
+    (4, 2, [0, 2, 4]), (3, 2, [0, 2, 3]), (5, 3, [0, 2, 4, 5]),
+    (4, 3, [0, 2, 3, 4]), (4, 4, [0, 1, 2, 3, 4]), (7, 1, [0, 7]),
+    (37, 2, [0, 19, 37])])
+def test_split_parts_are_as_equal_as_they_can_be_the_first_the_larger(
+        n, k, bounds):
+    assert split(n, k) == bounds
+
+
+def _thread_users(path):
+    """(file, top-level function or None) of each ``Thread`` reference or
+    import in the module at ``path``."""
+    users = []
+
+    def visit(node, func):
+        if func is None and isinstance(node, (ast.FunctionDef,
+                                              ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "Thread"
+                or isinstance(node, ast.Name) and node.id == "Thread"
+                or isinstance(node, ast.alias) and node.name == "Thread"):
+            users.append((os.path.basename(path), func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    with open(path, encoding="utf-8") as f:
+        visit(ast.parse(f.read()), None)
+    return users
+
+
+def test_every_thread_of_the_package_starts_in_run_parts():
+    # training chunks and fusion row bands share one runner, with its
+    # error state, join and re-raise; a second runner fails here
+    src = os.path.dirname(ivfuse.tensor.__file__)
+    users = [u for path in sorted(glob.glob(os.path.join(src, "*.py")))
+             for u in _thread_users(path)]
+    assert users == [("tensor.py", "run_parts")]
 
 
 def test_row_bands_past_the_core_count_keep_the_serial_bytes(monkeypatch):

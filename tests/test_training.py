@@ -12,10 +12,9 @@ from ivfuse.dataset import ImagePair, PairDataset, synth_corpus
 from ivfuse.errors import ConfigError, DivergenceError, DomainError, ShapeError
 from ivfuse.losses import LossConfig
 from ivfuse.network import FeedbackConfig, init_params
-from ivfuse.tensor import Tensor
+from ivfuse.tensor import Tensor, split
 from ivfuse.training import (Adam, SGD, TrainConfig, TrainingLog,
-                             _chunk_bounds, prefused_samples,
-                             reconstruction_rmse, train)
+                             prefused_samples, reconstruction_rmse, train)
 
 
 def desk_config(**kw):
@@ -128,13 +127,6 @@ def test_one_image_batches_keep_their_bytes_at_any_thread_count(
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("n, k, bounds", [
-    (4, 2, [0, 2, 4]), (3, 2, [0, 2, 3]), (5, 3, [0, 2, 4, 5]),
-    (4, 3, [0, 2, 3, 4]), (4, 4, [0, 1, 2, 3, 4]), (7, 1, [0, 7])])
-def test_chunks_are_as_equal_as_they_can_be_the_first_the_larger(n, k, bounds):
-    assert _chunk_bounds(n, k) == bounds
-
-
 def _first_step(monkeypatch, workers, batch_size, dtype):
     """Every parameter gradient, the logged row and the chunk sizes of one
     step, which leaves the weights as they were (SGD at learning rate 0)."""
@@ -159,31 +151,29 @@ def test_chunked_step_agrees_with_the_whole_batch(monkeypatch, dtype, tol,
     chunked, chunked_parts, chunk_sizes = _first_step(monkeypatch, workers,
                                                       batch_size, dtype)
     assert sizes == [batch_size]
-    assert chunk_sizes == list(np.diff(_chunk_bounds(batch_size, workers)))
+    assert chunk_sizes == list(np.diff(split(batch_size, workers)))
     for name, g in whole.items():
         assert chunked[name].dtype == dtype, name
         assert np.abs(chunked[name] - g).max() <= tol * np.abs(g).max(), name
     assert np.allclose(chunked_parts, whole_parts, rtol=tol, atol=0)
 
 
-def test_a_one_thread_step_builds_its_graph_on_params(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_step_builds_its_graphs_on_leaves_over_the_params(monkeypatch,
+                                                               workers):
+    # one step path at any thread count: one set of leaves per chunk, on
+    # the parameter arrays themselves, and a one-thread step is one chunk
     corpus = synth_corpus(2, 16, seed=14)
     seen = []
     spy_reconstruct(monkeypatch, lambda img, p: seen.append(p))
-    for workers in (1, 2):
-        use_workers(monkeypatch, workers)
-        seen.clear()
-        params = init_params(14)
-        train(corpus, desk_config(seed=14, max_steps=1), params)
-        if workers == 1:
-            assert len(seen) == 1 and seen[0] is params
-            continue
-        # one set of leaves per chunk, on the parameter arrays themselves
-        assert len(seen) == 2 and all(p is not params for p in seen)
-        for leaves in seen:
-            for name, t in leaves.tensors.items():
-                assert t is not params.tensors[name]
-                assert t.data is params.tensors[name].data, name
+    use_workers(monkeypatch, workers)
+    params = init_params(14)
+    train(corpus, desk_config(seed=14, max_steps=1), params)
+    assert len(seen) == workers and all(p is not params for p in seen)
+    for leaves in seen:
+        for name, t in leaves.tensors.items():
+            assert t is not params.tensors[name]
+            assert t.data is params.tensors[name].data, name
 
 
 def test_chunks_run_under_the_callers_numpy_error_state(monkeypatch):
