@@ -11,15 +11,18 @@ def write_atomic(path, data: bytes) -> None:
 
     A reader sees the previous file or the complete new one, never a
     partial write, and the temporary file is removed if anything fails.
+    Its name is 21 bytes long whatever ``path``'s is, so any name the
+    filesystem takes can be written; an OSError names ``path``.
     """
     path = os.fspath(path)
-    tmp = os.path.join(os.path.dirname(path),
-                       f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
+    tmp = os.path.join(os.path.dirname(path), f".{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):   # not the temporary file's name
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise

@@ -6,15 +6,17 @@ command-line flags; unknown keys are hard errors, and every command echoes
 its fully resolved configuration before doing any work. Environment
 variables are never consulted.
 
-Exit codes: 0 success; 1 gradient check failure; 2 configuration error;
-3 ingestion error; 4 training divergence; 5 checkpoint format/schema
-error, or weights whose fusion is not finite; 6 image size mismatch.
+Exit codes: 0 success; 1 gradient check failure; 2 configuration error,
+or a path the OS refuses; 3 ingestion error; 4 training divergence; 5
+checkpoint format/schema error, or weights whose fusion is not finite; 6
+image size mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 from contextlib import contextmanager
 
@@ -201,10 +203,20 @@ def _check_outputs(out_dir: str, *names: str) -> None:
 
 
 def _check_out_dir(out_dir: str, *names: str) -> None:
-    """_check_outputs for the verbs that write under ``out_dir``."""
+    """_check_outputs for the verbs that write under ``out_dir``. A missing
+    ``out_dir`` is made and removed again, so one that the OS will not make
+    fails here too, and the check leaves nothing behind."""
     if not out_dir:
         raise ConfigError("out_dir is empty; name a directory, such as '.'")
     _check_outputs(out_dir, *names)
+    top, parent = None, out_dir   # top: the outermost missing directory
+    while not os.path.lexists(parent):
+        top, parent = parent, os.path.dirname(parent) or "."
+    if top is not None:
+        try:
+            os.makedirs(out_dir)
+        finally:
+            shutil.rmtree(top, ignore_errors=True)
 
 
 @contextmanager
@@ -397,6 +409,11 @@ def main(argv=None) -> int:
     except ShapeError as exc:
         print(f"size mismatch: {exc}", file=sys.stderr)
         return EXIT_SIZE_MISMATCH
+    except OSError as exc:   # a path the OS refuses, such as an output's
+        if exc.filename is None:   # not a path's fault (a closed pipe)
+            raise
+        print(f"config error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -36,9 +36,6 @@ class PairDataset:
     def test_pairs(self) -> list[ImagePair]:
         return [p for p in self.pairs if p.split == "test"]
 
-    def __len__(self):
-        return len(self.pairs)
-
 
 def split_counts(n: int) -> tuple[int, int]:
     """Train/test counts at a 3:1 ratio, rounding the test share half up."""

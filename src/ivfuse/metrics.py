@@ -43,15 +43,17 @@ _SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
 _SOBEL = np.stack([_SOBEL_X, _SOBEL_X.T])[:, np.newaxis]   # (2, 1, 3, 3)
 
 
-def _check_finite(caller: str, **images) -> None:
+def _check_images(caller: str, **images) -> None:
     for name, img in images.items():
+        if not img.size:
+            raise ShapeError(f"{caller}: {name} is empty, shape {img.shape}")
         if not np.isfinite(img).all():
             raise DomainError(f"{caller}: {name} has non-finite pixels")
 
 
 def entropy(img: np.ndarray) -> float:
     """Shannon entropy (bits) of the 8-bit intensity histogram."""
-    _check_finite("entropy", img=img)
+    _check_images("entropy", img=img)
     hist = np.bincount(quantize_u8(img).ravel(), minlength=256)
     p = hist[hist > 0] / img.size
     return float(-np.sum(p * np.log2(p)) + 0.0)  # +0.0 folds away -0.0
@@ -61,7 +63,7 @@ def _check_triple(caller: str, f, a, b) -> None:
     if a.shape != f.shape or b.shape != f.shape:
         raise ShapeError(f"{caller} needs three equal shapes, got "
                          f"{a.shape}, {b.shape}, {f.shape}")
-    _check_finite(caller, a=a, b=b, f=f)
+    _check_images(caller, a=a, b=b, f=f)
 
 
 def _sobel_same(imgs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

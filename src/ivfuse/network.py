@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .tensor import (Tensor, as_tensor, concat_channels, conv2d, full_row_tiles,
+from .tensor import (Tensor, as_tensor, concat_on, conv2d, full_row_tiles,
                      no_grad, row_bands)
 
 # name -> (out_channels, in_channels, kernel_h, kernel_w, relu follows)
@@ -173,9 +173,9 @@ def _dense_features(x: Tensor, params: ModelParams) -> tuple[Tensor, Tensor]:
 
     All four live in one (B, 64, H, W) buffer: each conv writes its 16
     channels into the next slice and reads the slices before it, which
-    :func:`concat_channels` hands over as a view, so no concatenation is
-    copied (Pleiss et al. 2017, arXiv 1707.06990). The values and the
-    graph are those of concatenating copies, bit for bit."""
+    :func:`concat_on` takes as the concatenation's value, a view, so no
+    concatenation is copied (Pleiss et al. 2017, arXiv 1707.06990). The
+    values and the graph are those of concatenating copies, bit for bit."""
     B, _, H, W = x.shape
     buf = np.empty((B, 64, H, W), np.result_type(x.dtype, params.dtype))
     parts = [_layer("encoder.c1", x, params, out=buf[:, :16])]
@@ -183,7 +183,7 @@ def _dense_features(x: Tensor, params: ModelParams) -> tuple[Tensor, Tensor]:
     for name in ("encoder.rdb.conv1", "encoder.rdb.conv2", "encoder.rdb.conv3"):
         c = features.shape[1]
         parts.append(_layer(name, features, params, out=buf[:, c:c + 16]))
-        features = concat_channels(parts)
+        features = concat_on(parts, buf[:, :c + 16])
     return parts[0], features
 
 

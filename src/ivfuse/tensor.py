@@ -10,12 +10,12 @@ only the dtype differs.
 
 Values are immutable by convention: no operation writes into its inputs,
 so tensors can be shared freely. A conv may write its output into a slice
-of a caller's array (``out``), and a concatenation of adjacent slices of
-one array is a view of it, so a dense block builds its concatenations in
-one buffer: each slice is written once, before any tensor reads it. The
-optimizer mutates parameter ``data`` in place between graph builds, which
-is safe because every step records a fresh graph. A constant (an
-:func:`as_tensor` scalar or array, or any tensor made inside
+of a caller's array (``out``), and :func:`concat_on` takes an array that
+the caller filled as its value, so a dense block's concatenations are
+views of one buffer: each slice is written once, before any tensor reads
+it. The optimizer mutates parameter ``data`` in place between graph
+builds, which is safe because every step records a fresh graph. A
+constant (an :func:`as_tensor` scalar or array, or any tensor made inside
 :func:`no_grad`, as inference runs) has no gradient and no graph node; an
 op records a node only when some input is not one.
 
@@ -61,51 +61,39 @@ CONV_TILE_BYTES = 4 << 20
 GEMM_LANES = 16
 
 
-class _GradMode(threading.local):
-    recording = True   # every thread starts out recording
+class _Mode(threading.local):
+    recording = True   # every thread starts out recording,
+    bands = 1          # and running each conv as one band
 
 
-_grad_mode = _GradMode()
+_mode = _Mode()
 
 
 @contextmanager
+def _scoped(field: str, value):
+    """Set ``_mode``'s ``field`` to ``value`` in the calling thread inside
+    the block; nests, and restores the previous value, also on a raise."""
+    previous = getattr(_mode, field)
+    setattr(_mode, field, value)
+    try:
+        yield
+    finally:
+        setattr(_mode, field, previous)
+
+
 def no_grad():
-    """Build no graph inside the block (in the calling thread).
-
-    Every tensor made inside is a constant, so each intermediate is freed
-    as soon as its consumers have run. Nests, and restores the previous
-    state on exit, also when the block raises.
-    """
-    previous = _grad_mode.recording
-    _grad_mode.recording = False
-    try:
-        yield
-    finally:
-        _grad_mode.recording = previous
+    """Build no graph inside the block (see :func:`_scoped`): every tensor
+    made inside is a constant, so each intermediate is freed as soon as
+    its consumers have run."""
+    return _scoped("recording", False)
 
 
-class _Bands(threading.local):
-    count = 1   # every thread starts out running each conv as one band
-
-
-_bands = _Bands()
-
-
-@contextmanager
 def row_bands(n: int):
-    """Inside the block (in the calling thread), run each conv forward
-    whose output fills at least ``n`` full row tiles as ``n`` bands of rows
-    at once, on ``n`` threads (see :func:`_conv_forward`); the result is
-    the same, bit for bit. Meant for a block that holds OpenBLAS to one
-    thread. Nests, and restores the previous count on exit, also when the
-    block raises.
-    """
-    previous = _bands.count
-    _bands.count = n
-    try:
-        yield
-    finally:
-        _bands.count = previous
+    """Inside the block (see :func:`_scoped`), run each conv forward whose
+    output fills at least ``n`` full row tiles as ``n`` bands of rows at
+    once, on ``n`` threads (see :func:`_conv_forward`), with the same
+    bytes. Meant for a block that holds OpenBLAS to one thread."""
+    return _scoped("bands", n)
 
 
 class Tensor:
@@ -129,9 +117,9 @@ class Tensor:
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data, self.grad, self._node = arr, None, None
-        if _grad_mode.recording and _parents is None:   # a leaf
+        if _mode.recording and _parents is None:   # a leaf
             self.grad = np.zeros_like(arr)
-        elif _grad_mode.recording and not all(map(_is_constant, _parents)):
+        elif _mode.recording and not all(map(_is_constant, _parents)):
             self._node = _Node(arr, _parents, _adjoint)
 
     @property
@@ -363,6 +351,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         raise ShapeError(f"conv2d weights must be 4-d, got shape {w.shape}")
     B, Cin, H, W = x.shape
     Cout, Cin_w, kh, kw = w.shape
+    if not H or not W:
+        raise ShapeError(f"conv2d input has no rows or columns, shape {x.shape}")
     if Cin != Cin_w:
         raise ShapeError(
             f"conv2d channel mismatch: input has {Cin}, weights expect {Cin_w}")
@@ -439,7 +429,7 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     elif out.shape != shape or out.dtype != dtype:
         raise ShapeError(f"conv2d out must be a {dtype} array of shape "
                          f"{shape}, got {out.dtype} {out.shape}")
-    n = _bands.count
+    n = _mode.bands
     if n > 1 and _full_tiles(lay) < n:
         n = 1
     bounds = split(lay.Ho, n)
@@ -735,12 +725,8 @@ def _lower_taps(x: np.ndarray, tile: np.ndarray, top: int, pw: int) -> None:
 
 
 def concat_channels(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate (B, C_i, H, W) tensors along the channel axis.
-
-    Parts that are adjacent channel slices of one array, in order, are not
-    copied: the result is the slice of that array they make up, a view
-    (the shared-buffer concatenation of Pleiss et al. 2017, arXiv
-    1707.06990). Any other parts are copied into a new array."""
+    """Concatenate (B, C_i, H, W) tensors along the channel axis, into a
+    new array (see :func:`concat_on`)."""
     parts = list(parts)
     if not parts:
         raise ShapeError("concat_channels needs at least one part")
@@ -750,39 +736,18 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
             raise ShapeError(
                 f"concat_channels parts must be 4-d and share batch and "
                 f"spatial dims, got {first} and {p.shape}")
+    return concat_on(parts, np.concatenate([p.data for p in parts], axis=1))
+
+
+def concat_on(parts: Sequence[Tensor], data: np.ndarray) -> Tensor:
+    """The channel concatenation of ``parts`` whose value is ``data``, an
+    array the caller has filled with the parts' values in order, such as
+    the slice of one buffer that the parts were written into (the
+    shared-buffer concatenation of Pleiss et al. 2017, arXiv 1707.06990).
+    Each part's gradient is its channel slice of the output's."""
     bounds = list(accumulate((p.shape[1] for p in parts), initial=0))
-    data = _channel_view([p.data for p in parts], bounds)
-    if data is None:
-        data = np.concatenate([p.data for p in parts], axis=1)
     return Tensor(data, _parents=tuple(parts), _adjoint=lambda g: (
         g[:, c0:c1] for c0, c1 in zip(bounds, bounds[1:])))
-
-
-def _channel_view(arrays: list[np.ndarray], bounds: list[int]
-                  ) -> np.ndarray | None:
-    """``base[:, c0:c0 + bounds[-1]]`` if ``arrays`` are the slices
-    ``base[:, c0 + bounds[i]:c0 + bounds[i + 1]]`` of their common base,
-    else None. Each must have the base's dtype, strides, batch and spatial
-    dims, and start where the one before ends; then every element of it is
-    the base's element at the same address."""
-    base = arrays[0].base
-    if not isinstance(base, np.ndarray) or base.ndim != 4 or not base.strides[1]:
-        return None
-    step, origin = base.strides[1], _address(base)
-    c0, rem = divmod(_address(arrays[0]) - origin, step)
-    if rem or c0 < 0 or c0 + bounds[-1] > base.shape[1]:
-        return None
-    for a, c in zip(arrays, bounds):
-        if (a.base is not base or a.dtype != base.dtype
-                or a.strides != base.strides
-                or a.shape[:1] + a.shape[2:] != base.shape[:1] + base.shape[2:]
-                or _address(a) != origin + (c0 + c) * step):
-            return None
-    return base[:, c0:c0 + bounds[-1]]
-
-
-def _address(a: np.ndarray) -> int:
-    return a.__array_interface__["data"][0]
 
 
 def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -879,13 +844,7 @@ def finite_diff_gradient(f: Callable[[Tensor], "Tensor | float"],
         minus = base.copy()
         minus.flat[i] -= h
         with no_grad():
-            fp = _scalar_value(f(Tensor(plus)))
-            fm = _scalar_value(f(Tensor(minus)))
+            fp = as_tensor(f(Tensor(plus))).item()
+            fm = as_tensor(f(Tensor(minus))).item()
         flat[i] = (fp - fm) / (2.0 * h)
     return grad
-
-
-def _scalar_value(v) -> float:
-    if isinstance(v, Tensor):
-        return float(v.data)
-    return float(v)

@@ -1,8 +1,11 @@
+import errno
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ivfuse.cli
 import ivfuse.tensor as tensor_mod
 from ivfuse.checkpoint import load_checkpoint, save_checkpoint
 from ivfuse.cli import (_convert, build_parser, main, parse_config_file,
@@ -265,6 +268,46 @@ def test_bad_output_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
     # no training ran and no report was made
     assert not [ln for ln in out.splitlines()
                 if ln.startswith(("trained ", "corpus: "))]
+
+
+def test_fuse_writes_an_output_name_as_long_as_the_filesystem_takes(
+        tmp_path, capsys, trained):
+    # the temporary file's name used to be 22 bytes longer than the output's
+    a_path = tmp_path / "a.pgm"
+    write_pgm(a_path, np.random.default_rng(3).uniform(0, 1, (16, 16)))
+    out = tmp_path / ("z" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 4) + ".pgm")
+    code, _, err = run_cli(capsys, "fuse", str(a_path), str(a_path), str(out),
+                           "--checkpoint", str(trained))
+    assert code == 0, err
+    assert read_pgm(out).shape == (16, 16)
+    assert sorted(os.listdir(tmp_path)) == sorted(["a.pgm", out.name])
+
+
+def test_fuse_to_a_name_the_os_refuses_exits_2_naming_it(tmp_path, capsys,
+                                                         trained):
+    a_path = tmp_path / "a.pgm"
+    write_pgm(a_path, np.random.default_rng(3).uniform(0, 1, (16, 16)))
+    out = tmp_path / ("z" * os.pathconf(tmp_path, "PC_NAME_MAX") + ".pgm")
+    code, _, err = run_cli(capsys, "fuse", str(a_path), str(a_path), str(out),
+                           "--checkpoint", str(trained))
+    assert code == 2
+    assert f"{out}: {os.strerror(errno.ENAMETOOLONG)}" in err
+    assert os.listdir(tmp_path) == ["a.pgm"]
+
+
+@pytest.mark.parametrize("verb", ["train", "demo"])
+def test_an_out_dir_the_os_refuses_exits_2_before_training(
+        tmp_path, capsys, monkeypatch, verb):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the out_dir was checked")
+
+    monkeypatch.setattr(ivfuse.cli, "train", no_training)
+    out_dir = tmp_path / "new" / ("d" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1))
+    code, _, err = run_cli(capsys, verb, "--synthetic", "4", "--size", "16",
+                           "--steps", "1", "--out-dir", str(out_dir))
+    assert code == 2
+    assert f"{out_dir}: {os.strerror(errno.ENAMETOOLONG)}" in err
+    assert os.listdir(tmp_path) == []   # "new" was made and removed
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

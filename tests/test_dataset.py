@@ -98,7 +98,7 @@ def test_load_dataset_pairs_and_split(tmp_path):
         write_pgm(ir_dir / f"s{k}.pgm", rng.uniform(0, 1, (16, 16)))
         write_pgm(vis_dir / f"s{k}.pgm", rng.uniform(0, 1, (16, 16)))
     ds = load_dataset(ir_dir, vis_dir, image_size=16, seed=3)
-    assert len(ds) == 8
+    assert len(ds.pairs) == 8
     assert len(ds.train_pairs()) == 6
     assert len(ds.test_pairs()) == 2
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,17 @@ def img(seed, side=16):
 
 
 # --------------------------------------------------------------- entropy
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+@pytest.mark.parametrize("metric", [entropy, qabf, ssim_metric, psnr])
+def test_metrics_reject_empty_images_naming_the_shape(metric, shape):
+    # entropy used to read 0.0, psnr NaN, and qabf failed in the conv
+    # tiling
+    empty = np.zeros(shape)
+    args = (empty,) if metric is entropy else (empty, empty, empty)
+    with pytest.raises(ShapeError, match=re.escape(str(shape))):
+        metric(*args)
+
 
 def test_entropy_constant_image_zero():
     assert entropy(np.full((16, 16), 0.5)) == 0.0

@@ -325,6 +325,15 @@ def test_fuse_images_size_mismatch():
         fuse_images(np.zeros((8, 8)), np.zeros((8, 9)), init_params(0))
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0)])
+def test_fuse_images_rejects_empty_images_naming_the_shape(shape):
+    # an empty pair used to fail deep in the conv tiling (range() arg 3
+    # must not be zero, or an unbound product buffer)
+    empty = np.zeros(shape)
+    with pytest.raises(ShapeError, match=f"no rows or columns.*{shape[0]}, {shape[1]}"):
+        fuse_images(empty, empty, init_params(0), FeedbackConfig(1))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.5])
 @pytest.mark.parametrize("argument", ["infrared", "visible"])
 def test_fuse_images_rejects_non_finite_pixels(argument, bad):

@@ -1,6 +1,7 @@
 import ast
 import glob
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -14,9 +15,9 @@ from hypothesis import strategies as st
 import ivfuse.tensor
 from ivfuse.errors import DomainError, ShapeError
 from ivfuse.network import LAYER_SPECS
-from ivfuse.tensor import (Tensor, as_tensor, backward,
-                           concat_channels, conv2d, finite_diff_gradient,
-                           narrow, no_grad, split)
+from ivfuse.tensor import (Tensor, as_tensor, backward, concat_channels,
+                           concat_on, conv2d, finite_diff_gradient, narrow,
+                           no_grad, row_bands, split)
 from oracles import (conv2d_input_grad_loops, conv2d_loops,
                      conv2d_weight_grad_loops)
 
@@ -259,6 +260,27 @@ def test_every_thread_of_the_package_starts_in_run_parts():
     assert users == [("tensor.py", "run_parts")]
 
 
+def test_one_per_thread_mode_and_no_array_address_is_read():
+    # no_grad and row_bands set fields of one threading.local, and the
+    # dense block hands its buffer to concat_on, so nothing has to learn
+    # which arrays are views from their addresses
+    src = os.path.dirname(ivfuse.tensor.__file__)
+    modes, addresses = [], []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(b) in ("threading.local", "local")
+                    for b in node.bases):
+                modes.append((os.path.basename(path), node.name))
+            if "__array_interface__" in (getattr(node, "attr", None),
+                                         getattr(node, "value", None)):
+                addresses.append((os.path.basename(path), node.lineno))
+    assert modes == [("tensor.py", "_Mode")]
+    assert addresses == []
+
+
 def test_row_bands_past_the_core_count_keep_the_serial_bytes(monkeypatch):
     # five bands on two cores, each switching threads often, write disjoint
     # rows of one output with their own scratch: a band that wrote outside
@@ -448,6 +470,14 @@ def test_conv2d_addend_feeding_four_consumers_gets_every_gradient():
     assert np.abs(results[0][5]).max() > 0   # x's gradient is not all masked
 
 
+@pytest.mark.parametrize("x_shape", [(1, 2, 0, 4), (1, 2, 4, 0)])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+def test_conv2d_rejects_an_input_with_no_rows_or_columns(x_shape, padding):
+    with pytest.raises(ShapeError, match=re.escape(str(x_shape))):
+        conv2d(Tensor(np.zeros(x_shape)), Tensor(np.zeros((3, 2, 1, 1))),
+               padding=padding)
+
+
 def test_conv2d_rejects_a_misshapen_addend():
     x = Tensor(np.zeros((1, 2, 4, 4)))
     w = Tensor(np.zeros((3, 2, 3, 3)))
@@ -528,16 +558,18 @@ def test_concat_gradient_is_ones_on_every_part():
         assert np.allclose(p.grad, numeric, atol=1e-7)
 
 
-def test_concat_of_adjacent_slices_is_a_view_with_the_copys_gradients():
+def test_concat_on_takes_the_callers_array_with_the_copys_gradients():
     base = rand((2, 9, 3, 4), 11)
     bounds = [(1, 3), (3, 4), (4, 8)]
     views = [Tensor(base[:, c0:c1]) for c0, c1 in bounds]
     copies = [Tensor(base[:, c0:c1].copy()) for c0, c1 in bounds]
     r = rand((2, 7, 3, 4), 12)
-    shared, copied = concat_channels(views), concat_channels(copies)
-    assert np.shares_memory(shared.data, base)
-    assert not np.shares_memory(copied.data, base)
+    data = base[:, 1:8]
+    shared, copied = concat_on(views, data), concat_channels(copies)
+    assert shared.data is data
     assert np.array_equal(shared.data, copied.data)
+    # concat_channels has one path: even adjacent slices are copied
+    assert not np.shares_memory(concat_channels(views).data, base)
     backward((shared * r).sum())
     backward((copied * r).sum())
     for v, c in zip(views, copies):
@@ -774,27 +806,35 @@ def test_no_grad_values_match_recorded_values():
     assert quiet == _every_op(x, w).item()
 
 
-def test_no_grad_nests_and_restores_after_exception():
-    x = Tensor(rand((2, 2), 29))
-    with no_grad():
-        with no_grad():
-            assert (x * 2.0)._backward is None
-        assert (x * 2.0)._backward is None
-    assert (x * 2.0)._backward is not None
+# each per-thread scope: how to enter it, and whether it is in force
+SCOPES = {"no_grad": (no_grad, lambda: (Tensor(np.ones(2)) * 2.0)._node is None),
+          "row_bands": (lambda: row_bands(3), lambda: ivfuse.tensor._mode.bands == 3)}
+
+
+@pytest.mark.parametrize("scope", SCOPES)
+def test_no_grad_nests_and_restores_after_exception(scope):
+    enter, active = SCOPES[scope]
+    with enter():
+        with enter():
+            assert active()
+        assert active()
+    assert not active()
     with pytest.raises(RuntimeError):
-        with no_grad():
+        with enter():
             raise RuntimeError("boom")
-    assert (x * 2.0)._node._parents == (x,)
+    assert not active()
 
 
-def test_no_grad_is_per_thread():
-    x = Tensor(rand((2, 2), 34))
+@pytest.mark.parametrize("scope", SCOPES)
+def test_no_grad_is_per_thread(scope):
+    enter, active = SCOPES[scope]
     seen = []
-    worker = threading.Thread(target=lambda: seen.append((x * 2.0)._backward))
-    with no_grad():
+    worker = threading.Thread(target=lambda: seen.append(active()))
+    with enter():
         worker.start()
         worker.join()
-    assert seen[0] is not None
+        assert active()
+    assert seen == [False]
 
 
 def test_constants_have_no_gradient_and_ops_on_them_no_node():
