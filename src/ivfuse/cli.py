@@ -9,7 +9,8 @@ variables are never consulted.
 Exit codes: 0 success; 1 gradient check failure; 2 configuration error,
 or a path the OS refuses; 3 ingestion error; 4 training divergence; 5
 checkpoint format/schema error, or weights whose fusion is not finite; 6
-image size mismatch.
+image size mismatch; 141 (128 + SIGPIPE) standard output closed by its
+reader, as ``| head`` does, which ends the run with no message.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ EXIT_INGESTION = 3
 EXIT_DIVERGENCE = 4
 EXIT_CHECKPOINT = 5
 EXIT_SIZE_MISMATCH = 6
+EXIT_BROKEN_PIPE = 141   # what a shell reports for a process SIGPIPE killed
 
 _TRAIN = TrainConfig()
 # Every accepted config key with its type and default; the library-backed
@@ -389,11 +391,20 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         echo_config(cfg)
         if args.command == "fuse":
-            return cmd_fuse(cfg, args.infrared, args.visible, args.output)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(cfg, args.n_seeds)
-        verbs = {"train": cmd_train, "eval": cmd_eval, "demo": cmd_demo}
-        return verbs[args.command](cfg)
+            code = cmd_fuse(cfg, args.infrared, args.visible, args.output)
+        elif args.command == "gradcheck":
+            code = cmd_gradcheck(cfg, args.n_seeds)
+        else:
+            verbs = {"train": cmd_train, "eval": cmd_eval, "demo": cmd_demo}
+            code = verbs[args.command](cfg)
+        sys.stdout.flush()   # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes to devnull at exit, and cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -410,7 +421,7 @@ def main(argv=None) -> int:
         print(f"size mismatch: {exc}", file=sys.stderr)
         return EXIT_SIZE_MISMATCH
     except OSError as exc:   # a path the OS refuses, such as an output's
-        if exc.filename is None:   # not a path's fault (a closed pipe)
+        if exc.filename is None:   # not a path's fault
             raise
         print(f"config error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG

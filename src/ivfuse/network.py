@@ -22,14 +22,13 @@ as a 10 -> 64 conv on the output's 3x3 taps and a ones channel (see
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .tensor import (Tensor, as_tensor, concat_on, conv2d, full_row_tiles,
-                     no_grad, row_bands)
+from .tensor import (Tensor, as_tensor, concat_on, conv2d, cores,
+                     full_row_tiles, no_grad)
 
 # name -> (out_channels, in_channels, kernel_h, kernel_w, relu follows)
 LAYER_SPECS: dict[str, tuple[int, int, int, int, bool]] = {
@@ -278,28 +277,6 @@ def _fused_encoding(a: Tensor, b: Tensor, params: ModelParams) -> Tensor:
     return conv2d(fa, params.weight(name), params.bias(name) * 2.0, add=skips)
 
 
-@contextmanager
-def _fusion_bands(shape: tuple[int, int], params: ModelParams):
-    """Run the block, a fusion of ``shape`` images, with each large conv
-    in w row bands at once (:func:`row_bands`) and OpenBLAS held to one
-    thread throughout, where w is the OpenBLAS thread count, if
-    decoder.c2 at ``shape`` fills at least w full row tiles; else as it
-    is. A fusion below two tiles (about 80x80) starts no thread and does
-    not look OpenBLAS up; one inside ``_blas.single_thread()`` reads w = 1."""
-    c2 = PARAM_SHAPES["decoder.c2.weight"]
-    tiles = full_row_tiles((1, c2[1]) + shape, params.dtype, c2)
-    if tiles < 2:
-        yield
-        return
-    from . import _blas   # not at import, which every CLI verb pays
-    w = _blas.threads() or 1
-    if not 2 <= w <= tiles:
-        yield
-        return
-    with _blas.single_thread(), row_bands(w):
-        yield
-
-
 def fuse_images(infrared: np.ndarray, visible: np.ndarray,
                 params: ModelParams,
                 fb: FeedbackConfig = FeedbackConfig(),
@@ -321,11 +298,11 @@ def fuse_images(infrared: np.ndarray, visible: np.ndarray,
     image that is not finite (weights that overflow), before clipping
     could hide it.
 
-    From about 80x80 on, with w OpenBLAS threads, a fusion holds OpenBLAS
-    to one thread and computes each conv that fills w whole row tiles in
-    w bands of rows at once, its bias, addend and ReLU included (see
-    :func:`_fusion_bands`); the bytes are those of the serial path, at any
-    thread count.
+    The fusion runs in :func:`cores` of t, the whole row tiles that
+    decoder.c2 fills at this size: each conv that fills k = min(t, w) of
+    them, w the OpenBLAS thread count, runs as k bands of rows at once,
+    with the bytes of the serial path. Below about 80x80 (t < 2) a fusion
+    starts no thread and does not look OpenBLAS up.
     """
     if infrared.ndim != 2 or visible.ndim != 2:
         raise ShapeError("fuse_images expects 2-d grayscale images")
@@ -339,8 +316,9 @@ def fuse_images(infrared: np.ndarray, visible: np.ndarray,
     a, b = infrared, visible
     if pre_fusion is not None:
         a, b = pre_fuse(infrared, visible, pre_fusion)
-    with no_grad(), np.errstate(over="ignore", invalid="ignore"), \
-            _fusion_bands(infrared.shape, params):
+    c2 = PARAM_SHAPES["decoder.c2.weight"]
+    tiles = full_row_tiles((1, c2[1]) + infrared.shape, params.dtype, c2)
+    with no_grad(), np.errstate(over="ignore", invalid="ignore"), cores(tiles):
         ta, tb = (Tensor(v[np.newaxis, np.newaxis].astype(params.dtype))
                   for v in (a, b))
         fused = decode(_fused_encoding(ta, tb, params), params, fb).data[0, 0]

@@ -88,12 +88,21 @@ def no_grad():
     return _scoped("recording", False)
 
 
-def row_bands(n: int):
-    """Inside the block (see :func:`_scoped`), run each conv forward whose
-    output fills at least ``n`` full row tiles as ``n`` bands of rows at
-    once, on ``n`` threads (see :func:`_conv_forward`), with the same
-    bytes. Meant for a block that holds OpenBLAS to one thread."""
-    return _scoped("bands", n)
+@contextmanager
+def cores(n: int):
+    """Run the block on k = min(n, w) cores and yield k, the parts to split
+    its work into; w is the OpenBLAS thread count, 1 if numpy's OpenBLAS
+    is not found. OpenBLAS is held to one thread for the whole block, and
+    each conv forward in the calling thread whose output fills k whole row
+    tiles runs as k bands of rows at once (see :func:`_conv_forward`),
+    with the same bytes. For n < 2 this yields 1 and looks nothing up."""
+    if n < 2:
+        yield 1
+        return
+    from . import _blas   # not at import, which every CLI verb pays
+    k = min(n, _blas.threads() or 1)
+    with _blas.single_thread(), _scoped("bands", k):   # a no-op at k = 1
+        yield k
 
 
 class Tensor:
@@ -341,7 +350,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     it is the returned tensor's value. The arithmetic is the same.
 
     The forward computes its output rows in row tiles (:func:`_row_tiles`),
-    in one band of rows or, under :func:`row_bands`, in several at once;
+    in one band of rows or, under :func:`cores`, in several at once;
     bias, addend and ReLU go into each band's rows once its tiles are
     written, while they are fresh. The bytes are the same either way.
     """
@@ -411,14 +420,16 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     ``relu``, written into ``out``, or into a new array if that is None.
 
     The output rows are computed in n contiguous bands, bounded by
-    :func:`split`, where n is the :func:`row_bands` count if the output
+    :func:`split`, where n is the :func:`cores` band count if the output
     fills that many whole row tiles (:func:`full_row_tiles`), else 1. Each
     band runs its row tiles and then the bias, addend and ReLU on its own
-    rows, as one part of :func:`run_parts`. A band tiles
-    with ``CONV_TILE_BYTES // n``, and every band's scratch is allocated
-    here, so a split conv works in one CONV_TILE_BYTES as a serial one
-    does. No element's bytes depend on the tiling (see :func:`_row_tiles`),
-    so the result does not depend on n.
+    rows, as one part of :func:`run_parts`. A band tiles with
+    ``CONV_TILE_BYTES // n``, so a split conv works in one CONV_TILE_BYTES
+    as a serial one does. Every band's scratch is allocated here, before
+    any band starts: allocated inside each band, it kept the bytes and the
+    time but raised a 256x256 fusion's peak RSS from 94.3 to 97.6 MiB on 2
+    cores. No element's bytes depend on the tiling (see
+    :func:`_row_tiles`), so the result does not depend on n.
     """
     B, Cout = x.shape[0], w.shape[0]
     lay = _layout(x, w, ph, pw)
@@ -464,7 +475,9 @@ def split(n: int, k: int) -> list[int]:
 def run_parts(part: Callable[[int], None], n: int) -> None:
     """``part(0)`` in the caller and ``part(i)``, i = 1 .. n - 1, in one new
     thread each, under the caller's numpy error state (which a thread does
-    not inherit). All are joined before this returns or raises; the
+    not inherit). Every part runs each conv as one band: part 0 with the
+    caller's :func:`cores` band count reset to 1, the others in threads
+    that start at 1. All are joined before this returns or raises; the
     caller's exception goes first, then the first part's in part order.
     Every thread this package starts is started here."""
     errors: list = [None] * n
@@ -483,7 +496,8 @@ def run_parts(part: Callable[[int], None], n: int) -> None:
             t = threading.Thread(target=work, args=(i,))
             t.start()
             threads.append(t)
-        part(0)
+        with _scoped("bands", 1):
+            part(0)
     finally:
         for t in threads:
             t.join()
@@ -579,8 +593,8 @@ def full_row_tiles(x_shape: tuple[int, int, int, int], dtype,
     """How many whole row tiles of CONV_TILE_BYTES the output of a "same"
     conv of a ``dtype`` input of ``x_shape`` by ``dtype`` weights of
     ``w_shape`` fills; a conv that needs no scratch counts each row as
-    one. Under :func:`row_bands` a forward splits into n bands only when
-    this is at least n."""
+    one. Under :func:`cores` a forward splits into k bands only when this
+    is at least k."""
     x = np.broadcast_to(np.zeros((), dtype), x_shape)   # shapes only
     w = np.broadcast_to(np.zeros((), dtype), w_shape)
     return _full_tiles(_layout(x, w, (w_shape[2] - 1) // 2, (w_shape[3] - 1) // 2))

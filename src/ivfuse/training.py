@@ -5,15 +5,15 @@ the encoder and decoder (never the fusion layer) learn to reconstruct
 each of them under the composite loss. Adam with the documented defaults
 does the stepping; plain SGD is selectable for ablation.
 
-A batch runs as one chunk per OpenBLAS thread (see :func:`train`), so a
-run is bit-for-bit reproducible from (seed, config, corpus) and the
-OpenBLAS thread count. With one thread it is the whole-batch step itself;
+A batch runs as one chunk per OpenBLAS thread, at most one per image,
+inside :func:`~ivfuse.tensor.cores` (see :func:`train`), so a run is
+bit-for-bit reproducible from (seed, config, corpus) and the OpenBLAS
+thread count. With one thread it is the whole-batch step itself;
 with more, it agrees with that step up to rounding.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +24,8 @@ from .errors import ConfigError, DivergenceError, DomainError, ShapeError
 from .losses import LossConfig, composite_loss_parts
 from .network import (FeedbackConfig, ModelParams, PreFusionConfig,
                       init_params, pre_fuse, reconstruct)
-from .tensor import Tensor, as_tensor, backward, no_grad, run_parts, split
+from .tensor import (Tensor, as_tensor, backward, cores, no_grad, run_parts,
+                     split)
 
 OPTIMIZERS = ("adam", "sgd")
 
@@ -185,29 +186,27 @@ def _chunk_gradients(x: np.ndarray, params: ModelParams, cfg: TrainConfig
     return {name: t.grad for name, t in leaves.tensors.items()}, parts
 
 
-def _batch_step(x: np.ndarray, params: ModelParams, cfg: TrainConfig,
-                workers: int) -> dict[str, float]:
+def _batch_step(x: np.ndarray, params: ModelParams,
+                cfg: TrainConfig) -> dict[str, float]:
     """Set every ``params`` gradient to the batch's, and return the logged
-    parts of the batch ``x``, in ``min(B, workers)`` chunks bounded by
-    :func:`split`, each one part of :func:`run_parts`.
+    parts of the batch ``x``, running in :func:`cores` of B as the k
+    chunks that :func:`split` bounds, each one part of :func:`run_parts`.
 
-    More than one chunk runs with OpenBLAS held to one thread until all
-    have been joined. Every loss term is a per-image mean over equal pixel
-    and window counts, so up to rounding the batch's gradient and parts
-    are the chunks' weighted by size, here summed in chunk order. One
-    chunk (one thread, or B = 1) is the whole batch, at weight 1.0, which
-    changes no bit.
+    Every loss term is a per-image mean over equal pixel and window
+    counts, so up to rounding the batch's gradient and parts are the
+    chunks' weighted by size, here summed in chunk order. One chunk (one
+    thread, or B = 1) is the whole batch, at weight 1.0, which changes no
+    bit.
     """
     B = len(x)
-    bounds = split(B, min(B, workers))
-    results: list = [None] * (len(bounds) - 1)
 
     def chunk(c):
         results[c] = _chunk_gradients(x[bounds[c]:bounds[c + 1]], params, cfg)
 
-    from . import _blas   # not at import, which every CLI verb pays
-    with _blas.single_thread() if len(results) > 1 else nullcontext():
-        run_parts(chunk, len(results))
+    with cores(B) as k:
+        bounds = split(B, k)
+        results: list = [None] * k
+        run_parts(chunk, k)
     weights = [(hi - lo) / B for lo, hi in zip(bounds, bounds[1:])]
     for name, p in params.tensors.items():
         p.grad = weights[0] * results[0][0][name]
@@ -224,15 +223,13 @@ def train(dataset: PairDataset, cfg: TrainConfig,
 
     Pre-fused samples are fixed up front; every epoch shuffles them with
     the seeded generator and walks them in batches. A batch of B images
-    runs as k = min(B, w) chunks of consecutive images bounded by
-    :func:`~ivfuse.tensor.split`, where w is the OpenBLAS thread count
-    when this is called (1 if numpy's OpenBLAS is not found): each chunk
-    is one part of :func:`~ivfuse.tensor.run_parts`, with OpenBLAS held to
-    one thread when k > 1, and one optimizer step takes the chunks'
-    gradients weighted by size. Every step, k = 1 included, takes this one
-    path; with k = 1 (one thread, or one image a batch) it is the whole
-    batch's graph, and with more, results are bit-for-bit reproducible for
-    a fixed w and agree with the k = 1 step up to rounding. Raises
+    runs as k = min(B, w) chunks on k cores, w the OpenBLAS thread count
+    (see :func:`_batch_step`), and one optimizer step takes the chunks'
+    gradients weighted by size. Every step, k = 1 included, takes this
+    one path; with k = 1 (one thread, or one image a batch) it is the
+    whole batch's graph, and with more, results are bit-for-bit
+    reproducible for a fixed w and agree with the k = 1 step up to
+    rounding. Raises
     DomainError before any step if a training image has a non-finite
     pixel, ShapeError if batches would mix image sizes, and
     DivergenceError naming the epoch and step if the loss goes non-finite,
@@ -261,8 +258,6 @@ def train(dataset: PairDataset, cfg: TrainConfig,
     else:
         opt = SGD(params.tensors, cfg.learning_rate)
 
-    from . import _blas   # not at import, which every CLI verb pays
-    workers = _blas.threads() or 1
     rng = np.random.default_rng(cfg.seed)
     log = TrainingLog()
     step = 0
@@ -271,7 +266,7 @@ def train(dataset: PairDataset, cfg: TrainConfig,
         for lo in range(0, len(order), cfg.batch_size):
             batch = [samples[i] for i in order[lo:lo + cfg.batch_size]]
             x = np.stack(batch)[:, np.newaxis].astype(cfg.dtype)
-            parts = _batch_step(x, params, cfg, workers)
+            parts = _batch_step(x, params, cfg)
             if not np.isfinite(parts["L"]):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, step {step}")

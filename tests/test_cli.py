@@ -1,5 +1,7 @@
 import errno
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -624,6 +626,27 @@ def test_gradcheck_repeatable(capsys):
     lines1 = [ln for ln in out1.splitlines() if "worst rel err" in ln]
     lines2 = [ln for ln in out2.splitlines() if "worst rel err" in ln]
     assert lines1 == lines2
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_exits_141_with_no_traceback(unbuffered):
+    # `ivfuse gradcheck | head -1`, with the reader gone before any output:
+    # unbuffered, the first print fails; buffered, the flush at exit does
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ivfuse.cli.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ivfuse", "gradcheck", "--n-seeds", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=300)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 # ------------------------------------------------------------------- demo

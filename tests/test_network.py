@@ -18,8 +18,8 @@ from ivfuse.network import (LAYER_SPECS, PARAM_SHAPES, FeedbackConfig,
                             fuse_add, fuse_images, init_params, pre_fuse)
 from ivfuse.network import _feedback_kernel
 import ivfuse.network
-from ivfuse.tensor import (Tensor, backward, conv2d, finite_diff_gradient,
-                           no_grad)
+from ivfuse.tensor import (Tensor, backward, conv2d, cores,
+                           finite_diff_gradient, full_row_tiles, no_grad)
 from oracles import decode_unrolled, decoder_pass, encode_concat
 
 # Architecture table: kernel size, in channels, out channels, activation.
@@ -497,11 +497,12 @@ def test_fusion_bands_work_within_one_tile_of_scratch(monkeypatch):
     # every band's column and product buffers come from the caller, each
     # sized for CONV_TILE_BYTES // n, so a split conv keeps about the one
     # tile of scratch that a serial one does; the bound is the serial test's
+    monkeypatch.setattr(_blas, "threads", lambda: 2)
     counts = spy_bands(monkeypatch)
     rng = np.random.default_rng(9)
     x = Tensor(rng.standard_normal((1, 64, 128, 128)).astype(np.float32))
     w = Tensor(rng.standard_normal((64, 64, 3, 3)).astype(np.float32))
-    with no_grad(), ivfuse.tensor.row_bands(2):
+    with no_grad(), cores(2):
         tracemalloc.start()
         try:
             out = conv2d(x, w)
@@ -511,6 +512,30 @@ def test_fusion_bands_work_within_one_tile_of_scratch(monkeypatch):
     assert counts == [2]
     scratch = peak - out.data.nbytes
     assert scratch <= ivfuse.tensor.CONV_TILE_BYTES + (1 << 20), scratch
+
+
+def test_a_fusion_on_more_cores_than_tiles_runs_one_band_per_tile(monkeypatch):
+    # with three threads and a tile cap at which decoder.c2 fills exactly
+    # two whole row tiles, a fusion runs its large convs in two bands
+    # rather than serially; c5 is scaled so that no pixel clips
+    c2 = PARAM_SHAPES["decoder.c2.weight"]
+    x = np.broadcast_to(np.float32(0), (1, c2[1], 64, 64))
+    lay = ivfuse.tensor._layout(x, np.broadcast_to(np.float32(0), c2), 1, 1)
+    cap = lay.halo + 32 * (lay.col_row + lay.prod_row)   # 32 rows a tile
+    monkeypatch.setattr(ivfuse.tensor, "CONV_TILE_BYTES", cap)
+    assert full_row_tiles((1, c2[1], 64, 64), np.float32, c2) == 2
+    params = init_params(7)
+    params.weight("decoder.c5").data *= np.float32(0.12)
+    params.bias("decoder.c5").data += np.float32(0.3)
+    ir, vis = np.random.default_rng(64).uniform(0, 1, (2, 64, 64))
+    fused = []
+    for workers in (1, 3):
+        monkeypatch.setattr(_blas, "threads", lambda: workers)
+        counts = spy_bands(monkeypatch)
+        fused.append(fuse_images(ir, vis, params, FeedbackConfig(2)))
+        assert max(counts) == min(workers, 2)
+    assert 0 < fused[0].min() and fused[0].max() < 1
+    assert np.array_equal(*fused)
 
 
 class BandFailure(Exception):

@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ivfuse.tensor
+from ivfuse import _blas
 from ivfuse.errors import DomainError, ShapeError
 from ivfuse.network import LAYER_SPECS
 from ivfuse.tensor import (Tensor, as_tensor, backward, concat_channels,
-                           concat_on, conv2d, finite_diff_gradient, narrow,
-                           no_grad, row_bands, split)
+                           concat_on, conv2d, cores, finite_diff_gradient,
+                           narrow, no_grad, split)
 from oracles import (conv2d_input_grad_loops, conv2d_loops,
                      conv2d_weight_grad_loops)
 
@@ -230,18 +231,18 @@ def test_split_parts_are_as_equal_as_they_can_be_the_first_the_larger(
     assert split(n, k) == bounds
 
 
-def _thread_users(path):
-    """(file, top-level function or None) of each ``Thread`` reference or
-    import in the module at ``path``."""
+def _users(path, name):
+    """(file, top-level function or None) of each reference to or import
+    of ``name`` in the module at ``path``."""
     users = []
 
     def visit(node, func):
         if func is None and isinstance(node, (ast.FunctionDef,
                                               ast.AsyncFunctionDef)):
             func = node.name
-        if (isinstance(node, ast.Attribute) and node.attr == "Thread"
-                or isinstance(node, ast.Name) and node.id == "Thread"
-                or isinstance(node, ast.alias) and node.name == "Thread"):
+        if (isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.alias) and node.name == name):
             users.append((os.path.basename(path), func))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
@@ -251,17 +252,30 @@ def _thread_users(path):
     return users
 
 
+def _package_users(name):
+    src = os.path.dirname(ivfuse.tensor.__file__)
+    return [u for path in sorted(glob.glob(os.path.join(src, "*.py")))
+            for u in _users(path, name)]
+
+
 def test_every_thread_of_the_package_starts_in_run_parts():
     # training chunks and fusion row bands share one runner, with its
     # error state, join and re-raise; a second runner fails here
-    src = os.path.dirname(ivfuse.tensor.__file__)
-    users = [u for path in sorted(glob.glob(os.path.join(src, "*.py")))
-             for u in _thread_users(path)]
-    assert users == [("tensor.py", "run_parts")]
+    assert _package_users("Thread") == [("tensor.py", "run_parts")]
+
+
+def test_openblas_is_held_in_cores_alone():
+    # fusion and training reach both cores through one door, which looks
+    # OpenBLAS up, holds it and sets the band count; network.py and
+    # training.py know none of that
+    door = {("tensor.py", "cores")}
+    assert set(_package_users("_blas")) == door
+    assert set(_package_users("single_thread")) == door
+    assert _package_users("row_bands") == []
 
 
 def test_one_per_thread_mode_and_no_array_address_is_read():
-    # no_grad and row_bands set fields of one threading.local, and the
+    # no_grad and cores set fields of one threading.local, and the
     # dense block hands its buffer to concat_on, so nothing has to learn
     # which arrays are views from their addresses
     src = os.path.dirname(ivfuse.tensor.__file__)
@@ -286,6 +300,7 @@ def test_row_bands_past_the_core_count_keep_the_serial_bytes(monkeypatch):
     # rows of one output with their own scratch: a band that wrote outside
     # its rows, or shared a buffer, would change bytes here
     monkeypatch.setattr(ivfuse.tensor, "CONV_TILE_BYTES", 1 << 16)
+    monkeypatch.setattr(_blas, "threads", lambda: 5)
     rng = np.random.default_rng(12)
     x = Tensor(rng.standard_normal((1, 16, 45, 37)).astype(np.float32))
     w = Tensor(rng.standard_normal((16, 16, 3, 3)).astype(np.float32))
@@ -298,8 +313,9 @@ def test_row_bands_past_the_core_count_keep_the_serial_bytes(monkeypatch):
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
-                with ivfuse.tensor.row_bands(5):
+                with cores(5) as k:
                     got = conv2d(x, w, b, relu=True, add=add).data
+                assert k == 5
                 assert np.array_equal(got, want)
         finally:
             sys.setswitchinterval(interval)
@@ -806,13 +822,15 @@ def test_no_grad_values_match_recorded_values():
     assert quiet == _every_op(x, w).item()
 
 
-# each per-thread scope: how to enter it, and whether it is in force
+# each per-thread scope: how to enter it, and whether it is in force; the
+# tests that take them patch the OpenBLAS thread count to 3
 SCOPES = {"no_grad": (no_grad, lambda: (Tensor(np.ones(2)) * 2.0)._node is None),
-          "row_bands": (lambda: row_bands(3), lambda: ivfuse.tensor._mode.bands == 3)}
+          "cores": (lambda: cores(3), lambda: ivfuse.tensor._mode.bands == 3)}
 
 
 @pytest.mark.parametrize("scope", SCOPES)
-def test_no_grad_nests_and_restores_after_exception(scope):
+def test_no_grad_nests_and_restores_after_exception(monkeypatch, scope):
+    monkeypatch.setattr(_blas, "threads", lambda: 3)
     enter, active = SCOPES[scope]
     with enter():
         with enter():
@@ -826,7 +844,8 @@ def test_no_grad_nests_and_restores_after_exception(scope):
 
 
 @pytest.mark.parametrize("scope", SCOPES)
-def test_no_grad_is_per_thread(scope):
+def test_no_grad_is_per_thread(monkeypatch, scope):
+    monkeypatch.setattr(_blas, "threads", lambda: 3)
     enter, active = SCOPES[scope]
     seen = []
     worker = threading.Thread(target=lambda: seen.append(active()))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ivfuse.network
+import ivfuse.tensor
 import ivfuse.training
 from ivfuse import _blas
 from ivfuse.checkpoint import save_checkpoint
@@ -184,6 +185,24 @@ def test_chunks_run_under_the_callers_numpy_error_state(monkeypatch):
         want = np.geterr()
         train(synth_corpus(2, 16, seed=15), desk_config(seed=15, max_steps=1))
     assert seen == [want, want]
+
+
+def test_a_chunk_never_bands(monkeypatch):
+    # a step on two cores runs two chunks, each of whose convs runs as one
+    # band: chunk 0, in the caller, does not see the caller's band count
+    use_workers(monkeypatch, 2)
+    chunks, bands = [], []
+    spy_reconstruct(monkeypatch, lambda img, p: chunks.append(img.shape[0]))
+    run_parts = ivfuse.tensor.run_parts
+
+    def spy(part, n):   # every conv forward's runner
+        bands.append(n)
+        return run_parts(part, n)
+
+    monkeypatch.setattr(ivfuse.tensor, "run_parts", spy)
+    train(synth_corpus(2, 128, seed=18),
+          desk_config(seed=18, batch_size=2, max_steps=1))
+    assert chunks == [1, 1] and bands and set(bands) == {1}
 
 
 class ChunkFailure(Exception):
