@@ -9,8 +9,10 @@ variables are never consulted.
 Exit codes: 0 success; 1 gradient check failure; 2 configuration error,
 or a path the OS refuses; 3 ingestion error; 4 training divergence; 5
 checkpoint format/schema error, or weights whose fusion is not finite; 6
-image size mismatch; 141 (128 + SIGPIPE) standard output closed by its
-reader, as ``| head`` does, which ends the run with no message.
+image size mismatch; 7 out of memory, naming the verb and, for an array
+numpy could not allocate, its size and shape; 141 (128 + SIGPIPE)
+standard output closed by its reader, as ``| head`` does, which ends the
+run with no message.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ EXIT_INGESTION = 3
 EXIT_DIVERGENCE = 4
 EXIT_CHECKPOINT = 5
 EXIT_SIZE_MISMATCH = 6
+EXIT_OUT_OF_MEMORY = 7
 EXIT_BROKEN_PIPE = 141   # what a shell reports for a process SIGPIPE killed
 
 _TRAIN = TrainConfig()
@@ -420,6 +423,9 @@ def main(argv=None) -> int:
     except ShapeError as exc:
         print(f"size mismatch: {exc}", file=sys.stderr)
         return EXIT_SIZE_MISMATCH
+    except MemoryError as exc:   # numpy's names the array's size and shape
+        print(f"out of memory in {args.command}: {exc}", file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
     except OSError as exc:   # a path the OS refuses, such as an output's
         if exc.filename is None:   # not a path's fault
             raise

@@ -17,12 +17,14 @@ linearity that is ``fuse_add(encode(a), encode(b))``, exact in real
 arithmetic and at rounding level in floats. The decoder's first conv runs
 on its input once; later iterations fold the projection into it, exactly,
 as a 10 -> 64 conv on the output's 3x3 taps and a ones channel (see
-``decode``).
+``decode``). A fusion runs in stages over row strips, each computed on a
+window with a halo of rows (see ``fuse_images``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -43,6 +45,20 @@ LAYER_SPECS: dict[str, tuple[int, int, int, int, bool]] = {
     "decoder.c5": (1, 16, 3, 3, False),
     "decoder.c6": (64, 1, 3, 3, False),
 }
+
+# The layers that each stage of a fusion runs in turn (see fuse_images): the
+# encoders and decoder.c2's pre-activation, then a feedback pass, whose
+# later runs begin with the taps conv (c6's kernel) and the folded c2.
+_ENCODING = ("encoder.c1", "encoder.rdb.conv1", "encoder.rdb.conv2",
+             "encoder.rdb.conv3", "encoder.rdb.conv4", "decoder.c2")
+_PASS = ("decoder.c3", "decoder.c4", "decoder.c5")
+_FED_BACK = ("decoder.c6", "decoder.c2") + _PASS
+
+# A fusion computes each stage on windows of rows whose 64 channels fit
+# STRIP_BYTES, as CONV_TILE_BYTES bounds one conv's scratch, but at least
+# STRIP_HALOS halos high, which bounds the rows computed twice.
+STRIP_BYTES = 8 << 20
+STRIP_HALOS = 8
 
 # flat tensor name -> shape, in checkpoint payload order
 PARAM_SHAPES: dict[str, tuple[int, ...]] = {
@@ -218,6 +234,32 @@ def _feedback_kernel(w2: Tensor, w6: Tensor, b6: Tensor) -> Tensor:
                   _parents=(w2, w6, b6), _adjoint=adjoint)
 
 
+def _feedback(params: ModelParams, dtype) -> tuple[Tensor, Tensor, Tensor]:
+    """The taps conv's weight and bias and the folded c2 kernel that each
+    feedback pass after the first runs (see :func:`decode`)."""
+    m = _feedback_kernel(params.weight("decoder.c2"),
+                         params.weight("decoder.c6"), params.bias("decoder.c6"))
+    # filter t < 9 picks tap t; filter 9, zero with a bias of 1, gives ones
+    return (as_tensor(np.eye(10, 9).reshape(10, 1, 3, 3), dtype),
+            as_tensor(np.eye(10)[9], dtype), m)
+
+
+def _decoder_pass(a: Tensor, out: Tensor | None, params: ModelParams,
+                  feedback: tuple[Tensor, Tensor, Tensor] | None) -> Tensor:
+    """One decoder pass on ``a``, decoder.c2's pre-activation of the
+    decoder's input: the first (``out`` None) starts from ``a``'s ReLU, a
+    later one from c2 folded onto the taps of ``out``, the last pass's
+    output, through ``feedback`` (:func:`_feedback`); then c3, c4, c5."""
+    if out is None:
+        out = a.relu()
+    else:
+        taps_w, taps_b, m = feedback
+        out = conv2d(conv2d(out, taps_w, taps_b), m, add=a, relu=True)
+    for name in _PASS:
+        out = _layer(name, out, params)
+    return out
+
+
 def decode(y: Tensor, params: ModelParams,
            fb: FeedbackConfig = FeedbackConfig()) -> Tensor:
     """Run the decoder with feedback refinement.
@@ -234,23 +276,18 @@ def decode(y: Tensor, params: ModelParams,
     2021, arXiv 2101.03697). c2 zero-pads c6's output, and the tap and ones
     channels are zero outside the image too, so this is exact at the
     borders. One 5x5 kernel ``w2 * w6`` on ``out`` is not: it pads c6's input.
+    Each iteration is one :func:`_decoder_pass`, which :func:`fuse_images`
+    runs too, on row strips of ``A``.
     """
     if y.data.ndim != 4 or y.shape[1] != 64:
         raise ShapeError(f"decode expects a (B, 64, H, W) tensor, got {y.shape}")
     a = conv2d(y, params.weight("decoder.c2"), params.bias("decoder.c2"))
     del y
-    if fb.n_iterations > 1:   # else c6 takes no part in the graph
-        m = _feedback_kernel(params.weight("decoder.c2"),
-                             params.weight("decoder.c6"), params.bias("decoder.c6"))
-        # filter t < 9 picks tap t; filter 9, zero with a bias of 1, gives ones
-        taps = (as_tensor(np.eye(10, 9).reshape(10, 1, 3, 3), a.dtype),
-                as_tensor(np.eye(10)[9], a.dtype))
-    out = a.relu()
-    for i in range(fb.n_iterations):
-        if i:   # a later pass: c2 on the taps of the last output
-            out = conv2d(conv2d(out, *taps), m, add=a, relu=True)
-        for name in ("decoder.c3", "decoder.c4", "decoder.c5"):
-            out = _layer(name, out, params)
+    # for one iteration c6 takes no part in the graph
+    feedback = _feedback(params, a.dtype) if fb.n_iterations > 1 else None
+    out = None
+    for _ in range(fb.n_iterations):
+        out = _decoder_pass(a, out, params, feedback)
     return out
 
 
@@ -277,6 +314,35 @@ def _fused_encoding(a: Tensor, b: Tensor, params: ModelParams) -> Tensor:
     return conv2d(fa, params.weight(name), params.bias(name) * 2.0, add=skips)
 
 
+def _in_strips(stage: Callable[..., Tensor], layers: tuple[str, ...],
+               *maps: np.ndarray) -> np.ndarray:
+    """``stage``, which runs ``layers`` in turn as "same" convs, on the (1,
+    C, H, W) ``maps``, a strip of rows at a time. A strip is computed from
+    the maps' rows from h above it to h below it, h the sum of the layers'
+    kernel half heights, and keeps its own rows: a window edge inside the
+    image reaches no row more than h in, and no conv row's bytes depend on
+    the rows computed with it (see :func:`ivfuse.tensor._row_tiles`). A
+    strip is the rows of a 64-channel map that fit STRIP_BYTES, and at
+    least STRIP_HALOS halos; maps that fit one strip run with no copy."""
+    halo = sum(LAYER_SPECS[name][2] // 2 for name in layers)
+    H, W = maps[0].shape[2:]
+    # an empty map runs as one window, whose conv2d names its shape
+    rows = max(STRIP_BYTES // (64 * max(W, 1) * maps[0].itemsize),
+               STRIP_HALOS * halo, 1)
+    if rows >= H:
+        return stage(*map(Tensor, maps)).data
+    whole = None
+    for r0 in range(0, H, rows):
+        r1 = min(r0 + rows, H)
+        lo, hi = max(r0 - halo, 0), min(r1 + halo, H)
+        window = stage(*(Tensor(m[:, :, lo:hi]) for m in maps)).data
+        if whole is None:
+            whole = np.empty(window.shape[:2] + (H, W), window.dtype)
+        whole[:, :, r0:r1] = window[:, :, r0 - lo:r1 - lo]
+        del window   # freed before the next window is computed
+    return whole
+
+
 def fuse_images(infrared: np.ndarray, visible: np.ndarray,
                 params: ModelParams,
                 fb: FeedbackConfig = FeedbackConfig(),
@@ -287,22 +353,30 @@ def fuse_images(infrared: np.ndarray, visible: np.ndarray,
     adds the feature maps, and decodes; pre-fusion is a training-time
     device, but passing ``pre_fusion`` re-enables it here for ablation.
     Addition fusion plus tied weights make the result independent of the
-    argument order, bit for bit. Runs under ``no_grad``: no graph is kept,
-    so memory stays at a few layers' activations. The encoder's 1x1
-    fusion conv runs once, on the sum of the two dense buffers (see
-    :func:`_fused_encoding`). That is ``fuse_add(encode(a), encode(b))``
-    up to rounding: before clipping, the two differ by at most 4e-6 in
-    float32 and 1e-14 in float64 times the decoded image's largest
-    magnitude, or times 1 if that is smaller. Pixels outside [0, 1],
-    NaN included, are rejected with a DomainError, and so is a decoded
-    image that is not finite (weights that overflow), before clipping
-    could hide it.
+    argument order, bit for bit. Runs under ``no_grad``: no graph is kept.
+    The encoder's 1x1 fusion conv runs once, on the sum of the two dense
+    buffers (see :func:`_fused_encoding`). That is
+    ``decode(fuse_add(encode(a), encode(b)))`` up to rounding: before
+    clipping, the two differ by at most 4e-6 in float32 and 1e-14 in
+    float64 times the decoded image's largest magnitude, or times 1 if
+    that is smaller. Pixels outside [0, 1], NaN included, are rejected
+    with a DomainError, and so is a decoded image that is not finite
+    (weights that overflow), before clipping could hide it.
+
+    The fusion runs in 1 + n stages, n the feedback iterations, each on
+    row strips with the halo of its layers (:func:`_in_strips`). Stage 0
+    runs both encoders and decoder.c2 and keeps c2's pre-activation A;
+    stage k runs :func:`decode`'s pass k on A and pass k - 1's output and
+    keeps its 1-channel output. A, 256 bytes a pixel in float32, is the one
+    whole 64-channel map; the others live in windows of about STRIP_BYTES.
+    Up to 128 rows at 256 columns in float32, a stage is one window.
 
     The fusion runs in :func:`cores` of t, the whole row tiles that
-    decoder.c2 fills at this size: each conv that fills k = min(t, w) of
-    them, w the OpenBLAS thread count, runs as k bands of rows at once,
-    with the bytes of the serial path. Below about 80x80 (t < 2) a fusion
-    starts no thread and does not look OpenBLAS up.
+    decoder.c2 fills at this size, and its strips one after another: each
+    conv that fills k = min(t, w) tiles of its window, w the OpenBLAS
+    thread count, runs as k bands of rows at once, with the bytes of the
+    serial path. Below about 80x80 (t < 2) a fusion starts no thread and
+    does not look OpenBLAS up.
     """
     if infrared.ndim != 2 or visible.ndim != 2:
         raise ShapeError("fuse_images expects 2-d grayscale images")
@@ -319,9 +393,17 @@ def fuse_images(infrared: np.ndarray, visible: np.ndarray,
     c2 = PARAM_SHAPES["decoder.c2.weight"]
     tiles = full_row_tiles((1, c2[1]) + infrared.shape, params.dtype, c2)
     with no_grad(), np.errstate(over="ignore", invalid="ignore"), cores(tiles):
-        ta, tb = (Tensor(v[np.newaxis, np.newaxis].astype(params.dtype))
-                  for v in (a, b))
-        fused = decode(_fused_encoding(ta, tb, params), params, fb).data[0, 0]
+        pre = _in_strips(lambda ta, tb: conv2d(   # A
+            _fused_encoding(ta, tb, params), params.weight("decoder.c2"),
+            params.bias("decoder.c2")), _ENCODING,
+            *(v[np.newaxis, np.newaxis].astype(params.dtype) for v in (a, b)))
+        feedback = _feedback(params, pre.dtype) if fb.n_iterations > 1 else None
+        out = _in_strips(lambda tp: _decoder_pass(tp, None, params, None),
+                         _PASS, pre)
+        for _ in range(1, fb.n_iterations):
+            out = _in_strips(lambda tp, tout: _decoder_pass(
+                tp, tout, params, feedback), _FED_BACK, pre, out)
+        fused = out[0, 0]
     if not np.isfinite(fused).all():
         raise DomainError("fuse_images: the decoded image is not finite")
     return np.clip(fused, 0.0, 1.0)

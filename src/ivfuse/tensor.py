@@ -94,8 +94,9 @@ def cores(n: int):
     its work into; w is the OpenBLAS thread count, 1 if numpy's OpenBLAS
     is not found. OpenBLAS is held to one thread for the whole block, and
     each conv forward in the calling thread whose output fills k whole row
-    tiles runs as k bands of rows at once (see :func:`_conv_forward`),
-    with the same bytes. For n < 2 this yields 1 and looks nothing up."""
+    tiles of CONV_TILE_BYTES / k runs as k bands of rows at once (see
+    :func:`_conv_forward`), with the same bytes. For n < 2 this yields 1
+    and looks nothing up."""
     if n < 2:
         yield 1
         return
@@ -421,15 +422,15 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
 
     The output rows are computed in n contiguous bands, bounded by
     :func:`split`, where n is the :func:`cores` band count if the output
-    fills that many whole row tiles (:func:`full_row_tiles`), else 1. Each
-    band runs its row tiles and then the bias, addend and ReLU on its own
-    rows, as one part of :func:`run_parts`. A band tiles with
-    ``CONV_TILE_BYTES // n``, so a split conv works in one CONV_TILE_BYTES
-    as a serial one does. Every band's scratch is allocated here, before
-    any band starts: allocated inside each band, it kept the bytes and the
-    time but raised a 256x256 fusion's peak RSS from 94.3 to 97.6 MiB on 2
-    cores. No element's bytes depend on the tiling (see
-    :func:`_row_tiles`), so the result does not depend on n.
+    fills that many whole row tiles of ``CONV_TILE_BYTES // n``, one for
+    each band, else 1. Each band runs its row tiles and then the bias,
+    addend and ReLU on its own rows, as one part of :func:`run_parts`. A
+    band tiles with ``CONV_TILE_BYTES // n``, so a split conv works in one
+    CONV_TILE_BYTES as a serial one does. Every band's scratch is
+    allocated here, before any band starts: allocated inside each band, it
+    kept the bytes and the time but raised a 256x256 fusion's peak RSS
+    from 94.3 to 97.6 MiB on 2 cores. No element's bytes depend on the
+    tiling (see :func:`_row_tiles`), so the result does not depend on n.
     """
     B, Cout = x.shape[0], w.shape[0]
     lay = _layout(x, w, ph, pw)
@@ -441,7 +442,7 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
         raise ShapeError(f"conv2d out must be a {dtype} array of shape "
                          f"{shape}, got {out.dtype} {out.shape}")
     n = _mode.bands
-    if n > 1 and _full_tiles(lay) < n:
+    if n > 1 and _full_tiles(lay, CONV_TILE_BYTES // n) < n:
         n = 1
     bounds = split(lay.Ho, n)
     scratch = [_tile_scratch(x, lay, CONV_TILE_BYTES // n, hi - lo)
@@ -580,12 +581,12 @@ def _tile_rows(lay: _Layout, budget: int) -> int:
     return max(1, (budget - lay.halo) // row) if row else lay.Ho
 
 
-def _full_tiles(lay: _Layout) -> int:
-    """The whole CONV_TILE_BYTES tiles that the output rows fill; a conv
-    that needs no scratch counts each row as one."""
+def _full_tiles(lay: _Layout, budget: int) -> int:
+    """The whole tiles of ``budget`` bytes that the output rows fill; a
+    conv that needs no scratch counts each row as one."""
     if not lay.col_row + lay.prod_row:
         return lay.Ho
-    return lay.Ho // _tile_rows(lay, CONV_TILE_BYTES)
+    return lay.Ho // _tile_rows(lay, budget)
 
 
 def full_row_tiles(x_shape: tuple[int, int, int, int], dtype,
@@ -593,11 +594,12 @@ def full_row_tiles(x_shape: tuple[int, int, int, int], dtype,
     """How many whole row tiles of CONV_TILE_BYTES the output of a "same"
     conv of a ``dtype`` input of ``x_shape`` by ``dtype`` weights of
     ``w_shape`` fills; a conv that needs no scratch counts each row as
-    one. Under :func:`cores` a forward splits into k bands only when this
-    is at least k."""
+    one. A conv that fills k of them fills k tiles of CONV_TILE_BYTES / k
+    too, so under :func:`cores` it splits into k bands."""
     x = np.broadcast_to(np.zeros((), dtype), x_shape)   # shapes only
     w = np.broadcast_to(np.zeros((), dtype), w_shape)
-    return _full_tiles(_layout(x, w, (w_shape[2] - 1) // 2, (w_shape[3] - 1) // 2))
+    return _full_tiles(_layout(x, w, (w_shape[2] - 1) // 2, (w_shape[3] - 1) // 2),
+                       CONV_TILE_BYTES)
 
 
 class _Scratch(NamedTuple):

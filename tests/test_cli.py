@@ -1,5 +1,7 @@
 import errno
 import os
+import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -647,6 +649,39 @@ def test_a_closed_stdout_exits_141_with_no_traceback(unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, "")
+
+
+# Address space for the out-of-memory runs, set in the child alone: numpy
+# and OpenBLAS start in it, but none of the arrays below fits.
+ADDRESS_SPACE = 1500 * 2 ** 20
+
+
+@pytest.mark.parametrize("verb", ["eval", "train", "fuse"])
+def test_out_of_memory_exits_7_naming_the_verb_and_the_size(tmp_path, verb):
+    # eval: two 40000x40000 float64 images, 11.9 GiB each; train: 8192x8192,
+    # 512 MiB each; fuse: a 4096x4096 pair, whose decoder.c2 map is 4 GiB
+    checkpoint = tmp_path / "ck.hfn"
+    save_checkpoint(init_params(0), checkpoint)
+    argv = {"eval": ["eval", "--synthetic", "2", "--image-size", "40000",
+                     "--checkpoint", str(checkpoint)],
+            "train": ["train", "--synthetic", "2", "--image-size", "8192",
+                      "--batch-size", "4", "--max-steps", "1"],
+            "fuse": ["fuse", str(tmp_path / "ir.pgm"), str(tmp_path / "vis.pgm"),
+                     str(tmp_path / "fused.pgm"), "--checkpoint", str(checkpoint)]}
+    for name in ("ir.pgm", "vis.pgm"):
+        (tmp_path / name).write_bytes(b"P5\n4096 4096\n255\n" + bytes(4096 ** 2))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ivfuse.cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ivfuse", *argv[verb]], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src), text=True, capture_output=True,
+        timeout=300, preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE)))
+    assert proc.returncode == 7, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    message = proc.stderr.strip().splitlines()[-1]
+    assert message.startswith(f"out of memory in {verb}: ")
+    assert re.search(r"Unable to allocate [\d.]+ [KMGT]iB .* shape \(", message)
+    assert not (tmp_path / "fused.pgm").exists()
 
 
 # ------------------------------------------------------------------- demo

@@ -403,6 +403,59 @@ def test_fuse_images_keeps_no_graph_in_memory():
     assert peak <= 14.5 * 2 ** 20, f"peak {peak / activation:.2f} activations"
 
 
+def test_a_large_fusion_keeps_one_whole_64_channel_map():
+    # 256x256 float32 runs each stage in two strips, and keeps one whole
+    # (1, 64, 256, 256) map, 16 MiB, decoder.c2's pre-activation; the other
+    # maps live in windows. The whole image at once peaked at 44.2 MiB,
+    # with the folded feedback conv's and c3's whole outputs.
+    params = init_params(0)
+    ir, vis = rand_image(19, side=256), rand_image(20, side=256)
+    tracemalloc.start()
+    try:
+        fuse_images(ir, vis, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
+# strip heights per image shape: every height on the small images, and
+# on the tall one only those that do not run hundreds of windows
+STRIP_ROWS = {(37, 23): (1, 2, 5, 7, 11), (50, 33): (1, 2, 5, 7, 11),
+              (96, 16): (2, 5, 7, 11), (300, 40): (7, 11)}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", list(STRIP_ROWS))
+@pytest.mark.parametrize("n_iterations", [1, 3, 4])
+def test_fusion_in_row_strips_keeps_the_one_strip_bytes(monkeypatch, dtype,
+                                                       shape, n_iterations):
+    # strips of 1 to 11 rows, whose windows cut each stage's maps at its
+    # halo, against one strip; c5 is scaled so that no pixel clips
+    params = init_params(7, dtype=dtype)
+    params.weight("decoder.c5").data *= dtype(0.12)
+    params.bias("decoder.c5").data += dtype(0.3)
+    ir, vis = np.random.default_rng(shape[0]).uniform(0, 1, (2,) + shape)
+    heights = []   # of stage 0's windows, one per strip
+    encoding = ivfuse.network._fused_encoding
+
+    def spy(a, b, p):
+        heights.append(a.shape[2])
+        return encoding(a, b, p)
+
+    monkeypatch.setattr(ivfuse.network, "_fused_encoding", spy)
+    fb = FeedbackConfig(n_iterations)
+    whole = fuse_images(ir, vis, params, fb)
+    assert heights == [shape[0]] and 0 < whole.min() and whole.max() < 1
+    monkeypatch.setattr(ivfuse.network, "STRIP_HALOS", 0)
+    row_bytes = 64 * shape[1] * np.dtype(dtype).itemsize
+    for rows in STRIP_ROWS[shape]:
+        monkeypatch.setattr(ivfuse.network, "STRIP_BYTES", rows * row_bytes)
+        heights.clear()
+        assert np.array_equal(fuse_images(ir, vis, params, fb), whole), rows
+        assert len(heights) == -(-shape[0] // rows)
+
+
 def test_fuse_images_float32_tracks_float64():
     # The same weights at both precisions; the output conv is scaled so no
     # fused pixel clips, which would hide the difference.
@@ -609,10 +662,13 @@ def test_a_large_fusion_runs_its_convs_in_w_bands(monkeypatch, blas_and_threads)
     counts = spy_bands(monkeypatch)
     fuse_images(rand_image(31, side=256), rand_image(32, side=256),
                 init_params(0))
-    # at 256x256 every conv fills two whole tiles (rdb.conv1-3 twice, conv4,
-    # c2, the folded feedback conv three times, and c3-c5 four times each)
-    # but encoder.c1, twice, and the feedback taps conv, three times
-    assert (counts.count(2), counts.count(1)) == (23, 5)
+    # at 256x256 each of the five stages runs in two strips, and in each
+    # strip's window every conv fills two whole tiles of CONV_TILE_BYTES / 2
+    # (rdb.conv1-3 twice, conv4 and c2; c3, c4 and c5 in every pass, and
+    # the folded feedback conv in passes 2-4) but encoder.c1, twice, and
+    # the feedback taps conv. c5 fills one tile of CONV_TILE_BYTES there.
+    assert (counts.count(2), counts.count(1)) == (2 * (8 + 3 + 3 * 4),
+                                                  2 * (2 + 3))
 
 
 def test_a_fusion_inside_a_one_thread_block_takes_the_serial_path(

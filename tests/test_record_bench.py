@@ -281,3 +281,66 @@ def test_src_lines_are_counted_per_side_from_the_archives(
     assert "+" in path.name   # src/ivfuse differs from HEAD
     assert json.loads(path.read_text())["src_lines"] == {"parent": 1,
                                                          "change": 3}
+
+
+def test_fuse_1024_runs_its_script_in_fresh_copies_without_a_seed(
+        tmp_path, monkeypatch):
+    repo = _bench_repo(tmp_path)
+    trees = []
+
+    def time_script(root, workload):
+        assert workload == "fuse-1024"
+        assert os.path.isfile(os.path.join(root, "src", "ivfuse", "a.py"))
+        trees.append(root)
+        return {"fuse_s": 7.0, "peak_rss_mb": 343.0}
+
+    monkeypatch.setattr(record_bench, "time_script", time_script)
+    assert record_bench.main(["--root", str(repo), "--against", "HEAD",
+                              "--pairs", "2", "--workload", "fuse-1024",
+                              "--seed", "5"]) == 0
+    assert len(trees) == len(set(trees)) == 4   # a copy per run
+    assert not any(os.path.exists(tree) for tree in trees)
+    [path] = repo.glob("BENCH_*_vs_*.json")
+    held = json.loads(path.read_text())["workloads"]["fuse-1024"]
+    assert (held["seed"], held["seconds"]) == (None, None)
+    assert {k: m["better"] for k, m in held["metrics"].items()} == {
+        "fuse_s": "lower", "peak_rss_mb": "lower"}
+    assert all(m["worse_beyond_bound"] is None
+               for m in held["metrics"].values())
+
+
+def test_the_default_workloads_leave_out_the_long_ones(tmp_path, monkeypatch):
+    repo = _bench_repo(tmp_path)
+    ran = set()
+
+    def run_copy(archive, workload, seed):
+        ran.add(workload)
+        if workload in record_bench.STEP_METRICS:
+            return dict.fromkeys(record_bench.STEP_METRICS[workload], 1.0), {}
+        return {"p50_s": 1.0, "peak_rss_mb": 1.0}, {"seconds": 20.0}
+
+    monkeypatch.setattr(record_bench, "run_copy", run_copy)
+    monkeypatch.setattr(record_bench, "archive_rev", lambda repo, rev: b"")
+    monkeypatch.setattr(record_bench, "archive_worktree", lambda repo: b"")
+    monkeypatch.setattr(record_bench, "count_src_lines", len)
+    assert record_bench.main(["--root", str(repo), "--against", "HEAD",
+                              "--pairs", "1"]) == 0
+    assert ran == {"fuse-256", "train-32", "cli-fuse-64", "train-256"}
+
+
+@pytest.mark.parametrize("workload", sorted(record_bench.SCRIPTS))
+def test_each_script_prints_the_metrics_of_its_workload(tmp_path, workload):
+    # the scripts run on a stub of the public API they call, which does
+    # no work, so this checks what they print and not how long ivfuse takes
+    stub = tmp_path / "src" / "ivfuse"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text(
+        "def init_params(seed): pass\n"
+        "def fuse_images(a, b, params): pass\n"
+        "def train(corpus, cfg, params): pass\n"
+        "def ImagePair(*args): pass\n"
+        "def PairDataset(pairs): pass\n"
+        "def TrainConfig(**kwargs): pass\n")
+    metrics = record_bench.time_script(str(tmp_path), workload)
+    assert metrics.keys() == record_bench.STEP_METRICS[workload].keys()
+    assert all(value >= 0 for value in metrics.values())

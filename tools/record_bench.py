@@ -3,6 +3,7 @@ revision in alternating pairs, and record it in BENCH_<change>_vs_<REV>.json.
 
     python3 tools/record_bench.py --against HEAD~1 --pairs 10
     python3 tools/record_bench.py --against HEAD --pairs 3 --workload train-256
+    python3 tools/record_bench.py --against HEAD --pairs 3 --workload fuse-1024
     python3 tools/record_bench.py --against HEAD --pairs 1 --workload tier1
 
 Each workload runs once per side in each of N pairs, the side that runs
@@ -14,19 +15,22 @@ The same code in two directories can differ by up to 8% in ``train-32``
 time, and a copy per run turns that into noise that neither side keeps.
 
 The workloads are perfbench's three, each a run of the copy's
-``perfbench/run.py`` at perfbench's run length, and three that take no
+``perfbench/run.py`` at perfbench's run length, and four that take no
 seed:
 - ``train-256``: one ``ivfuse.train`` job of one B=4 256x256 batch,
   timed after a warm-up job in the same fresh process, with that
   process's peak RSS. It needs over 1 GB, so run the recorder alone on
   the machine;
+- ``fuse-1024``: one ``ivfuse.fuse_images`` of a 1024x1024 pair, timed
+  after a warm-up fusion in the same fresh process, with that process's
+  peak RSS, which the fusion's one whole 64-channel map dominates;
 - ``demo``: the wall time of one ``ivfuse demo``, start-up included;
 - ``tier1``: the copy's Tier-1 suite: wall time, and passed and failed
   counts (errors included). Failing tests are recorded, not treated as a
   failed run.
 
-``demo`` and ``tier1`` take 60-100 s a run, so they run only when named
-with ``--workload``; by default the other four run.
+``fuse-1024``, ``demo`` and ``tier1`` take 15-100 s a run, so they run
+only when named with ``--workload``; by default the other four run.
 
 The record is named after the checkout's short commit, with
 ``+<src hash>`` when ``src/ivfuse`` differs from HEAD (the first 8 hex
@@ -68,6 +72,7 @@ WORKLOADS = ("fuse-256", "train-32", "cli-fuse-64")
 # direction that is better; none of them has a bound.
 STEP_METRICS = {
     "train-256": {"step_s": "lower", "peak_rss_mb": "lower"},
+    "fuse-1024": {"fuse_s": "lower", "peak_rss_mb": "lower"},
     "demo": {"wall_s": "lower"},
     "tier1": {"wall_s": "lower", "passed": "higher", "failed": "lower"},
 }
@@ -102,6 +107,26 @@ step_s = job()
 peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({"step_s": step_s, "peak_rss_mb": peak_kib / 1024}))
 """
+
+# One fusion of a 1024x1024 pair at float32, four feedback iterations.
+# Prints the time of a fusion after a warm-up fusion, and the process's
+# peak RSS. Only public ivfuse API, so any checkout runs it.
+FUSE_1024 = """
+import json, resource, time
+import numpy as np
+import ivfuse as iv
+
+ir, vis = np.random.default_rng(0).uniform(0, 1, (2, 1024, 1024))
+params = iv.init_params(0)
+iv.fuse_images(ir, vis, params)
+t0 = time.perf_counter()
+iv.fuse_images(ir, vis, params)
+fuse_s = time.perf_counter() - t0
+peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"fuse_s": fuse_s, "peak_rss_mb": peak_kib / 1024}))
+"""
+# The workloads that run one of the scripts above in a fresh process.
+SCRIPTS = {"train-256": TRAIN_STEP, "fuse-1024": FUSE_1024}
 
 
 def _run(cmd: list[str], root: str, **kwargs) -> subprocess.CompletedProcess:
@@ -147,10 +172,11 @@ def time_demo(root: str) -> dict:
     return {"wall_s": elapsed}
 
 
-def time_train_step(root: str) -> dict:
-    """Time and peak RSS of one B=4 256x256 training job (TRAIN_STEP)."""
-    proc = _run([sys.executable, "-c", TRAIN_STEP], root)
-    return json.loads(_stdout_lines(proc, "training step")[-1])
+def time_script(root: str, workload: str) -> dict:
+    """The metrics that ``workload``'s script in SCRIPTS prints: the time
+    of its job after a warm-up, and its process's peak RSS."""
+    proc = _run([sys.executable, "-c", SCRIPTS[workload]], root)
+    return json.loads(_stdout_lines(proc, workload)[-1])
 
 
 def run_tier1(root: str) -> dict:
@@ -286,10 +312,10 @@ def run_copy(archive: bytes, workload: str,
     perfbench and take no seed)."""
     with tempfile.TemporaryDirectory(prefix="record_bench-") as tree:
         extract(archive, tree)
+        if workload in SCRIPTS:
+            return time_script(tree, workload), {}
         if workload in STEP_METRICS:
-            runner = {"train-256": time_train_step, "demo": time_demo,
-                      "tier1": run_tier1}[workload]
-            return runner(tree), {}
+            return {"demo": time_demo, "tier1": run_tier1}[workload](tree), {}
         result, run_env = run_perfbench(tree, workload, seed)
         return ({k: v["value"] for k, v in result["metrics"].items()},
                 run_env)
@@ -308,7 +334,7 @@ def main(argv=None) -> int:
                     help="alternating pairs per workload (default 10)")
     ap.add_argument("--workload", choices=[*WORKLOADS, *STEP_METRICS],
                     help="the one workload to compare (default: all but "
-                    "demo and tier1)")
+                    "fuse-1024, demo and tier1)")
     ap.add_argument("--seed", type=int, default=0,
                     help="perfbench seed of the first pair (default 0)")
     args = ap.parse_args(argv)
